@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .field import BallWindow, Grid, SampledField, ball_mask
+from .field import BallWindow, Grid, SampledField, ball_mask, lattice_centers, periodic_roll
 
 __all__ = [
     "OscillationReport",
@@ -99,18 +99,15 @@ class TemperedGrowthReport:
     verdict: str  # "finite" or "divergent tail"
 
 
+def _center_tuples(grid: Grid, stride) -> list:
+    """Strided lattice centers as plain-int tuples (they are serialized)."""
+    return [tuple(int(i) for i in c) for c in lattice_centers(grid, max(1, int(stride)))]
+
+
 def make_ball_family(grid: Grid, radii, stride: int = 1) -> list:
     """Balls at strided grid centers, one window per (center, radius)."""
-    idx = range(0, grid.n_per_axis, max(1, int(stride)))
-    out = []
-    for r in radii:
-        if grid.dim == 1:
-            out.extend(BallWindow(center=(i,), radius=float(r)) for i in idx)
-        else:
-            out.extend(
-                BallWindow(center=(i, j), radius=float(r)) for i in idx for j in idx
-            )
-    return out
+    centers = _center_tuples(grid, stride)
+    return [BallWindow(center=c, radius=float(r)) for r in radii for c in centers]
 
 
 def make_cube_family(grid: Grid, sides=None, stride: int = None) -> list:
@@ -123,16 +120,8 @@ def make_cube_family(grid: Grid, sides=None, stride: int = None) -> list:
             s /= 2.0
     if stride is None:
         stride = max(1, grid.n_per_axis // 8)
-    idx = range(0, grid.n_per_axis, max(1, int(stride)))
-    out = []
-    for s in sides:
-        if grid.dim == 1:
-            out.extend(CubeSpec(center=(i,), side=float(s)) for i in idx)
-        else:
-            out.extend(
-                CubeSpec(center=(i, j), side=float(s)) for i in idx for j in idx
-            )
-    return out
+    centers = _center_tuples(grid, stride)
+    return [CubeSpec(center=c, side=float(s)) for s in sides for c in centers]
 
 
 def bmo_norm(field: SampledField, windows) -> OscillationReport:
@@ -157,10 +146,7 @@ def bmo_norm(field: SampledField, windows) -> OscillationReport:
         acc = np.zeros_like(shaped)
         for off in offs:
             shift = tuple(-int(o) for o in off)
-            if grid.dim == 1:
-                acc += np.abs(np.roll(shaped, shift[0]) - mean)
-            else:
-                acc += np.abs(np.roll(shaped, shift, axis=(0, 1)) - mean)
+            acc += np.abs(periodic_roll(shaped, shift) - mean)
         osc = acc / count
         for w in group:
             rows.append((w.center, radius, float(osc[tuple(int(c) for c in w.center)])))
@@ -205,13 +191,8 @@ def holder_seminorm(field: SampledField, alpha: float, stride: int = 1) -> float
 def _cube_values(field: SampledField, cube: CubeSpec) -> np.ndarray:
     grid = field.grid
     m = cube.points_per_axis(grid)
-    lo = tuple(int(c) - m // 2 for c in cube.center)
-    if grid.dim == 1:
-        idx = (np.arange(m) + lo[0]) % grid.n_per_axis
-        return field.shaped[idx]
-    i1 = (np.arange(m) + lo[0]) % grid.n_per_axis
-    i2 = (np.arange(m) + lo[1]) % grid.n_per_axis
-    return field.shaped[np.ix_(i1, i2)]
+    axes = [(np.arange(m) + int(c) - m // 2) % grid.n_per_axis for c in cube.center]
+    return field.shaped[np.ix_(*axes)]
 
 
 def _first_difference_sum(v: np.ndarray, h: float, expo: float, dim: int) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bmo import bmo_norm, make_ball_family
 from .coeffs import CoefficientMatrix, ScaleLadder, coefficient_matrix, make_ladder, matrix_metadata
-from .field import Grid, SampledField, ball_mask
+from .field import SampledField, ball_mask, flat_index, lattice_centers, periodic_roll
 from .spectral import fractional_derivative
 
 __all__ = [
@@ -94,12 +94,7 @@ def square_function_integral(matrix: CoefficientMatrix, alpha: float, z, R: floa
     level = _ladder_level_of(matrix.ladder, R)
     summand = _weighted_levels(matrix, alpha)[:, level:].sum(axis=1)
     center = tuple(int(x) for x in (z if isinstance(z, (tuple, list, np.ndarray)) else (z,)))
-    mask = ball_mask(grid, R)
-    shift = tuple(int(c) for c in center)
-    if grid.dim == 1:
-        members = np.roll(mask, shift)
-    else:
-        members = np.roll(mask, shift, axis=(0, 1))
+    members = periodic_roll(ball_mask(grid, R), center)
     h = grid.spacing
     return float(h ** grid.dim * summand.reshape(grid.shape)[members].sum())
 
@@ -110,8 +105,7 @@ def _normalized_table(matrix: CoefficientMatrix, alpha: float, tops, center_subs
     h = grid.spacing
     summand_levels = _weighted_levels(matrix, alpha)
     table = np.empty((len(center_subset), len(tops)))
-    flat = np.ravel_multi_index(tuple(np.asarray(center_subset).T), grid.shape) \
-        if grid.dim == 2 else np.asarray(center_subset).reshape(-1)
+    flat = flat_index(grid, center_subset)
     for j, R in enumerate(tops):
         level = _ladder_level_of(matrix.ladder, R)
         s = summand_levels[:, level:].sum(axis=1).reshape(grid.shape)
@@ -119,14 +113,6 @@ def _normalized_table(matrix: CoefficientMatrix, alpha: float, tops, center_subs
         total = np.fft.ifftn(np.fft.fftn(s) * np.conj(np.fft.fftn(mask))).real
         table[:, j] = h ** grid.dim * total.reshape(-1)[flat] / R ** grid.dim
     return np.maximum(table, 0.0)
-
-
-def _all_centers(grid: Grid, stride: int) -> np.ndarray:
-    idx = np.arange(0, grid.n_per_axis, stride)
-    if grid.dim == 1:
-        return idx[:, None]
-    a, b = np.meshgrid(idx, idx, indexing="ij")
-    return np.stack([a.reshape(-1), b.reshape(-1)], axis=1)
 
 
 def carleson_constant(
@@ -145,9 +131,9 @@ def carleson_constant(
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     grid = matrix.grid
     if centers is None:
-        centers = _all_centers(grid, stride)
+        centers, center_stride = lattice_centers(grid, stride), stride
     else:
-        centers = np.atleast_2d(np.asarray(centers, dtype=int))
+        centers, center_stride = np.atleast_2d(np.asarray(centers, dtype=int)), None
     if centers.size == 0:
         raise ValueError("empty center family")
     if tops is None:
@@ -167,7 +153,7 @@ def carleson_constant(
             "alpha": alpha,
             "sup_lower_bound": True,
             "nonstandard_pairing": order != matching_order(alpha),
-            "center_stride": stride if centers is None else None,
+            "center_stride": center_stride,
             "n_centers": int(len(centers)),
             "truncation_floor_radius": float(matrix.ladder.radii[-1]),
         }

@@ -83,25 +83,29 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
 
 
-def _merge_config(args, parser_defaults: dict) -> None:
-    """Flags override config-file values; config overrides built-ins."""
+def _merge_config(args, command_parser) -> None:
+    """Flags override config-file values; config overrides built-ins.
+
+    The values are parsed by the active subcommand's own parser, so each
+    takes its flag's type and choices; a switch is set by a true-ish value.
+    """
     if not getattr(args, "config", None):
         return
     cfg = _load_config_file(args.config)
+    tokens = []
     for key, raw in cfg.items():
         if not hasattr(args, key):
             raise UsageError(f"config key {key!r} is not a flag of {args.command}")
-        if getattr(args, key) is None or getattr(args, key) == parser_defaults.get(key):
-            default = parser_defaults.get(key)
-            if isinstance(default, bool):
-                val = raw.lower() in ("1", "true", "yes")
-            elif isinstance(default, int) and not isinstance(default, bool):
-                val = int(raw)
-            elif isinstance(default, float):
-                val = float(raw)
-            else:
-                val = raw
-            setattr(args, key, val)
+        flag = "--" + key.replace("_", "-")
+        if isinstance(command_parser.get_default(key), bool):
+            if raw.lower() in ("1", "true", "yes"):
+                tokens.append(flag)
+        else:
+            tokens.append(f"{flag}={raw}")
+    typed = command_parser.parse_args(tokens)
+    for key in cfg:
+        if getattr(args, key) is None or getattr(args, key) == command_parser.get_default(key):
+            setattr(args, key, getattr(typed, key))
 
 
 def _require(args, names) -> None:
@@ -181,6 +185,16 @@ def _cmd_coeffs(args):
     return EXIT_OK
 
 
+def _write_rows_csv(path: str, columns, rows) -> None:
+    """Header, then one line per row: integers (center indices, k) in
+    decimal, every other value as its shortest round-trip float."""
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = (str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row)
+        lines.append(",".join(cells))
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def _report_payload(args, keys, report_meta, extra):
     payload = {"config": _effective_config(args, keys)}
     payload.update(extra)
@@ -220,13 +234,7 @@ def _cmd_sqfn(args):
     )
     _write_json(args.out_json, payload)
     if args.out_csv:
-        lines = [",".join(payload["per_window_columns"])]
-        for row in rows:
-            lines.append(
-                ",".join(str(int(v)) for v in row[:-2])
-                + f",{row[-2]!r},{row[-1]!r}"
-            )
-        _atomic_write(args.out_csv, "\n".join(lines) + "\n")
+        _write_rows_csv(args.out_csv, payload["per_window_columns"], rows)
     return EXIT_OK
 
 
@@ -261,12 +269,7 @@ def _cmd_bmo(args):
     )
     _write_json(args.out_json, payload)
     if args.out_csv:
-        lines = [",".join(payload["per_window_columns"])]
-        for row in rows:
-            lines.append(
-                ",".join(str(int(v)) for v in row[:-2]) + f",{row[-2]!r},{row[-1]!r}"
-            )
-        _atomic_write(args.out_csv, "\n".join(lines) + "\n")
+        _write_rows_csv(args.out_csv, payload["per_window_columns"], rows)
     return EXIT_OK
 
 
@@ -298,12 +301,7 @@ def _cmd_strichartz(args):
     )
     _write_json(args.out_json, payload)
     if args.out_csv:
-        lines = [",".join(payload["per_cube_columns"])]
-        for row in rows:
-            lines.append(
-                ",".join(str(int(v)) for v in row[:-2]) + f",{row[-2]!r},{row[-1]!r}"
-            )
-        _atomic_write(args.out_csv, "\n".join(lines) + "\n")
+        _write_rows_csv(args.out_csv, payload["per_cube_columns"], rows)
     return EXIT_OK
 
 
@@ -362,16 +360,10 @@ def _cmd_beta(args):
             rep = geometry_mod.graph_beta_vs_nu1(field, ladder, stride=args.stride)
         except ValueError as exc:
             raise NumericError(str(exc)) from exc
-        dim = field.grid.dim
-        head = ",".join(f"center_index_{k}" for k in range(dim))
-        lines = [head + ",radius,beta,nu1"]
-        for i, c in enumerate(rep.centers):
-            prefix = ",".join(str(int(x)) for x in np.atleast_1d(c))
-            for j, r in enumerate(rep.radii):
-                lines.append(
-                    f"{prefix},{float(r)!r},{float(rep.beta[i, j])!r},{float(rep.nu1[i, j])!r}"
-                )
-        _atomic_write(args.out, "\n".join(lines) + "\n")
+        columns = [f"center_index_{k}" for k in range(field.grid.dim)] + ["radius", "beta", "nu1"]
+        rows = (list(c) + [r, rep.beta[i, j], rep.nu1[i, j]]
+                for i, c in enumerate(rep.centers) for j, r in enumerate(rep.radii))
+        _write_rows_csv(args.out, columns, rows)
         meta = {
             "config": _effective_config(
                 args, ["field", "graph", "top_radius", "levels", "stride", "k"]
@@ -401,8 +393,7 @@ def _cmd_beta(args):
     except ValueError as exc:
         raise NumericError(str(exc)) from exc
     cols = [f"center_{k}" for k in range(cloud.ambient_dim)] + ["radius", "k", "beta"]
-    row = [repr(float(c)) for c in center] + [repr(args.radius), str(args.k), repr(beta)]
-    _atomic_write(args.out, ",".join(cols) + "\n" + ",".join(row) + "\n")
+    _write_rows_csv(args.out, cols, [list(center) + [args.radius, args.k, beta]])
     meta = {
         "config": _effective_config(
             args, ["cloud", "ambient_dim", "center", "radius", "k"]
@@ -420,6 +411,7 @@ def _cmd_beta(args):
 
 
 def _build_parser():
+    """The top-level parser and the subcommand parsers keyed by name."""
     parser = _Parser(prog="msq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -510,7 +502,7 @@ def _build_parser():
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--out", default=None)
 
-    return parser
+    return parser, sub.choices
 
 
 _COMMANDS = {
@@ -526,15 +518,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        defaults = {
-            a.dest: a.default
-            for sp in parser._subparsers._group_actions[0].choices.values()
-            for a in sp._actions
-        }
-        _merge_config(args, defaults)
+        _merge_config(args, commands[args.command])
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"msq: error: usage: {exc}", file=sys.stderr)

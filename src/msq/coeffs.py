@@ -29,10 +29,13 @@ from .field import (
     Mollifier,
     SampledField,
     annulus_mask,
-    axis_offsets,
     ball_mask,
-    ball_offsets,
+    flat_index,
+    lattice_centers,
+    masked_offsets,
     mollify,
+    offset_components,
+    periodic_roll,
     window_values,
 )
 from .spectral import spectral_gradient
@@ -129,7 +132,7 @@ def _window_geometry(field: SampledField, window: BallWindow):
     window.validate(field.grid)
     mask = ball_mask(field.grid, window.radius)
     vals = window_values(field, window, mask=mask)
-    u = ball_offsets(field.grid, window.radius)
+    u = masked_offsets(field.grid, mask)
     return vals, u
 
 
@@ -178,7 +181,7 @@ def nu_bar(field: SampledField, window: BallWindow, order: int) -> float:
     vals, u = _window_geometry(field, window)
     moll = Mollifier(scale=window.radius)
     smoothed = mollify(field, moll)
-    cflat = _flat_index(field.grid, window.center)
+    cflat = flat_index(field.grid, window.center)
     a = smoothed.values[cflat]
     if order == 0:
         resid = vals - a
@@ -199,14 +202,14 @@ def nu_tilde(field: SampledField, window: BallWindow, order: int) -> float:
     if int(mask.sum()) < 2 * grid.dim:
         raise ValueError(f"annulus of window {window} has too few grid points")
     vals = window_values(field, window, mask=mask)
-    fx = field.values[_flat_index(grid, window.center)]
-    diffs = vals - fx
+    cflat = flat_index(grid, window.center)
+    diffs = vals - field.values[cflat]
     if order == 1:
-        u = _masked_offsets(grid, mask)
+        u = masked_offsets(grid, mask)
         moll = Mollifier(scale=window.radius)
         g = np.array(
             [
-                mollify(comp, moll).values[_flat_index(grid, window.center)]
+                mollify(comp, moll).values[cflat]
                 for comp in spectral_gradient(field)
             ]
         )
@@ -214,43 +217,8 @@ def nu_tilde(field: SampledField, window: BallWindow, order: int) -> float:
     return float(np.sqrt(np.mean(diffs ** 2)) / window.radius)
 
 
-def _flat_index(grid: Grid, center) -> int:
-    if grid.dim == 1:
-        c = center[0] if isinstance(center, (tuple, list)) else center
-        return int(c) % grid.n_per_axis
-    c0, c1 = (int(x) % grid.n_per_axis for x in center)
-    return c0 * grid.n_per_axis + c1
-
-
-def _masked_offsets(grid: Grid, mask: np.ndarray) -> np.ndarray:
-    u = axis_offsets(grid)
-    if grid.dim == 1:
-        return u[mask][:, None]
-    u1, u2 = np.meshgrid(u, u, indexing="ij")
-    return np.stack([u1[mask], u2[mask]], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # whole-matrix fast path
-
-
-def _correlate(shaped: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """out[c] = sum_j weight[j] * shaped[c + j] with periodic indexing."""
-    return np.fft.ifftn(np.fft.fftn(shaped) * np.conj(np.fft.fftn(weight))).real
-
-
-def _offset_components(grid: Grid):
-    u = axis_offsets(grid)
-    if grid.dim == 1:
-        return (u,)
-    return (u[:, None] * np.ones((1, grid.n_per_axis)),
-            np.ones((grid.n_per_axis, 1)) * u[None, :])
-
-
-def _roll(shaped: np.ndarray, shift) -> np.ndarray:
-    if shaped.ndim == 1:
-        return np.roll(shaped, shift[0])
-    return np.roll(shaped, shift, axis=(0, 1))
 
 
 def coefficient_matrix(field: SampledField, ladder: ScaleLadder, kind: str) -> CoefficientMatrix:
@@ -276,7 +244,7 @@ def coefficient_matrix(field: SampledField, ladder: ScaleLadder, kind: str) -> C
     if fc.size and fc.max() == fc.min():
         fc = np.zeros(grid.shape)  # constant input: coefficients vanish exactly
     Ff = np.fft.fftn(fc)
-    ucomps = _offset_components(grid)
+    ucomps = offset_components(grid)
     grad_fc = None
     if kind == "nu1_tilde":
         grad_fc = spectral_gradient(SampledField(grid=grid, values=fc.reshape(-1)))
@@ -318,10 +286,10 @@ def coefficient_matrix(field: SampledField, ladder: ScaleLadder, kind: str) -> C
         acc = np.zeros(grid.shape)
         for off in np.argwhere(mask):
             shift = tuple(-int(o) for o in off)
-            term = _roll(fc, shift) - A
+            term = periodic_roll(fc, shift) - A
             if B is not None:
                 for B_i, uc in zip(B, ucomps):
-                    ui = uc[tuple(off)] if grid.dim == 2 else uc[off[0]]
+                    ui = uc[tuple(off)]
                     if ui != 0.0:
                         term = term - B_i * ui
             acc += term * term
@@ -338,21 +306,12 @@ def _mollified(fc_shaped: np.ndarray, grid: Grid, scale: float) -> np.ndarray:
 # serialization
 
 
-def _center_indices(grid: Grid) -> np.ndarray:
-    if grid.dim == 1:
-        return np.arange(grid.n_per_axis)[:, None]
-    i, j = np.meshgrid(
-        np.arange(grid.n_per_axis), np.arange(grid.n_per_axis), indexing="ij"
-    )
-    return np.stack([i.reshape(-1), j.reshape(-1)], axis=1)
-
-
 def write_matrix_csv(matrix: CoefficientMatrix, fh) -> None:
     """Flat CSV, one row per (center, radius), center-major ordering."""
     grid = matrix.grid
     cols = [f"center_index_{k}" for k in range(grid.dim)] + ["radius", "value"]
     fh.write(",".join(cols) + "\n")
-    centers = _center_indices(grid)
+    centers = lattice_centers(grid)
     radii = matrix.ladder.radii
     for ci, row in zip(centers, matrix.values):
         prefix = ",".join(str(int(c)) for c in ci)

@@ -25,7 +25,9 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .coeffs import ScaleLadder, coefficient_matrix
-from .field import Grid, SampledField, make_grid, offset_distance
+from .field import (
+    Grid, SampledField, coordinates, flat_index, make_grid, offset_distance, periodic_roll,
+)
 from .spectral import riesz_potential
 
 __all__ = [
@@ -124,19 +126,7 @@ class RegularityTag:
 
 def _centered_distance(grid: Grid) -> np.ndarray:
     """Periodic distance from the domain-center grid point, shaped."""
-    d = offset_distance(grid)
-    c = grid.n_per_axis // 2
-    shift = (c,) * grid.dim
-    if grid.dim == 1:
-        return np.roll(d, shift[0])
-    return np.roll(d, shift, axis=(0, 1))
-
-
-def _axis_coordinate(grid: Grid) -> np.ndarray:
-    axis = np.arange(grid.n_per_axis) * grid.spacing
-    if grid.dim == 1:
-        return axis
-    return axis[:, None] * np.ones((1, grid.n_per_axis))
+    return periodic_roll(offset_distance(grid), (grid.n_per_axis // 2,) * grid.dim)
 
 
 def generate(spec: CorpusSpec) -> SampledField:
@@ -154,7 +144,7 @@ def generate(spec: CorpusSpec) -> SampledField:
         d = _centered_distance(grid)
         vals = np.maximum(rho ** spec.gamma - d ** spec.gamma, 0.0)
     elif spec.family == "weierstrass":
-        x = _axis_coordinate(grid)
+        x = coordinates(grid)[0]
         vals = np.zeros(grid.shape)
         nyquist = grid.n_per_axis // 2
         for j in range(spec.levels):
@@ -163,7 +153,7 @@ def generate(spec: CorpusSpec) -> SampledField:
                 break  # unresolved terms are dropped
             vals += 3.0 ** (-j * spec.beta_w) * np.cos(2.0 * np.pi * freq * x / L)
     elif spec.family == "sign_jump":
-        x = _axis_coordinate(grid)
+        x = coordinates(grid)[0]
         vals = np.where(x < L / 2.0, 1.0, -1.0)
     elif spec.family == "log_singularity":
         # Singular point sits half a cell off the central grid point so the
@@ -182,7 +172,7 @@ def generate(spec: CorpusSpec) -> SampledField:
         base = SampledField(grid=grid, values=noise.astype(float))
         return riesz_potential(base, spec.alpha)
     else:  # sinusoid
-        x = _axis_coordinate(grid)
+        x = coordinates(grid)[0]
         vals = np.cos(2.0 * np.pi * int(spec.frequency) * x / L)
     return SampledField(grid=grid, values=np.asarray(vals, dtype=float).reshape(-1))
 
@@ -334,13 +324,7 @@ def roughness_exponent(field: SampledField, ladder: ScaleLadder, center=None) ->
     if center is None:
         scale = mat.values.mean(axis=0) * radii
     else:
-        if isinstance(center, (tuple, list)):
-            flat = int(center[0])
-            if field.grid.dim == 2:
-                flat = int(center[0]) * field.grid.n_per_axis + int(center[1])
-        else:
-            flat = int(center)
-        scale = mat.values[flat, :] * radii
+        scale = mat.values[flat_index(field.grid, np.atleast_1d(center)), :] * radii
     good = scale > 0
     if good.sum() < 2:
         raise ValueError("not enough nonzero scales to fit a slope")

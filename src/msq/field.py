@@ -28,6 +28,11 @@ __all__ = [
     "annulus_mask",
     "ball_count",
     "ball_offsets",
+    "periodic_roll",
+    "offset_components",
+    "masked_offsets",
+    "lattice_centers",
+    "flat_index",
     "window_values",
     "ball_mean",
     "mollify",
@@ -123,16 +128,9 @@ class Mollifier:
 
     def kernel(self, grid: Grid) -> np.ndarray:
         """Sampled kernel on the grid, shape (n,)*dim, sum == 1."""
-        if self.scale < 2 * grid.spacing:
-            raise ValueError(
-                f"mollifier scale {self.scale} unresolved: below 2h = {2 * grid.spacing}"
-            )
         if self.scale > grid.period / 4:
             raise ValueError("mollifier scale exceeds period/4")
-        t = offset_distance(grid) / self.scale
-        ker = np.zeros(grid.shape)
-        inside = t < 1.0
-        ker[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
+        ker, _ = _bump(grid, self.scale)
         total = ker.sum()
         if total <= 0:
             raise ValueError("degenerate mollifier kernel")
@@ -154,10 +152,7 @@ def make_grid(dim: int, n_per_axis: int, period: float) -> Grid:
 def coordinates(grid: Grid) -> tuple:
     """Per-axis coordinate arrays broadcast to the grid shape (row-major)."""
     axis = np.arange(grid.n_per_axis) * grid.spacing
-    if grid.dim == 1:
-        return (axis,)
-    x1, x2 = np.meshgrid(axis, axis, indexing="ij")
-    return (x1, x2)
+    return tuple(np.meshgrid(*(axis,) * grid.dim, indexing="ij"))
 
 
 def sample(grid: Grid, fn: Callable) -> SampledField:
@@ -218,20 +213,47 @@ def ball_count(grid: Grid, radius: float) -> int:
 
 def ball_offsets(grid: Grid, radius: float) -> np.ndarray:
     """Displacement vectors of the ball's points, shape (count, dim)."""
-    mask = ball_mask(grid, radius)
+    return masked_offsets(grid, ball_mask(grid, radius))
+
+
+# ---------------------------------------------------------------------------
+# periodic lattice indexing: how a grid point, an offset and a window are
+# addressed on the torus, for any dim
+
+
+def periodic_roll(a: np.ndarray, shift) -> np.ndarray:
+    """np.roll over every axis of a grid-shaped array; shift has one entry
+    per axis, and out[i] = a[i - shift] with periodic wrap."""
+    return np.roll(a, shift, axis=tuple(range(a.ndim)))
+
+
+def offset_components(grid: Grid) -> tuple:
+    """Per-axis centered displacement of every grid index from index 0,
+    each broadcast to the grid shape (row-major)."""
     u = axis_offsets(grid)
-    if grid.dim == 1:
-        return u[mask][:, None]
-    u1, u2 = np.meshgrid(u, u, indexing="ij")
-    return np.stack([u1[mask], u2[mask]], axis=1)
+    return tuple(np.meshgrid(*(u,) * grid.dim, indexing="ij"))
 
 
-def _recentred(field: SampledField, center: tuple) -> np.ndarray:
-    """Field values indexed by offset from the given center."""
-    shift = tuple(-int(c) for c in center)
-    if field.grid.dim == 1:
-        return np.roll(field.shaped, shift[0])
-    return np.roll(field.shaped, shift, axis=(0, 1))
+def masked_offsets(grid: Grid, mask: np.ndarray) -> np.ndarray:
+    """Displacement vectors of the offsets selected by a mask, (count, dim)."""
+    return np.stack([u[mask] for u in offset_components(grid)], axis=1)
+
+
+def lattice_centers(grid: Grid, stride: int = 1) -> np.ndarray:
+    """Grid indices at every stride-th point per axis, (m, dim) in row-major
+    order."""
+    idx = np.arange(0, grid.n_per_axis, stride)
+    return np.stack(
+        [a.reshape(-1) for a in np.meshgrid(*(idx,) * grid.dim, indexing="ij")], axis=1
+    )
+
+
+def flat_index(grid: Grid, center):
+    """Row-major flat index of a center index tuple, wrapped onto the torus;
+    an (m, dim) array of centers gives an (m,) array of indices."""
+    return np.ravel_multi_index(
+        tuple(np.asarray(center, dtype=int).T), grid.shape, mode="wrap"
+    )
 
 
 def window_values(field: SampledField, window: BallWindow, mask=None) -> np.ndarray:
@@ -239,7 +261,8 @@ def window_values(field: SampledField, window: BallWindow, mask=None) -> np.ndar
     window.validate(field.grid)
     if mask is None:
         mask = ball_mask(field.grid, window.radius)
-    return _recentred(field, window.center)[mask]
+    shift = tuple(-int(c) for c in window.center)
+    return periodic_roll(field.shaped, shift)[mask]
 
 
 def ball_mean(field: SampledField, window: BallWindow) -> float:
@@ -248,6 +271,18 @@ def ball_mean(field: SampledField, window: BallWindow) -> float:
     if vals.size == 0:
         raise ValueError(f"window {window} contains no grid point")
     return float(vals.mean())
+
+
+def _bump(grid: Grid, scale: float):
+    """Unnormalized bump exp(-1/(1-t^2)) sampled at t = |u| / scale, zero
+    for t >= 1; returns (bump, t)."""
+    if scale < 2 * grid.spacing:
+        raise ValueError(f"mollifier scale {scale} unresolved: below 2h = {2 * grid.spacing}")
+    t = offset_distance(grid) / scale
+    raw = np.zeros(grid.shape)
+    inside = t < 1.0
+    raw[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
+    return raw, t
 
 
 def mollify(field: SampledField, moll: Mollifier) -> SampledField:
@@ -269,20 +304,12 @@ def mollify_gradient_kernel(field: SampledField, moll: Mollifier) -> tuple:
     as mollify.
     """
     grid = field.grid
-    if moll.scale < 2 * grid.spacing:
-        raise ValueError("mollifier scale unresolved")
-    t = offset_distance(grid) / moll.scale
-    raw = np.zeros(grid.shape)
+    raw, t = _bump(grid, moll.scale)
     inside = t < 1.0
-    raw[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
     mass = raw.sum()
-    u = axis_offsets(grid)
     fhat = np.fft.fftn(field.shaped)
     comps = []
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.n_per_axis
-        u_i = np.broadcast_to(u.reshape(shape), grid.shape)
+    for u_i in offset_components(grid):
         dker = np.zeros(grid.shape)
         dker[inside] = (
             -2.0

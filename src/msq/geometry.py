@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import ScaleLadder, coefficient_matrix
-from .field import SampledField, axis_offsets
+from .field import SampledField, flat_index, lattice_centers, offset_components, periodic_roll
 from .spectral import spectral_gradient
 
 __all__ = [
@@ -173,41 +173,26 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
     plane number with k = dim is matched against nu1 at the same (x, r).
     """
     grid = field.grid
-    n, h = grid.n_per_axis, grid.spacing
+    h = grid.spacing
     dim = grid.dim
     grads = spectral_gradient(field)
     gnorm_sq = sum(g.shaped**2 for g in grads)
     lipschitz = float(np.sqrt(gnorm_sq.max()))
     area = (h**dim * np.sqrt(1.0 + gnorm_sq)).reshape(-1)
     f = field.shaped
-    u = axis_offsets(grid)
-    if dim == 1:
-        ucomp = [u]
-        udist_sq = u**2
-    else:
-        ucomp = [u[:, None] * np.ones((1, n)), np.ones((n, 1)) * u[None, :]]
-        udist_sq = ucomp[0] ** 2 + ucomp[1] ** 2
+    ucomp = offset_components(grid)
+    udist_sq = sum(uc**2 for uc in ucomp)
 
     radii = ladder.radii
-    step = max(1, int(stride))
-    if dim == 1:
-        centers = [(i,) for i in range(0, n, step)]
-    else:
-        centers = [(i, j) for i in range(0, n, step) for j in range(0, n, step)]
-    numat = coefficient_matrix(field, ladder, "nu1").values
+    centers = lattice_centers(grid, max(1, int(stride)))
+    nub = coefficient_matrix(field, ladder, "nu1").values[flat_index(grid, centers)]
 
     beta = np.empty((len(centers), radii.size))
-    nub = np.empty((len(centers), radii.size))
     for i, c in enumerate(centers):
         shift = tuple(-int(x) for x in c)
-        if dim == 1:
-            fshift = np.roll(f, shift[0])
-            wshift = np.roll(area, shift[0])
-        else:
-            fshift = np.roll(f, shift, axis=(0, 1))
-            wshift = np.roll(area.reshape(grid.shape), shift, axis=(0, 1)).reshape(-1)
+        fshift = periodic_roll(f, shift)
+        wshift = periodic_roll(area.reshape(grid.shape), shift).reshape(-1)
         lift = (fshift - fshift.reshape(-1)[0]).reshape(-1)
-        flat_c = c[0] if dim == 1 else c[0] * n + c[1]
         for j, r in enumerate(radii):
             cand = (udist_sq < r * r).reshape(-1)
             ll = lift[cand]
@@ -218,7 +203,6 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
             sub = PointCloud(points=pts, weights=w)
             b, _ = beta2k(sub, np.zeros(dim + 1), float(r), k=dim)
             beta[i, j] = b
-            nub[i, j] = numat[flat_c, j]
 
     floor = 1e-12 * max(1.0, float(np.max(np.abs(f))))
     both = (beta > floor) & (nub > floor)
@@ -230,7 +214,7 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
     return GraphBridgeReport(
         beta=beta,
         nu1=nub,
-        centers=np.asarray(centers, dtype=int),
+        centers=centers,
         radii=radii,
         lipschitz=lipschitz,
         max_beta_over_nu1=up,

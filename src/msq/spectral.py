@@ -27,7 +27,6 @@ from scipy.special import zeta
 from .field import Grid, SampledField, axis_offsets
 
 __all__ = [
-    "MultiplierSpec",
     "fractional_derivative",
     "riesz_potential",
     "spectral_gradient",
@@ -35,26 +34,6 @@ __all__ = [
     "fractional_laplacian_pv",
     "calibrate_pv_constant",
 ]
-
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """Radial multiplier choice: |2 pi k / L|^(+alpha) or ^(-alpha), k != 0."""
-
-    exponent: float
-    kind: str  # "derivative" or "integral"
-    zero_mode_policy: str = "project_out"
-
-    def __post_init__(self):
-        if self.kind not in ("derivative", "integral"):
-            raise ValueError(f"unknown multiplier kind {self.kind!r}")
-        if not (0.0 < self.exponent < 2.0):
-            raise ValueError(f"exponent must lie in (0, 2), got {self.exponent}")
-        if self.zero_mode_policy != "project_out":
-            raise ValueError("only the project_out zero-mode policy is supported")
 
 
 def _freq_magnitude(grid: Grid) -> np.ndarray:

@@ -131,6 +131,20 @@ def test_sqfn_csv_output(bump_file, tmp_path):
     assert len(lines) > 1
 
 
+def test_sqfn_records_center_stride(bump_file, tmp_path):
+    from msq.carleson import carleson_constant
+    from msq.coeffs import coefficient_matrix, make_ladder
+
+    out = tmp_path / "sq.json"
+    assert run(["sqfn", "--field", str(bump_file), "--kind", "nu0", "--alpha", "0.5",
+                "--stride", "4", "--out-json", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["metadata"]["center_stride"] == 4
+    field, _ = load_field(bump_file)
+    matrix = coefficient_matrix(field, make_ladder(field.grid, levels=2), "nu0")
+    report = carleson_constant(matrix, 0.5, centers=[(0,), (7,)])
+    assert report.metadata["center_stride"] is None
+
+
 def test_bmo_command(bump_file, tmp_path):
     out = tmp_path / "bmo.json"
     assert run(["bmo", "--field", str(bump_file), "--stride", "16",
@@ -219,7 +233,7 @@ def test_beta_too_few_points_numeric_error(tmp_path, capsys):
     assert "numeric" in capsys.readouterr().err
 
 
-def test_config_file_merge(tmp_path):
+def test_config_file_merge(tmp_path, bump_file, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family=smooth_bump\nn=128\nperiod=1.0\n")
     out = tmp_path / "f.fld"
@@ -230,6 +244,21 @@ def test_config_file_merge(tmp_path):
     out2 = tmp_path / "g.fld"
     assert run(["generate", "--config", str(cfg), "--n", "64", "--out", str(out2)]) == EXIT_OK
     assert load_field(out2)[0].values.size == 64
+    # values take the subcommand's own flag type, also where its default is None
+    good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
+    good.write_text("alpha=0.5\n")
+    bad.write_text("alpha=abc\n")
+    for command, out_flag, extra in (
+        ("strichartz", "--out-json", ["--order", "first", "--stride", "64"]),
+        ("fracderiv", "--out", []),
+    ):
+        base = [command, "--field", str(bump_file)] + extra
+        by_flag, by_cfg = tmp_path / f"{command}.flag", tmp_path / f"{command}.cfg"
+        assert run(base + ["--alpha", "0.5", out_flag, str(by_flag)]) == EXIT_OK
+        assert run(base + ["--config", str(good), out_flag, str(by_cfg)]) == EXIT_OK
+        assert by_cfg.read_bytes() == by_flag.read_bytes()
+        assert run(base + ["--config", str(bad), out_flag, str(by_cfg)]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_unknown_config_key_usage_error(tmp_path):

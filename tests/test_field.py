@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,13 @@ from msq.field import (
     ball_count,
     ball_mean,
     ball_mask,
+    ball_offsets,
+    flat_index,
+    lattice_centers,
     make_grid,
+    masked_offsets,
     mollify,
+    periodic_roll,
     sample,
 )
 
@@ -214,3 +221,31 @@ def test_kernel_gradient_route_agrees_with_spectral():
     for a, b in ((kx, sx), (ky, sy)):
         scale = max(np.max(np.abs(b.values)), 1e-12)
         assert np.max(np.abs(a.values - b.values)) < 2e-2 * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_periodic_lattice_helpers(dim):
+    g = make_grid(dim, 16, 1.0)
+    for stride in (1, 3, 4):
+        centers = lattice_centers(g, stride)
+        assert centers.shape == (math.ceil(16 / stride) ** dim, dim)
+        assert np.all(centers % stride == 0)
+        flat = np.ravel_multi_index(tuple(centers.T), g.shape)
+        assert np.all(np.diff(flat) > 0)  # row-major
+        assert np.array_equal(flat_index(g, centers), flat)
+
+    # flat_index wraps out-of-range indices onto the torus
+    assert flat_index(g, (3 + 16,) * dim) == flat_index(g, (3,) * dim)
+    assert flat_index(g, (-1,) * dim) == g.n_points - 1
+
+    a = np.arange(g.n_points, dtype=float).reshape(g.shape)
+    if dim == 1:
+        assert np.array_equal(periodic_roll(a, (5,)), np.roll(a, 5))
+    else:
+        assert np.array_equal(periodic_roll(a, (5, -2)), np.roll(np.roll(a, 5, 0), -2, 1))
+
+    r = 0.3
+    off = masked_offsets(g, ball_mask(g, r))
+    assert np.array_equal(off, ball_offsets(g, r))
+    assert off.shape == (ball_count(g, r), dim)
+    assert np.all(np.sqrt(np.sum(off ** 2, axis=1)) < r)

@@ -6,7 +6,6 @@ from msq.coeffs import make_ladder
 from msq.corpus import CorpusSpec, generate, expected_regularity
 from msq.field import SampledField, make_grid, sample
 from msq.spectral import (
-    MultiplierSpec,
     calibrate_pv_constant,
     fractional_derivative,
     fractional_laplacian_pv,
@@ -80,13 +79,6 @@ def test_alpha_range_enforced(alpha):
         fractional_derivative(f, alpha)
     with pytest.raises(ValueError):
         riesz_potential(f, alpha)
-
-
-def test_multiplier_spec_validation():
-    with pytest.raises(ValueError):
-        MultiplierSpec(exponent=0.5, kind="other")
-    with pytest.raises(ValueError):
-        MultiplierSpec(exponent=2.5, kind="derivative")
 
 
 def test_outputs_real_2d():
