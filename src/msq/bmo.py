@@ -101,7 +101,7 @@ class TemperedGrowthReport:
 
 def _center_tuples(grid: Grid, stride) -> list:
     """Strided lattice centers as plain-int tuples (they are serialized)."""
-    return [tuple(int(i) for i in c) for c in lattice_centers(grid, max(1, int(stride)))]
+    return [tuple(int(i) for i in c) for c in lattice_centers(grid, stride)]
 
 
 def make_ball_family(grid: Grid, radii, stride: int = 1) -> list:
@@ -130,28 +130,54 @@ def bmo_norm(field: SampledField, windows) -> OscillationReport:
         raise ValueError("empty window family")
     grid = field.grid
     shaped = field.shaped
+    centers, radii = _window_arrays(grid, windows)
     # Group by radius: the oscillation field for one radius covers every
     # center at once, so strided families reuse a single pass.
-    by_radius = {}
-    for w in windows:
-        w.validate(grid)
-        by_radius.setdefault(float(w.radius), []).append(w)
+    levels, level_of = np.unique(radii, return_inverse=True)
     rows = []
-    for radius, group in sorted(by_radius.items()):
+    for k, radius in enumerate(levels):
+        members = np.flatnonzero(level_of == k)
+        points = centers[members]
         mask = ball_mask(grid, radius)
         count = int(mask.sum())
-        offs = np.argwhere(mask)
         Fm = np.conj(np.fft.fftn(mask.astype(float)))
         mean = np.fft.ifftn(np.fft.fftn(shaped) * Fm).real / count
-        acc = np.zeros_like(shaped)
-        for off in offs:
-            shift = tuple(-int(o) for o in off)
-            acc += np.abs(periodic_roll(shaped, shift) - mean)
-        osc = acc / count
-        for w in group:
-            rows.append((w.center, radius, float(osc[tuple(int(c) for c in w.center)])))
+        # Only the sub-torus of step s through the centers is evaluated: an
+        # offset o = s q + rho reads shaped[rho::s] rolled by q there, so
+        # each center sees the same terms in the same order as on the full
+        # grid.
+        s = int(np.gcd.reduce(points.reshape(-1), initial=grid.n_per_axis))
+        sub_mean = mean[(slice(None, None, s),) * grid.dim]
+        acc = np.zeros_like(sub_mean)
+        for q, rho in zip(*np.divmod(np.argwhere(mask), s)):
+            part = shaped[tuple(slice(int(p), None, s) for p in rho)]
+            acc += np.abs(periodic_roll(part, tuple(-int(o) for o in q)) - sub_mean)
+        osc = (acc / count)[tuple((points // s).T)]
+        rows.extend((windows[i].center, float(radius), float(v)) for i, v in zip(members, osc))
     norm = max(r[2] for r in rows)
     return OscillationReport(per_window=tuple(rows), norm=float(norm))
+
+
+def _window_arrays(grid: Grid, windows):
+    """Integer centers (m, dim) and radii (m,) of a window family.
+
+    The centers and the radii are checked as arrays; when any window is
+    invalid, BallWindow.validate runs in input order, so the first invalid
+    window raises its own error.
+    """
+    centers = [w.center for w in windows]
+    radii = np.array([float(w.radius) for w in windows])
+    valid = all(len(c) == grid.dim for c in centers)
+    if valid:
+        points = np.asarray(centers).astype(int).reshape(len(centers), grid.dim)
+        valid = bool(
+            np.all((points >= 0) & (points < grid.n_per_axis))
+            and not np.any((radii < grid.spacing) | (radii > grid.period / 4))
+        )
+    if not valid:
+        for w in windows:
+            w.validate(grid)  # raises for the first invalid window
+    return points, radii
 
 
 def holder_seminorm(field: SampledField, alpha: float, stride: int = 1) -> float:

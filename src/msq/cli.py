@@ -45,6 +45,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the center strides: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -83,11 +94,13 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
 
 
-def _merge_config(args, command_parser) -> None:
+def _merge_config(args, command_parser, argv) -> None:
     """Flags override config-file values; config overrides built-ins.
 
     The values are parsed by the active subcommand's own parser, so each
     takes its flag's type and choices; a switch is set by a true-ish value.
+    A flag counts as given when it appears on the command line, also with
+    its default value.
     """
     if not getattr(args, "config", None):
         return
@@ -103,9 +116,20 @@ def _merge_config(args, command_parser) -> None:
         else:
             tokens.append(f"{flag}={raw}")
     typed = command_parser.parse_args(tokens)
+    given = _given_flags(args.command, argv, cfg)
     for key in cfg:
-        if getattr(args, key) is None or getattr(args, key) == command_parser.get_default(key):
+        if key not in given:
             setattr(args, key, getattr(typed, key))
+
+
+def _given_flags(command: str, argv, keys) -> set:
+    """The keys whose flags appear in argv: a re-parse with a sentinel
+    default for each key leaves the sentinel where the flag is absent."""
+    unset = object()
+    parser, commands = _build_parser()
+    commands[command].set_defaults(**{k: unset for k in keys})
+    reparsed = vars(parser.parse_args(argv))
+    return {k for k in keys if reparsed[k] is not unset}
 
 
 def _require(args, names) -> None:
@@ -448,7 +472,7 @@ def _build_parser():
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--top-radius", dest="top_radius", type=float, default=None)
     p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--tops", default=None)
     p.add_argument("--out-json", dest="out_json", default=None)
     p.add_argument("--out-csv", dest="out_csv", default=None)
@@ -459,7 +483,7 @@ def _build_parser():
     p.add_argument("--radii", default=None)
     p.add_argument("--top-radius", dest="top_radius", type=float, default=None)
     p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--out-json", dest="out_json", default=None)
     p.add_argument("--out-csv", dest="out_csv", default=None)
 
@@ -469,7 +493,7 @@ def _build_parser():
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--order", default=None)
     p.add_argument("--sides", default=None)
-    p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--stride", type=_positive_int, default=None)
     p.add_argument("--out-json", dest="out_json", default=None)
     p.add_argument("--out-csv", dest="out_csv", default=None)
 
@@ -485,7 +509,7 @@ def _build_parser():
     p.add_argument("--alphas", default=None)
     p.add_argument("--top-radius", dest="top_radius", type=float, default=None)
     p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("beta", description="plane-approximation numbers")
@@ -499,7 +523,7 @@ def _build_parser():
     p.add_argument("--graph", action="store_true", default=False)
     p.add_argument("--top-radius", dest="top_radius", type=float, default=None)
     p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--out", default=None)
 
     return parser, sub.choices
@@ -521,7 +545,7 @@ def main(argv=None) -> int:
     parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _merge_config(args, commands[args.command])
+        _merge_config(args, commands[args.command], argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"msq: error: usage: {exc}", file=sys.stderr)

@@ -11,13 +11,18 @@ first differences over the annulus r/2 <= |y| <= r, with a mollified
 spectral gradient supplying the linear term at order one.
 
 coefficient_matrix evaluates a kind at every (grid center, ladder radius)
-pair through moment filters realized as FFT correlations; the per-window
-operations are independent direct computations, and the test suite checks
-the two routes against each other.
+pair by expanding each residual square sum into moments of the field
+against the window mask, computed as FFT correlations.  Every entry carries
+an a-priori bound on its rounding error; the entries the bound does not
+certify (near-exact competitors, where the expansion cancels) are
+recomputed by direct accumulation over the window offsets.  The per-window
+operations are independent direct computations that serve as reference
+oracles, and the test suite checks the routes against each other.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -57,6 +62,41 @@ __all__ = [
 ]
 
 KINDS = ("nu0", "nu1", "nu0_bar", "nu1_bar", "nu0_tilde", "nu1_tilde")
+
+# Rounding constants of the moment path in coefficient_matrix.
+_EPS = float(np.finfo(float).eps)
+# _FFT_C: a correlation corr(g, w)(x) = sum_o g[x+o] w[o] is computed as
+# ifftn(fftn(g) * conj(fftn(w))): two forward transforms, a pointwise
+# product and one inverse transform.  A radix-2 transform of N points
+# obeys ||fl(Fx) - Fx||_2 <= log2(N) eta ||Fx||_2 with
+# eta = mu + gamma_4 (sqrt(2) + mu) <= 6.7 eps for twiddle factors accurate
+# to mu = eps (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., Thm. 24.2).  Carried to one output entry by Cauchy-Schwarz, each
+# forward transform contributes at most log2(N) eta ||g||_2 ||w||_2 and the
+# product sqrt(2) gamma_2 ||g||_2 ||w||_2; the inverse transform's normwise
+# error, spread over its N outputs, contributes log2(N) eta rms(y) <=
+# log2(N) eta ||g||_2 ||w||_2.  Three transforms and the product give
+# c < 24 in the worst case.  That case needs every rounding error to
+# align; rounding errors of an FFT add like independent variables, so the
+# error grows like sqrt(log2 N) rather than log2 N (Higham, Sec. 24.1),
+# which takes a factor sqrt(log2 N) >= 3 off for N >= 2^9: c = 8.  This
+# is an estimate, not a proof; tests/test_coeffs.py checks it against
+# extended-precision sums on every corpus family, where the observed error
+# stays below 2% of delta.
+_FFT_C = 8.0
+# _SUM_C: q combines at most 3 + 2 dim = 7 terms, each after at most two
+# roundings; recursive summation then errs by at most
+# gamma_9 sum |term| < 10 eps sum |term| (Higham, Sec. 4.2).
+_SUM_C = 10.0
+# _TAU: the bound carried to nu must stay below tau max(1, nu).  The
+# tightest comparisons between matrix entries are 1e-12 (orderings between
+# kinds, shift invariance); tau = 1e-13 keeps each side of such a
+# comparison a factor 10 inside it.
+_TAU = 1e-13
+# _GATHER_SHARE: the direct recomputation gathers its rows while they are
+# fewer than a quarter of the grid, where a gather of k entries costs less
+# than a whole-grid roll; beyond that it rolls the whole grid.
+_GATHER_SHARE = 4
 
 
 @dataclass(frozen=True)
@@ -111,6 +151,8 @@ class CoefficientMatrix:
     ladder: ScaleLadder
     kind: str
     values: np.ndarray  # shape (n_points, levels), center-major
+    # per-level count of entries recomputed directly by coefficient_matrix
+    fallback_counts: tuple = dataclasses.field(default=(), init=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -224,11 +266,27 @@ def nu_tilde(field: SampledField, window: BallWindow, order: int) -> float:
 def coefficient_matrix(field: SampledField, ladder: ScaleLadder, kind: str) -> CoefficientMatrix:
     """Evaluate a coefficient kind at every (center, ladder radius) pair.
 
-    Competitor fields (window means, least-squares slopes, mollified jets)
-    come from FFT moment filters; the residual sums are then accumulated
-    directly over the window offsets, which keeps near-exact competitors
-    (constant, affine data) at roundoff instead of suffering the
-    cancellation of a variance-of-moments formula.
+    Each kind compares the centered field fc with a competitor: a value
+    field A and, at order one, a slope field B.  With u the offset from the
+    center and M the window mask (ball, or annulus for the tilde kinds),
+    the residual square sum at x expands into moments:
+
+        q = S2 - 2 A S1 + count A^2 - sum_i (2 B_i T_i - B_i^2 V_i),
+
+    where S2 = corr(fc^2, M), S1 = corr(fc, M) and T_i = corr(fc, u_i M) are
+    FFT correlations and V_i = sum u_i^2 M.  The first moments and the cross
+    moments vanish because M is symmetric in each axis and radii stay below
+    period/4.  The competitors are the window means and least-squares
+    slopes (nu0, nu1), the mollified value and its spectral gradient
+    (_bar), and fc itself with the mollified gradient (_tilde).
+
+    The expansion cancels where the residual is small against the field, so
+    every entry carries an a-priori bound delta on its rounding error (see
+    _FFT_C and _SUM_C).  An entry whose q does not exceed delta, or whose
+    implied error on nu exceeds _TAU * max(1, nu), is recomputed by the
+    direct per-offset accumulation; those entries equal the direct route
+    bit for bit, which keeps constant and affine data at roundoff.  The
+    per-level recomputation counts are kept in ``fallback_counts``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown coefficient kind {kind!r}")
@@ -241,17 +299,44 @@ def coefficient_matrix(field: SampledField, ladder: ScaleLadder, kind: str) -> C
 
     # Every kind is invariant under adding a constant; centering first.
     fc = field.shaped - field.values.mean()
-    if fc.size and fc.max() == fc.min():
-        fc = np.zeros(grid.shape)  # constant input: coefficients vanish exactly
+    out = np.zeros((grid.n_points, ladder.levels))
+    fallback_counts = [0] * ladder.levels
+    constant = fc.max() == fc.min()  # constant input: coefficients vanish exactly
+    levels = () if constant else _moment_levels(fc, grid, radii, kind)
+    for j, (r, mask, count, A, B, q, delta) in enumerate(levels):
+        nu = np.sqrt(np.maximum(q, 0.0) / count) / r
+        # implied error on nu: delta / (2 r^2 count nu) against _TAU max(1, nu)
+        flagged = (q <= delta) | (delta > 2.0 * _TAU * r * r * count * nu * np.maximum(1.0, nu))
+        rows = np.flatnonzero(flagged)
+        fallback_counts[j] = int(rows.size)
+        col = nu.reshape(-1)
+        if rows.size:
+            acc = _direct_square_sums(grid, fc, A, B, mask, rows)
+            col[rows] = np.sqrt(acc / count) / r
+        out[:, j] = col
+    matrix = CoefficientMatrix(grid=grid, ladder=ladder, kind=kind, values=out)
+    object.__setattr__(matrix, "fallback_counts", tuple(fallback_counts))
+    return matrix
+
+
+def _moment_levels(fc: np.ndarray, grid: Grid, radii, kind: str):
+    """Per ladder radius r: (r, mask, count, A, B, q, delta), with the
+    competitor fields A and B (None at order zero), the moment residual
+    square sums q and their rounding bound delta, all grid-shaped."""
     Ff = np.fft.fftn(fc)
+    Ff2 = np.fft.fftn(fc * fc)
+    # normwise FFT error scales: eps log2(N) ||signal||_2, times ||filter||_2
+    fft_scale = _FFT_C * _EPS * math.log2(grid.n_points)
+    norm_f = fft_scale * float(np.sqrt(np.sum(fc * fc)))
+    norm_f2 = fft_scale * float(np.sqrt(np.sum((fc * fc) ** 2)))
     ucomps = offset_components(grid)
+    annular = kind in ("nu0_tilde", "nu1_tilde")
+    order_one = kind in ("nu1", "nu1_bar", "nu1_tilde")
     grad_fc = None
     if kind == "nu1_tilde":
         grad_fc = spectral_gradient(SampledField(grid=grid, values=fc.reshape(-1)))
 
-    out = np.empty((grid.n_points, ladder.levels))
-    for j, r in enumerate(radii):
-        annular = kind in ("nu0_tilde", "nu1_tilde")
+    for r in radii:
         mask = annulus_mask(grid, r) if annular else ball_mask(grid, r)
         count = int(mask.sum())
         if count < 1:
@@ -259,23 +344,23 @@ def coefficient_matrix(field: SampledField, ladder: ScaleLadder, kind: str) -> C
         if annular and count < 2 * grid.dim:
             raise ValueError(f"annulus at radius {r} has too few grid points")
 
+        Fm = np.conj(np.fft.fftn(mask.astype(float)))
+        S1 = np.fft.ifftn(Ff * Fm).real
         if kind in ("nu0", "nu1"):
-            Fm = np.conj(np.fft.fftn(mask.astype(float)))
-            A = np.fft.ifftn(Ff * Fm).real / count
+            A = S1 / count
         elif kind in ("nu0_bar", "nu1_bar"):
             A = _mollified(fc, grid, r)
         else:
             A = fc
 
-        B = None
+        B, T, V = None, (), ()
+        if order_one:
+            V = [float((uc ** 2 * mask).sum()) for uc in ucomps]
+            T = [np.fft.ifftn(Ff * np.conj(np.fft.fftn(uc * mask))).real for uc in ucomps]
         if kind == "nu1":
             # The symmetric mask kills first moments, so the least-squares
             # slopes against centered offsets decouple per axis.
-            B = []
-            for uc in ucomps:
-                w = uc * mask
-                V = float((uc ** 2 * mask).sum())
-                B.append(np.fft.ifftn(Ff * np.conj(np.fft.fftn(w))).real / V)
+            B = [T_i / V_i for T_i, V_i in zip(T, V)]
         elif kind == "nu1_bar":
             smoothed = SampledField(grid=grid, values=A.reshape(-1))
             B = [g.shaped for g in spectral_gradient(smoothed)]
@@ -283,18 +368,46 @@ def coefficient_matrix(field: SampledField, ladder: ScaleLadder, kind: str) -> C
             moll = Mollifier(scale=r)
             B = [mollify(g, moll).shaped for g in grad_fc]
 
-        acc = np.zeros(grid.shape)
-        for off in np.argwhere(mask):
-            shift = tuple(-int(o) for o in off)
-            term = periodic_roll(fc, shift) - A
-            if B is not None:
-                for B_i, uc in zip(B, ucomps):
-                    ui = uc[tuple(off)]
-                    if ui != 0.0:
-                        term = term - B_i * ui
-            acc += term * term
-        out[:, j] = np.sqrt(acc / count).reshape(-1) / r
-    return CoefficientMatrix(grid=grid, ladder=ladder, kind=kind, values=out)
+        S2 = np.fft.ifftn(Ff2 * Fm).real
+        AS1 = A * S1
+        cA2 = count * A * A
+        q = S2 - 2.0 * AS1 + cA2
+        size = np.abs(S2) + 2.0 * np.abs(AS1) + cA2
+        delta = (norm_f2 + 2.0 * np.abs(A) * norm_f) * math.sqrt(count)
+        for B_i, T_i, V_i in zip(B or (), T, V):
+            BT, BBV = B_i * T_i, B_i * B_i * V_i
+            q -= 2.0 * BT - BBV
+            size += 2.0 * np.abs(BT) + BBV
+            delta += 2.0 * np.abs(B_i) * norm_f * math.sqrt(V_i)
+        delta += _SUM_C * _EPS * size
+        yield r, mask, count, A, B, q, delta
+
+
+def _direct_square_sums(grid, fc, A, B, mask, rows) -> np.ndarray:
+    """Residual square sums at the flat indices `rows`, accumulated offset
+    by offset in mask order with the arithmetic of the whole-grid pass.
+
+    Few rows are gathered through wrapped flat indices; otherwise the whole
+    grid is rolled per offset, so the cost never exceeds one whole-grid pass.
+    """
+    ucomps = offset_components(grid)
+    gather = _GATHER_SHARE * rows.size < grid.n_points
+    if gather:
+        points = np.stack(np.unravel_index(rows, grid.shape), axis=1)
+        A = A.reshape(-1)[rows]
+        B = [b.reshape(-1)[rows] for b in B or ()]
+    acc = np.zeros(A.shape)
+    for off in np.argwhere(mask):
+        if gather:
+            term = fc.reshape(-1)[flat_index(grid, points + off)] - A
+        else:
+            term = periodic_roll(fc, tuple(-int(o) for o in off)) - A
+        for B_i, uc in zip(B or (), ucomps):
+            ui = uc[tuple(off)]
+            if ui != 0.0:
+                term = term - B_i * ui
+        acc += term * term
+    return acc if gather else acc.reshape(-1)[rows]
 
 
 def _mollified(fc_shaped: np.ndarray, grid: Grid, scale: float) -> np.ndarray:
@@ -332,4 +445,5 @@ def matrix_metadata(matrix: CoefficientMatrix) -> dict:
         },
         "mollifier_profile": "bump",
         "layout": "center-major",
+        "fallback_counts": list(matrix.fallback_counts),
     }

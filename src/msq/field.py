@@ -241,7 +241,9 @@ def masked_offsets(grid: Grid, mask: np.ndarray) -> np.ndarray:
 
 def lattice_centers(grid: Grid, stride: int = 1) -> np.ndarray:
     """Grid indices at every stride-th point per axis, (m, dim) in row-major
-    order."""
+    order; the stride must be a positive integer."""
+    if stride < 1:
+        raise ValueError(f"center stride must be a positive integer, got {stride}")
     idx = np.arange(0, grid.n_per_axis, stride)
     return np.stack(
         [a.reshape(-1) for a in np.meshgrid(*(idx,) * grid.dim, indexing="ij")], axis=1

@@ -184,7 +184,7 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
     udist_sq = sum(uc**2 for uc in ucomp)
 
     radii = ladder.radii
-    centers = lattice_centers(grid, max(1, int(stride)))
+    centers = lattice_centers(grid, stride)
     nub = coefficient_matrix(field, ladder, "nu1").values[flat_index(grid, centers)]
 
     beta = np.empty((len(centers), radii.size))

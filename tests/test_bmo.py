@@ -14,7 +14,9 @@ from msq.bmo import (
     strichartz_second,
     tempered_growth,
 )
-from msq.field import SampledField, make_grid, sample
+from msq.coeffs import make_ladder
+from msq.corpus import CorpusSpec, generate
+from msq.field import BallWindow, SampledField, make_grid, sample
 
 
 def _dyadic_radii(grid, levels=5):
@@ -54,6 +56,46 @@ def test_bmo_bounded_by_range(rough_field_1d):
     rep = bmo_norm(rough_field_1d, make_ball_family(g, _dyadic_radii(g), stride=4))
     spread = rough_field_1d.values.max() - rough_field_1d.values.min()
     assert rep.norm <= 2.0 * spread
+
+
+def _rows_by_window(report):
+    return {(tuple(int(c) for c in center), r): v for center, r, v in report.per_window}
+
+
+def test_bmo_sublattice_bit_identical_to_full_lattice():
+    # strided and irregular families are evaluated on the sub-torus through
+    # their centers; every value must equal the stride-1 evaluation exactly
+    g = make_grid(2, 64, 1.0)
+    f = generate(CorpusSpec(family="riesz_of_noise", grid=g, alpha=0.5, seed=4))
+    radii = make_ladder(g).radii
+    full = _rows_by_window(bmo_norm(f, make_ball_family(g, radii, stride=1)))
+    irregular = [BallWindow(center=c, radius=float(r))
+                 for c, r in (((3, 5), radii[1]), ((8, 40), radii[0]), ((3, 5), radii[2]),
+                              ((0, 0), radii[1]), ((32, 16), radii[0]), ((63, 1), radii[2]))]
+    for windows in (make_ball_family(g, radii, stride=8), make_ball_family(g, radii, stride=3),
+                    irregular):
+        rep = bmo_norm(f, windows)
+        assert len(rep.per_window) == len(windows)
+        for key, v in _rows_by_window(rep).items():
+            assert v == full[key]
+        assert rep.norm == max(_rows_by_window(rep).values())
+
+
+def test_bmo_first_invalid_window_raises_its_error(rough_field_1d):
+    g = rough_field_1d.grid
+    ok = BallWindow(center=(3,), radius=0.1)
+    cases = (
+        ([ok, BallWindow(center=(g.n_per_axis,), radius=0.1), BallWindow(center=(0, 0), radius=0.1)],
+         "out of range"),
+        ([ok, BallWindow(center=(0, 0), radius=0.1), BallWindow(center=(-1,), radius=0.1)],
+         "rank"),
+        ([ok, BallWindow(center=(5,), radius=0.3), BallWindow(center=(-1,), radius=0.1)],
+         "period/4"),
+        ([BallWindow(center=(5,), radius=g.spacing / 2), ok], "grid spacing"),
+    )
+    for windows, message in cases:
+        with pytest.raises(ValueError, match=message):
+            bmo_norm(rough_field_1d, windows)
 
 
 def test_bmo_empty_family_rejected(rough_field_1d):

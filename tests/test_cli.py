@@ -259,6 +259,30 @@ def test_config_file_merge(tmp_path, bump_file, capsys):
         assert by_cfg.read_bytes() == by_flag.read_bytes()
         assert run(base + ["--config", str(bad), out_flag, str(by_cfg)]) == EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
+    # an explicit flag wins also when it repeats the flag's default
+    cfg.write_text("stride=4\n")
+    base = ["sqfn", "--field", str(bump_file), "--kind", "nu0", "--alpha", "0.5",
+            "--config", str(cfg)]
+    for extra, want in ((["--stride", "1"], 1), (["--stride=1"], 1), ([], 4)):
+        out = tmp_path / "sq.json"
+        assert run(base + extra + ["--out-json", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["config"]["stride"] == want
+
+
+@pytest.mark.parametrize("stride", ["0", "-2"])
+def test_non_positive_stride_usage_error(bump_file, tmp_path, capsys, stride):
+    fld, out = str(bump_file), str(tmp_path / "out")
+    for argv in (
+        ["sqfn", "--field", fld, "--kind", "nu0", "--alpha", "0.5", "--out-json", out],
+        ["compare", "--field", fld, "--alphas", "0.5", "--out", out],
+        ["bmo", "--field", fld, "--out-json", out],
+        ["strichartz", "--field", fld, "--alpha", "0.5", "--order", "first", "--out-json", out],
+        ["beta", "--graph", "--field", fld, "--out", out],
+    ):
+        assert run(argv + [f"--stride={stride}"]) == EXIT_USAGE, argv[0]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "positive integer" in err
+    assert not os.path.exists(out)
 
 
 def test_unknown_config_key_usage_error(tmp_path):

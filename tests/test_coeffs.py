@@ -3,10 +3,13 @@ import io
 import numpy as np
 import pytest
 
+import msq.coeffs as coeffs_mod
 from msq.coeffs import (
     KINDS,
+    _moment_levels,
     coefficient_matrix,
     make_ladder,
+    matrix_metadata,
     nu0,
     nu1,
     nu_bar,
@@ -15,7 +18,17 @@ from msq.coeffs import (
     residual_for_constant,
     write_matrix_csv,
 )
-from msq.field import BallWindow, SampledField, ball_mask, make_grid, sample
+from msq.corpus import generate as corpus_generate
+from msq.experiments import default_specs
+from msq.field import (
+    BallWindow,
+    SampledField,
+    ball_mask,
+    flat_index,
+    make_grid,
+    masked_offsets,
+    sample,
+)
 
 
 def _window_op(kind, field, window):
@@ -240,3 +253,80 @@ def test_matrix_csv_shape():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "center_index_0,radius,value"
     assert len(lines) - 1 == 32 * lad.levels
+
+
+# ---------------------------------------------------------------------------
+# the moment path of coefficient_matrix against the direct accumulation
+
+
+def _direct_matrix(field, lad, kind, monkeypatch):
+    """The whole matrix through the direct per-offset accumulation: a huge
+    FFT constant leaves no entry certified."""
+    with monkeypatch.context() as m:
+        m.setattr(coeffs_mod, "_FFT_C", 1e200)
+        mat = coefficient_matrix(field, lad, kind)
+    assert mat.fallback_counts == (field.grid.n_points,) * lad.levels
+    return mat.values
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_moment_path_matches_direct_accumulation(dim, rough_field_1d, rough_field_2d, monkeypatch):
+    field = rough_field_1d if dim == 1 else rough_field_2d
+    lad = make_ladder(field.grid)
+    for kind in KINDS:
+        fast = coefficient_matrix(field, lad, kind)
+        direct = _direct_matrix(field, lad, kind, monkeypatch)
+        assert sum(fast.fallback_counts) < field.grid.n_points * lad.levels
+        assert np.all(np.abs(fast.values - direct) <= 1e-12 * np.maximum(1.0, direct)), kind
+
+
+def _longdouble_square_sums(grid, fc, A, B, mask, rows):
+    """Residual square sums at flat rows in extended precision."""
+    points = np.stack(np.unravel_index(rows, grid.shape), axis=1)
+    offs = np.argwhere(mask)
+    idx = flat_index(grid, (points[:, None, :] + offs[None, :, :]).reshape(-1, grid.dim))
+    vals = fc.reshape(-1).astype(np.longdouble)[idx].reshape(rows.size, offs.shape[0])
+    term = vals - A.reshape(-1)[rows].astype(np.longdouble)[:, None]
+    u = masked_offsets(grid, mask)
+    for i, B_i in enumerate(B or ()):
+        term -= B_i.reshape(-1)[rows].astype(np.longdouble)[:, None] * u[:, i].astype(np.longdouble)
+    return (term * term).sum(axis=1)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1024), (2, 32)])
+def test_moment_rounding_bound_holds(dim, n):
+    g = make_grid(dim, n, 1.0)
+    lad = make_ladder(g)
+    rng = np.random.default_rng(3)
+    for spec in default_specs(g):  # the analytic families plus noise
+        field = corpus_generate(spec)
+        fc = field.shaped - field.values.mean()
+        for kind in KINDS:
+            for _, mask, _, A, B, q, delta in _moment_levels(fc, g, lad.radii, kind):
+                rows = rng.choice(g.n_points, size=48, replace=False)
+                exact = _longdouble_square_sums(g, fc, A, B, mask, rows)
+                err = np.abs(q.reshape(-1)[rows] - exact.astype(float))
+                assert np.all(err <= delta.reshape(-1)[rows]), (spec.family, kind)
+
+
+def test_exact_blocks_fall_back_to_roundoff():
+    # noise outside a block, a constant (nu0, nu0_tilde) or an affine
+    # (nu1) function inside: the moment expansion cancels on the block, so
+    # those entries are recomputed directly and stay at roundoff
+    g = make_grid(1, 1024, 1.0)
+    x = np.arange(1024) * g.spacing
+    noise = np.random.default_rng(5).standard_normal(1024)
+    block = (x >= 0.25) & (x < 0.75)
+    lad = make_ladder(g)
+    inner = [c for c in range(1024) if 0.5 - 0.2 <= x[c] <= 0.5 + 0.2]
+    for kind, inside in (("nu0", 2.0), ("nu0_tilde", 2.0), ("nu1", 1.5 * x - 0.3)):
+        f = SampledField(grid=g, values=np.where(block, inside, noise))
+        mat = coefficient_matrix(f, lad, kind)
+        assert sum(matrix_metadata(mat)["fallback_counts"]) > 0
+        for j, r in enumerate(lad.radii):
+            if r > 0.05:
+                continue  # the ball leaves the block
+            for c in inner[::16]:
+                want = _window_op(kind, f, BallWindow(center=(c,), radius=float(r)))
+                assert want < 1e-12
+                assert abs(mat.values[c, j] - want) < 1e-12

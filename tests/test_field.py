@@ -234,6 +234,10 @@ def test_periodic_lattice_helpers(dim):
         assert np.all(np.diff(flat) > 0)  # row-major
         assert np.array_equal(flat_index(g, centers), flat)
 
+    for stride in (0, -2):
+        with pytest.raises(ValueError, match="positive integer"):
+            lattice_centers(g, stride)
+
     # flat_index wraps out-of-range indices onto the torus
     assert flat_index(g, (3 + 16,) * dim) == flat_index(g, (3,) * dim)
     assert flat_index(g, (-1,) * dim) == g.n_points - 1
