@@ -12,6 +12,7 @@ cube so that locally affine data cancels exactly on interior cubes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -183,34 +184,25 @@ def _window_arrays(grid: Grid, windows):
 def holder_seminorm(field: SampledField, alpha: float, stride: int = 1) -> float:
     """max |f(x) - f(y)| / dist(x, y)^alpha over tested pairs.
 
-    Pairs run over strided anchors and strided offsets with periodic
-    separation at most period/4; the result is a lower bound of the
-    continuum seminorm.
+    Every stride-th anchor x per axis is paired with y = x + o for every
+    nonzero integer offset o with |o| h <= period/4; the result is a lower
+    bound of the continuum seminorm.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     grid = field.grid
     n, h = grid.n_per_axis, grid.spacing
-    stride = max(1, int(stride))
     shaped = field.shaped
-    anchors = (slice(None, None, stride),) * grid.dim
+    anchors = (slice(None, None, max(1, int(stride))),) * grid.dim
     base = shaped[anchors]
     best = 0.0
-    max_cells = n // 4
-    if grid.dim == 1:
-        for j in range(1, max_cells + 1, stride):
-            diff = np.abs(np.roll(shaped, -j)[anchors] - base)
-            best = max(best, float(diff.max()) / (j * h) ** alpha)
-        return best
-    for j1 in range(0, max_cells + 1, stride):
-        for j2 in range(0, max_cells + 1, stride):
-            if j1 == 0 and j2 == 0:
-                continue
-            dist = math.hypot(j1 * h, j2 * h)
-            if dist > grid.period / 4.0:
-                continue
-            diff = np.abs(np.roll(shaped, (-j1, -j2), axis=(0, 1))[anchors] - base)
-            best = max(best, float(diff.max()) / dist ** alpha)
+    reach = range(-(n // 4), n // 4 + 1)
+    for off in itertools.product(reach, repeat=grid.dim):
+        dist = math.hypot(*[o * h for o in off])
+        if dist == 0.0 or dist > grid.period / 4.0:
+            continue
+        diff = np.abs(periodic_roll(shaped, tuple(-o for o in off))[anchors] - base)
+        best = max(best, float(diff.max()) / dist ** alpha)
     return best
 
 
@@ -221,57 +213,32 @@ def _cube_values(field: SampledField, cube: CubeSpec) -> np.ndarray:
     return field.shaped[np.ix_(*axes)]
 
 
-def _first_difference_sum(v: np.ndarray, h: float, expo: float, dim: int) -> float:
-    total = 0.0
-    m = v.shape[0]
-    if dim == 1:
-        for o in range(1, m):
-            w = (o * h) ** (-expo)
-            total += 2.0 * w * float(np.sum((v[o:] - v[:-o]) ** 2))
-        return total
-    for o1 in range(0, m):
-        for o2 in range(-(m - 1), m):
-            if o1 == 0 and o2 <= 0:
-                continue  # half-space; the mirrored offset doubles below
-            w = (math.hypot(o1 * h, o2 * h)) ** (-expo)
-            a = v[o1:, :] if o1 else v
-            b = v[: m - o1, :] if o1 else v
-            if o2 >= 0:
-                d = a[:, o2:] - b[:, : m - o2]
-            else:
-                d = a[:, : m + o2] - b[:, -o2:]
-            total += 2.0 * w * float(np.sum(d ** 2))
-    return total
+# The points each difference reads, as multiples k of the offset o: x + k o.
+_DIFFERENCE_STEPS = {"first_difference": (1, 0), "second_difference": (0, 1, -1)}
 
 
-def _second_difference_sum(v: np.ndarray, h: float, expo: float, dim: int) -> float:
-    total = 0.0
-    m = v.shape[0]
-    if dim == 1:
-        for o in range(1, (m - 1) // 2 + 1):
-            w = (o * h) ** (-expo)
-            mid = v[o : m - o]
-            total += 2.0 * w * float(np.sum((2.0 * mid - v[2 * o :] - v[: m - 2 * o]) ** 2))
-        return total
-    for o1 in range(0, (m - 1) // 2 + 1):
-        for o2 in range(-((m - 1) // 2), (m - 1) // 2 + 1):
-            if o1 == 0 and o2 <= 0:
-                continue
-            w = (math.hypot(o1 * h, o2 * h)) ** (-expo)
-            s1 = slice(o1, m - o1) if o1 else slice(None)
-            if o2 >= 0:
-                s2 = slice(o2, m - o2) if o2 else slice(None)
-                plus = (slice(2 * o1, m) if o1 else s1, slice(2 * o2, m) if o2 else s2)
-                minus = (slice(0, m - 2 * o1) if o1 else s1, slice(0, m - 2 * o2) if o2 else s2)
-            else:
-                q = -o2
-                s2 = slice(q, m - q)
-                plus = (slice(2 * o1, m) if o1 else s1, slice(0, m - 2 * q))
-                minus = (slice(0, m - 2 * o1) if o1 else s1, slice(2 * q, m))
-            mid = v[s1, s2]
-            d = 2.0 * mid - v[plus] - v[minus]
-            total += 2.0 * w * float(np.sum(d ** 2))
-    return total
+def _difference_terms(m: int, dim: int, h: float, expo: float, order: str) -> list:
+    """Offset table of a difference sum over a cube of m points per axis.
+
+    One row per offset o whose first nonzero entry is positive (the
+    mirrored offset doubles in the sum): the weight |o h|^(-expo), then one
+    slice tuple per point read, x + o and x for first differences, x, x + o
+    and x - o for second differences, with x running over the points that
+    keep every read point in the cube.
+    """
+    steps = _DIFFERENCE_STEPS[order]
+    reach = (m - 1) // (max(steps) - min(steps))
+    terms = []
+    for off in itertools.product(range(-reach, reach + 1), repeat=dim):
+        if next((o for o in off if o), 0) <= 0:
+            continue
+        lo = [max(-k * o for k in steps) for o in off]
+        hi = [m - max(k * o for k in steps) for o in off]
+        slices = tuple(
+            tuple(slice(a + k * o, b + k * o) for a, b, o in zip(lo, hi, off)) for k in steps
+        )
+        terms.append((math.hypot(*[o * h for o in off]) ** (-expo),) + slices)
+    return terms
 
 
 def _strichartz(field, alpha, cubes, order: str, alpha_hi: float) -> StrichartzReport:
@@ -282,14 +249,21 @@ def _strichartz(field, alpha, cubes, order: str, alpha_hi: float) -> StrichartzR
     grid = field.grid
     d, h = grid.dim, grid.spacing
     expo = d + 2.0 * alpha
+    tables = {}  # offset table per cube side, in points per axis
     rows = []
     for cube in cubes:
         cube.validate(grid)
+        m = cube.points_per_axis(grid)
+        if m not in tables:
+            tables[m] = _difference_terms(m, d, h, expo, order)
         v = _cube_values(field, cube)
+        total = 0.0
         if order == "first_difference":
-            total = _first_difference_sum(v, h, expo, d)
+            for w, plus, x in tables[m]:
+                total += 2.0 * w * float(np.sum((v[plus] - v[x]) ** 2))
         else:
-            total = _second_difference_sum(v, h, expo, d)
+            for w, x, plus, minus in tables[m]:
+                total += 2.0 * w * float(np.sum((2.0 * v[x] - v[plus] - v[minus]) ** 2))
         volume = cube.side ** d
         value = math.sqrt(h ** (2 * d) * total / volume)
         rows.append((cube.center, float(cube.side), value))

@@ -395,6 +395,7 @@ def _cmd_beta(args):
             "lipschitz": rep.lipschitz,
             "max_beta_over_nu1": rep.max_beta_over_nu1,
             "max_nu1_over_beta": rep.max_nu1_over_beta,
+            "insufficient_cells": rep.insufficient_cells,
         }
         _write_json(args.out + ".json", meta)
         return EXIT_OK

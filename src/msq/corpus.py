@@ -27,6 +27,7 @@ from scipy.special import gamma as gamma_fn
 from .coeffs import ScaleLadder, coefficient_matrix
 from .field import (
     Grid, SampledField, coordinates, flat_index, make_grid, offset_distance, periodic_roll,
+    radial,
 )
 from .spectral import riesz_potential
 
@@ -162,10 +163,7 @@ def generate(spec: CorpusSpec) -> SampledField:
         axis = np.arange(grid.n_per_axis) * h
         t = np.abs(axis - (L / 2.0 + h / 2.0))
         t = np.minimum(t, L - t)
-        if grid.dim == 1:
-            vals = -np.log(t / L)
-        else:
-            vals = -np.log(np.hypot(t[:, None], t[None, :]) / L)
+        vals = -np.log(radial(t, grid.dim) / L)
     elif spec.family == "riesz_of_noise":
         rng = np.random.default_rng(spec.seed)
         noise = 2.0 * rng.integers(0, 2, size=grid.n_points) - 1.0

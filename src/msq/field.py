@@ -10,6 +10,7 @@ kernel so that constants are reproduced on the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "sample",
     "coordinates",
     "axis_offsets",
+    "radial",
     "offset_distance",
     "ball_mask",
     "annulus_mask",
@@ -183,12 +185,16 @@ def axis_offsets(grid: Grid) -> np.ndarray:
     return np.where(j <= n // 2, j, j - n) * grid.spacing
 
 
+def radial(per_axis: np.ndarray, dim: int) -> np.ndarray:
+    """Euclidean magnitude over a product of dim copies of one per-axis
+    array: np.hypot folded over the axes, shape (n,)*dim; |per_axis| in 1-d."""
+    mag = np.abs(per_axis)
+    return reduce(np.hypot, (mag.reshape((-1,) + (1,) * (dim - 1 - i)) for i in range(dim)))
+
+
 def offset_distance(grid: Grid) -> np.ndarray:
     """Periodic distance of every grid index from index 0, shape (n,)*dim."""
-    u = axis_offsets(grid)
-    if grid.dim == 1:
-        return np.abs(u)
-    return np.hypot(np.abs(u)[:, None], np.abs(u)[None, :])
+    return radial(axis_offsets(grid), grid.dim)
 
 
 def ball_mask(grid: Grid, radius: float) -> np.ndarray:

@@ -72,6 +72,11 @@ class GraphBridgeReport:
     max_beta_over_nu1: float
     max_nu1_over_beta: float
 
+    @property
+    def insufficient_cells(self) -> int:
+        """Cells whose lifted ball holds fewer than dim + 1 points (beta NaN)."""
+        return int(np.isnan(self.beta).sum())
+
 
 def _ball_select(cloud: PointCloud, center, r: float):
     center = np.asarray(center, dtype=float).reshape(-1)
@@ -171,6 +176,8 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
     lifted in its own periodic chart (displacements in (-L/2, L/2]), the
     ambient ball keeps points with |u|^2 + (f(x+u) - f(x))^2 < r^2, and the
     plane number with k = dim is matched against nu1 at the same (x, r).
+    A ball with fewer than dim + 1 points fixes no dim-plane; its beta is
+    NaN, and the ratio maxima skip it.
     """
     grid = field.grid
     h = grid.spacing
@@ -198,6 +205,9 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
             ll = lift[cand]
             uu = [comp.reshape(-1)[cand] for comp in ucomp]
             inside = sum(q * q for q in uu) + ll * ll < r * r
+            if np.count_nonzero(inside) < dim + 1:
+                beta[i, j] = np.nan
+                continue
             pts = np.stack([q[inside] for q in uu] + [ll[inside]], axis=1)
             w = wshift[cand][inside]
             sub = PointCloud(points=pts, weights=w)

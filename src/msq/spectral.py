@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import zeta
 
-from .field import Grid, SampledField, axis_offsets
+from .field import Grid, SampledField, axis_offsets, coordinates, radial
 
 __all__ = [
     "fractional_derivative",
@@ -40,9 +40,7 @@ def _freq_magnitude(grid: Grid) -> np.ndarray:
     """|k| / L on the fft layout, shape (n,)*dim."""
     n = grid.n_per_axis
     k = np.fft.fftfreq(n, d=1.0 / n)  # integer frequencies
-    if grid.dim == 1:
-        return np.abs(k) / grid.period
-    return np.hypot(np.abs(k)[:, None], np.abs(k)[None, :]) / grid.period
+    return radial(k, grid.dim) / grid.period
 
 
 def _apply_multiplier(field: SampledField, mult: np.ndarray) -> SampledField:
@@ -202,15 +200,8 @@ def calibrate_pv_constant(grid: Grid, alpha: float, frequency: int = 1) -> float
     of the field is the constant.  It should transfer across frequencies.
     """
     alpha = _check_alpha(alpha)
-    n = grid.n_per_axis
-    axis = np.arange(n) * grid.spacing
     omega = 2.0 * np.pi * frequency / grid.period
-    if grid.dim == 1:
-        vals = np.cos(omega * axis)
-        center = 0
-    else:
-        vals = np.cos(omega * axis)[:, None] * np.ones((1, n))
-        center = (0, 0)
+    vals = np.cos(omega * coordinates(grid)[0])
     f = SampledField(grid=grid, values=vals.reshape(-1))
-    pv = fractional_laplacian_pv(f, alpha, center)
+    pv = fractional_laplacian_pv(f, alpha, (0,) * grid.dim)
     return pv / omega ** alpha

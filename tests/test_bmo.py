@@ -132,6 +132,17 @@ def test_holder_2d_runs():
     assert s > 0
 
 
+def test_holder_tests_anti_diagonal_pairs():
+    # |sin(pi (x - y))|^a varies fastest along (1, -1): offsets with both
+    # components >= 0 give at most 1.772 here, the (1, -1) pairs 2.106
+    g = make_grid(2, 64, 1.0)
+    f = sample(g, lambda x, y: np.abs(np.sin(np.pi * (x - y))) ** 0.5)
+    h = g.spacing
+    anti = np.abs(np.roll(f.shaped, (-1, 1), axis=(0, 1)) - f.shaped).max() / math.hypot(h, h) ** 0.5
+    assert anti > 2.1
+    assert holder_seminorm(f, 0.5, stride=1) >= anti
+
+
 def test_strichartz_constant_zero():
     g = make_grid(1, 128, 1.0)
     f = sample(g, lambda x: 2.0 + 0.0 * x)
@@ -189,50 +200,50 @@ def test_strichartz_second_quadratic_closed_form():
     assert got == pytest.approx(expected, abs=1e-6)
 
 
-def test_strichartz_first_differences_brute_force():
-    g = make_grid(1, 64, 1.0)
-    rng = np.random.default_rng(9)
-    f = SampledField(grid=g, values=rng.standard_normal(64))
-    cube = CubeSpec(center=(20,), side=0.125)
-    alpha = 0.6
-    h = g.spacing
+def _brute_force_cube(dim, seed):
+    """A random field on a 2-d n=16 or 1-d n=64 grid, a cube off the origin,
+    and the cube's values with their integer positions."""
+    n = 64 if dim == 1 else 16
+    g = make_grid(dim, n, 1.0)
+    f = SampledField(grid=g, values=np.random.default_rng(seed).standard_normal(n**dim))
+    center = (20,) if dim == 1 else (7, 9)
+    cube = CubeSpec(center=center, side=0.125 if dim == 1 else 0.375)
     m = cube.points_per_axis(g)
-    lo = 20 - m // 2
-    v = np.array([f.values[(lo + i) % 64] for i in range(m)])
+    axes = [(np.arange(m) + c - m // 2) % n for c in center]
+    v = f.shaped[np.ix_(*axes)]
+    return f, cube, v, list(np.ndindex(v.shape))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_strichartz_first_differences_brute_force(dim):
+    f, cube, v, points = _brute_force_cube(dim, 9)
+    alpha = 0.6
+    h = f.grid.spacing
     tot = 0.0
-    for i in range(m):
-        for k in range(m):
-            if i != k:
-                tot += (v[k] - v[i]) ** 2 / (abs(k - i) * h) ** (1 + 2 * alpha)
-    expected = math.sqrt(h**2 * tot / cube.side)
+    for p in points:
+        for q in points:
+            if p != q:
+                d = math.hypot(*[(b - a) * h for a, b in zip(p, q)])
+                tot += (v[q] - v[p]) ** 2 / d ** (dim + 2 * alpha)
+    expected = math.sqrt(h ** (2 * dim) * tot / cube.side**dim)
     assert strichartz_first(f, alpha, [cube]).B == pytest.approx(expected, rel=1e-12)
 
 
-def test_strichartz_second_brute_force_2d():
-    g = make_grid(2, 16, 1.0)
-    rng = np.random.default_rng(10)
-    f = SampledField(grid=g, values=rng.standard_normal(256))
-    cube = CubeSpec(center=(7, 9), side=0.375)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_strichartz_second_brute_force(dim):
+    f, cube, v, points = _brute_force_cube(dim, 10)
     alpha = 1.1
-    h = g.spacing
-    m = cube.points_per_axis(g)
-    lo = (7 - m // 2, 9 - m // 2)
-    v = np.array(
-        [[f.shaped[(lo[0] + i) % 16, (lo[1] + j) % 16] for j in range(m)] for i in range(m)]
-    )
+    h = f.grid.spacing
+    inside = set(points)
     tot = 0.0
-    for i in range(m):
-        for j in range(m):
-            for o1 in range(-(m - 1), m):
-                for o2 in range(-(m - 1), m):
-                    if o1 == 0 and o2 == 0:
-                        continue
-                    if 0 <= i + o1 < m and 0 <= i - o1 < m and 0 <= j + o2 < m and 0 <= j - o2 < m:
-                        d = math.hypot(o1 * h, o2 * h)
-                        tot += (2 * v[i, j] - v[i + o1, j + o2] - v[i - o1, j - o2]) ** 2 / d ** (
-                            2 + 2 * alpha
-                        )
-    expected = math.sqrt(h**4 * tot / cube.side**2)
+    for x in points:
+        for y in points:
+            o = tuple(b - a for a, b in zip(x, y))  # y = x + o
+            mirror = tuple(a - b for a, b in zip(x, o))
+            if any(o) and mirror in inside:
+                d = math.hypot(*[c * h for c in o])
+                tot += (2 * v[x] - v[y] - v[mirror]) ** 2 / d ** (dim + 2 * alpha)
+    expected = math.sqrt(h ** (2 * dim) * tot / cube.side**dim)
     assert strichartz_second(f, alpha, [cube]).B == pytest.approx(expected, rel=1e-12)
 
 

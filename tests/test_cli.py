@@ -224,6 +224,19 @@ def test_beta_graph_mode(bump_file, tmp_path):
     assert len(lines) == 1 + (256 // 32) * 3
 
 
+def test_beta_graph_default_ladder_marks_insufficient_cells(tmp_path):
+    # at r = 4h the lifted ball of the steep bump holds only its center:
+    # such cells read nan and are counted instead of aborting the run
+    fld, out = tmp_path / "bump.fld", tmp_path / "b.csv"
+    assert run(["generate", "--family", "smooth_bump", "--n", "1024", "--out", str(fld)]) == EXIT_OK
+    assert run(["beta", "--graph", "--field", str(fld), "--out", str(out)]) == EXIT_OK
+    rows = out.read_text().strip().split("\n")[1:]
+    nan_rows = sum(row.split(",")[2] == "nan" for row in rows)
+    meta = json.loads((tmp_path / "b.csv.json").read_text())
+    assert nan_rows > 0 and meta["insufficient_cells"] == nan_rows
+    assert np.isfinite(meta["max_beta_over_nu1"]) and np.isfinite(meta["max_nu1_over_beta"])
+
+
 def test_beta_too_few_points_numeric_error(tmp_path, capsys):
     cloud = tmp_path / "two.txt"
     cloud.write_text("0.0 0.0\n1.0 1.0\n")
