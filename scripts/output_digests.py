@@ -6,7 +6,11 @@ in-process ``msq.cli.main`` and prints one ``sha256  file`` line per file
 in OUTDIR, sorted by name, as ``sha256sum`` does.  The set: the
 criterion-9 commands of the acceptance suite, the reports-2d and bridge-2d
 benchmark commands, 1-d and 2-d strichartz in both orders with CSV output,
-and 1-d and 2-d log_singularity fields with their fractional derivatives.
+1-d and 2-d bmo with CSV output at strides 1 and 3 (the whole-grid, the
+rolled-and-taken and the gathered offset reads), the nu0 and nu1_tilde
+matrices of the 1-d smooth field (most entries recomputed directly), one
+sqfn run from a --config file with a flag that overrides it, and 1-d and
+2-d log_singularity fields with their fractional derivatives.
 
 It checks that a change keeps the CLI outputs byte-identical.  The outputs
 embed the input paths, so run the old and the new code into the same
@@ -17,7 +21,7 @@ OUTDIR, with each checkout's ``src`` on the import path, and compare:
     diff old.txt new.txt
 
 A command that exits nonzero is named on stderr, and the script then
-exits 1.  The set runs in about 7 s on a 2-core host.
+exits 1.  The set writes 54 files and runs in about 7 s on a 2-core host.
 """
 
 import hashlib
@@ -72,6 +76,17 @@ def commands(p):
                 ["strichartz", "--field", field, "--alpha", alpha, "--order", order,
                  "--out-json", p(f"st_{order}_{tag}.json"),
                  "--out-csv", p(f"st_{order}_{tag}.csv")])
+    walks = []  # the three read paths of field.offset_reads and the fallback
+    for tag, field in (("1d", cusp1), ("2d", cusp2)):
+        for stride in ("1", "3"):
+            walks.append(
+                ["bmo", "--field", field, "--stride", stride,
+                 "--out-json", p(f"bmo_s{stride}_{tag}.json"),
+                 "--out-csv", p(f"bmo_s{stride}_{tag}.csv")])
+    for kind in ("nu0", "nu1_tilde"):
+        walks.append(["coeffs", "--field", smooth, "--kind", kind, "--out", p(f"smooth_{kind}.csv")])
+    walks.append(["sqfn", "--config", p("sqfn.cfg"), "--field", fld, "--stride", "8",
+                  "--out-json", p("sq_cfg.json")])
     logs = []
     for dim, n in (("1", "256"), ("2", "64")):
         log = p(f"log{dim}d.fld")
@@ -79,7 +94,7 @@ def commands(p):
             ["generate", "--family", "log_singularity", "--dim", dim, "--n", n, "--out", log],
             ["fracderiv", "--field", log, "--alpha", "0.6", "--out", p(f"log{dim}d_d.fld")],
         ]
-    return criterion9 + reports2d + bridge2d + strichartz + logs
+    return criterion9 + reports2d + bridge2d + strichartz + walks + logs
 
 
 def main(argv=None):
@@ -91,6 +106,8 @@ def main(argv=None):
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "cloud.txt"), "w") as fh:
         fh.writelines(f"{0.1 * i!r} {0.01 * i * i!r}\n" for i in range(64))
+    with open(os.path.join(outdir, "sqfn.cfg"), "w") as fh:
+        fh.write("kind=nu1\nalpha=0.7\nstride=4\n")  # --stride 8 overrides
     failed = 0
     for args in commands(lambda name: os.path.join(outdir, name)):
         rc = msq_main(args)

@@ -20,7 +20,9 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .field import BallWindow, Grid, SampledField, ball_mask, lattice_centers, periodic_roll
+from .field import (
+    BallWindow, Grid, SampledField, ball_mask, flat_index, lattice_centers, offset_reads,
+)
 
 __all__ = [
     "OscillationReport",
@@ -132,8 +134,9 @@ def bmo_norm(field: SampledField, windows) -> OscillationReport:
     grid = field.grid
     shaped = field.shaped
     centers, radii = _window_arrays(grid, windows)
-    # Group by radius: the oscillation field for one radius covers every
-    # center at once, so strided families reuse a single pass.
+    Ff = np.fft.fftn(shaped)
+    # Group by radius: one walk over the ball offsets serves every center
+    # of that radius.
     levels, level_of = np.unique(radii, return_inverse=True)
     rows = []
     for k, radius in enumerate(levels):
@@ -142,18 +145,11 @@ def bmo_norm(field: SampledField, windows) -> OscillationReport:
         mask = ball_mask(grid, radius)
         count = int(mask.sum())
         Fm = np.conj(np.fft.fftn(mask.astype(float)))
-        mean = np.fft.ifftn(np.fft.fftn(shaped) * Fm).real / count
-        # Only the sub-torus of step s through the centers is evaluated: an
-        # offset o = s q + rho reads shaped[rho::s] rolled by q there, so
-        # each center sees the same terms in the same order as on the full
-        # grid.
-        s = int(np.gcd.reduce(points.reshape(-1), initial=grid.n_per_axis))
-        sub_mean = mean[(slice(None, None, s),) * grid.dim]
-        acc = np.zeros_like(sub_mean)
-        for q, rho in zip(*np.divmod(np.argwhere(mask), s)):
-            part = shaped[tuple(slice(int(p), None, s) for p in rho)]
-            acc += np.abs(periodic_roll(part, tuple(-int(o) for o in q)) - sub_mean)
-        osc = (acc / count)[tuple((points // s).T)]
+        mean = np.fft.ifftn(Ff * Fm).real.reshape(-1)[flat_index(grid, points)] / count
+        acc = np.zeros(len(points))
+        for vals in offset_reads(grid, shaped, points, np.argwhere(mask)):
+            acc += np.abs(vals - mean)
+        osc = acc / count
         rows.extend((windows[i].center, float(radius), float(v)) for i, v in zip(members, osc))
     norm = max(r[2] for r in rows)
     return OscillationReport(per_window=tuple(rows), norm=float(norm))
@@ -184,25 +180,22 @@ def _window_arrays(grid: Grid, windows):
 def holder_seminorm(field: SampledField, alpha: float, stride: int = 1) -> float:
     """max |f(x) - f(y)| / dist(x, y)^alpha over tested pairs.
 
-    Every stride-th anchor x per axis is paired with y = x + o for every
-    nonzero integer offset o with |o| h <= period/4; the result is a lower
-    bound of the continuum seminorm.
+    Every stride-th anchor x per axis (stride a positive integer) is paired
+    with y = x + o for every nonzero integer offset o with |o| h <=
+    period/4; the result is a lower bound of the continuum seminorm.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     grid = field.grid
     n, h = grid.n_per_axis, grid.spacing
-    shaped = field.shaped
-    anchors = (slice(None, None, max(1, int(stride))),) * grid.dim
-    base = shaped[anchors]
+    reach = itertools.product(range(-(n // 4), n // 4 + 1), repeat=grid.dim)
+    dist = {off: math.hypot(*[o * h for o in off]) for off in reach}
+    offsets = [off for off, d in dist.items() if 0.0 < d <= grid.period / 4.0]
+    anchors = lattice_centers(grid, stride)
+    base = field.values[flat_index(grid, anchors)]
     best = 0.0
-    reach = range(-(n // 4), n // 4 + 1)
-    for off in itertools.product(reach, repeat=grid.dim):
-        dist = math.hypot(*[o * h for o in off])
-        if dist == 0.0 or dist > grid.period / 4.0:
-            continue
-        diff = np.abs(periodic_roll(shaped, tuple(-o for o in off))[anchors] - base)
-        best = max(best, float(diff.max()) / dist ** alpha)
+    for off, vals in zip(offsets, offset_reads(grid, field.shaped, anchors, offsets)):
+        best = max(best, float(np.abs(vals - base).max()) / dist[off] ** alpha)
     return best
 
 

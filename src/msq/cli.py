@@ -94,19 +94,15 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
 
 
-def _merge_config(args, command_parser, argv) -> None:
-    """Flags override config-file values; config overrides built-ins.
+def _config_tokens(args, command_parser) -> list:
+    """The --config file's values as flag tokens of the active subcommand.
 
-    The values are parsed by the active subcommand's own parser, so each
-    takes its flag's type and choices; a switch is set by a true-ish value.
-    A flag counts as given when it appears on the command line, also with
-    its default value.
+    Parsed ahead of the command line, each value takes its flag's type and
+    choices, and a flag given on the command line wins (argparse keeps the
+    last value); a switch is set by a true-ish value.
     """
-    if not getattr(args, "config", None):
-        return
-    cfg = _load_config_file(args.config)
     tokens = []
-    for key, raw in cfg.items():
+    for key, raw in _load_config_file(args.config).items():
         if not hasattr(args, key):
             raise UsageError(f"config key {key!r} is not a flag of {args.command}")
         flag = "--" + key.replace("_", "-")
@@ -115,21 +111,7 @@ def _merge_config(args, command_parser, argv) -> None:
                 tokens.append(flag)
         else:
             tokens.append(f"{flag}={raw}")
-    typed = command_parser.parse_args(tokens)
-    given = _given_flags(args.command, argv, cfg)
-    for key in cfg:
-        if key not in given:
-            setattr(args, key, getattr(typed, key))
-
-
-def _given_flags(command: str, argv, keys) -> set:
-    """The keys whose flags appear in argv: a re-parse with a sentinel
-    default for each key leaves the sentinel where the flag is absent."""
-    unset = object()
-    parser, commands = _build_parser()
-    commands[command].set_defaults(**{k: unset for k in keys})
-    reparsed = vars(parser.parse_args(argv))
-    return {k for k in keys if reparsed[k] is not unset}
+    return tokens
 
 
 def _require(args, names) -> None:
@@ -543,10 +525,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _merge_config(args, commands[args.command], argv)
+        if args.config:
+            tokens = _config_tokens(args, commands[args.command])
+            args = parser.parse_args(argv[:1] + tokens + argv[1:])
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"msq: error: usage: {exc}", file=sys.stderr)

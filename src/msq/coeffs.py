@@ -40,7 +40,7 @@ from .field import (
     masked_offsets,
     mollify,
     offset_components,
-    periodic_roll,
+    offset_reads,
     window_values,
 )
 from .spectral import spectral_gradient
@@ -93,10 +93,6 @@ _SUM_C = 10.0
 # kinds, shift invariance); tau = 1e-13 keeps each side of such a
 # comparison a factor 10 inside it.
 _TAU = 1e-13
-# _GATHER_SHARE: the direct recomputation gathers its rows while they are
-# fewer than a quarter of the grid, where a gather of k entries costs less
-# than a whole-grid roll; beyond that it rolls the whole grid.
-_GATHER_SHARE = 4
 
 
 @dataclass(frozen=True)
@@ -387,27 +383,23 @@ def _direct_square_sums(grid, fc, A, B, mask, rows) -> np.ndarray:
     """Residual square sums at the flat indices `rows`, accumulated offset
     by offset in mask order with the arithmetic of the whole-grid pass.
 
-    Few rows are gathered through wrapped flat indices; otherwise the whole
-    grid is rolled per offset, so the cost never exceeds one whole-grid pass.
+    The reads fc[x + o] come from field.offset_reads, so the cost never
+    exceeds one whole-grid pass.
     """
     ucomps = offset_components(grid)
-    gather = _GATHER_SHARE * rows.size < grid.n_points
-    if gather:
-        points = np.stack(np.unravel_index(rows, grid.shape), axis=1)
-        A = A.reshape(-1)[rows]
-        B = [b.reshape(-1)[rows] for b in B or ()]
+    points = np.stack(np.unravel_index(rows, grid.shape), axis=1)
+    A = A.reshape(-1)[rows]
+    B = [b.reshape(-1)[rows] for b in B or ()]
     acc = np.zeros(A.shape)
-    for off in np.argwhere(mask):
-        if gather:
-            term = fc.reshape(-1)[flat_index(grid, points + off)] - A
-        else:
-            term = periodic_roll(fc, tuple(-int(o) for o in off)) - A
-        for B_i, uc in zip(B or (), ucomps):
+    offsets = np.argwhere(mask)
+    for off, vals in zip(offsets, offset_reads(grid, fc, points, offsets)):
+        term = vals - A
+        for B_i, uc in zip(B, ucomps):
             ui = uc[tuple(off)]
             if ui != 0.0:
                 term = term - B_i * ui
         acc += term * term
-    return acc if gather else acc.reshape(-1)[rows]
+    return acc
 
 
 def _mollified(fc_shaped: np.ndarray, grid: Grid, scale: float) -> np.ndarray:
@@ -424,12 +416,10 @@ def write_matrix_csv(matrix: CoefficientMatrix, fh) -> None:
     grid = matrix.grid
     cols = [f"center_index_{k}" for k in range(grid.dim)] + ["radius", "value"]
     fh.write(",".join(cols) + "\n")
-    centers = lattice_centers(grid)
-    radii = matrix.ladder.radii
-    for ci, row in zip(centers, matrix.values):
-        prefix = ",".join(str(int(c)) for c in ci)
-        for r, v in zip(radii, row):
-            fh.write(f"{prefix},{float(r)!r},{float(v)!r}\n")
+    radii = [f",{float(r)!r}," for r in matrix.ladder.radii]
+    for ci, row in zip(lattice_centers(grid), matrix.values):
+        prefix = ",".join(map(str, ci.tolist()))
+        fh.write("".join(f"{prefix}{r}{v!r}\n" for r, v in zip(radii, row.tolist())))
 
 
 def matrix_metadata(matrix: CoefficientMatrix) -> dict:

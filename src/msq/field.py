@@ -35,6 +35,7 @@ __all__ = [
     "masked_offsets",
     "lattice_centers",
     "flat_index",
+    "offset_reads",
     "window_values",
     "ball_mean",
     "mollify",
@@ -262,6 +263,29 @@ def flat_index(grid: Grid, center):
     return np.ravel_multi_index(
         tuple(np.asarray(center, dtype=int).T), grid.shape, mode="wrap"
     )
+
+
+# _GATHER_SHARE: offset_reads gathers its anchors while they are fewer than
+# a quarter of the grid, where a gather of k entries costs less than a
+# whole-grid roll; beyond that it rolls the whole grid.
+_GATHER_SHARE = 4
+
+
+def offset_reads(grid: Grid, a: np.ndarray, points: np.ndarray, offsets):
+    """Yield a[x + o], wrapped onto the torus, as an (m,) array over the
+    anchors x (the rows of the (m, dim) int array points), one per offset
+    row o: gathered for few anchors, else taken from the rolled grid, which
+    is yielded as it is when the anchors are the whole grid in row-major
+    order."""
+    if _GATHER_SHARE * len(points) < grid.n_points:
+        for off in offsets:
+            yield a.reshape(-1)[flat_index(grid, points + off)]
+        return
+    rows = flat_index(grid, points)
+    whole = rows.size == grid.n_points and np.array_equal(rows, np.arange(rows.size))
+    for off in offsets:
+        rolled = periodic_roll(a, tuple(-int(o) for o in off)).reshape(-1)
+        yield rolled if whole else rolled[rows]
 
 
 def window_values(field: SampledField, window: BallWindow, mask=None) -> np.ndarray:

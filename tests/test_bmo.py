@@ -63,8 +63,9 @@ def _rows_by_window(report):
 
 
 def test_bmo_sublattice_bit_identical_to_full_lattice():
-    # strided and irregular families are evaluated on the sub-torus through
-    # their centers; every value must equal the stride-1 evaluation exactly
+    # strided and irregular families read only their own centers (gathered
+    # or taken from the rolled grid); every value must equal the stride-1
+    # evaluation exactly
     g = make_grid(2, 64, 1.0)
     f = generate(CorpusSpec(family="riesz_of_noise", grid=g, alpha=0.5, seed=4))
     radii = make_ladder(g).radii
@@ -130,6 +131,25 @@ def test_holder_2d_runs():
     f = sample(g, lambda x, y: np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
     s = holder_seminorm(f, 0.5, stride=2)
     assert s > 0
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+def test_holder_strided_brute_force(dim, n):
+    # every stride-th anchor against every grid point within period/4
+    g = make_grid(dim, n, 1.0)
+    f = SampledField(grid=g, values=np.random.default_rng(7).standard_normal(g.n_points))
+    idx = np.stack(np.unravel_index(np.arange(g.n_points), g.shape), axis=1)
+    best = 0.0
+    for x in idx[np.all(idx % 3 == 0, axis=1)]:
+        d = (idx - x + n // 2) % n - n // 2
+        dist = np.sqrt(np.sum((d * g.spacing) ** 2, axis=1))
+        near = (dist > 0) & (dist <= g.period / 4)
+        jumps = np.abs(f.values[near] - f.shaped[tuple(x)]) / dist[near] ** 0.5
+        best = max(best, float(jumps.max()))
+    assert holder_seminorm(f, 0.5, stride=3) == pytest.approx(best, rel=1e-12)
+    for stride in (0, -1):
+        with pytest.raises(ValueError, match="positive integer"):
+            holder_seminorm(f, 0.5, stride=stride)
 
 
 def test_holder_tests_anti_diagonal_pairs():

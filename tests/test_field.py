@@ -16,6 +16,7 @@ from msq.field import (
     make_grid,
     masked_offsets,
     mollify,
+    offset_reads,
     periodic_roll,
     sample,
 )
@@ -253,3 +254,28 @@ def test_periodic_lattice_helpers(dim):
     assert np.array_equal(off, ball_offsets(g, r))
     assert off.shape == (ball_count(g, r), dim)
     assert np.all(np.sqrt(np.sum(off ** 2, axis=1)) < r)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_offset_reads(dim, monkeypatch):
+    import msq.field as field_mod
+
+    g = make_grid(dim, 16, 1.0)
+    n = g.n_per_axis
+    a = np.random.default_rng(3).standard_normal(g.shape)
+    offsets = np.concatenate([np.argwhere(ball_mask(g, 0.2)), [(-3,) * dim, (17,) * dim]])
+    rolls = []
+    monkeypatch.setattr(field_mod, "periodic_roll",
+                        lambda x, shift: rolls.append(shift) or periodic_roll(x, shift))
+    # the whole lattice (rolled grid as it is), a strided lattice (rolled
+    # grid at the anchor rows) and an irregular list that wraps (gathered)
+    irregular = np.array([(-1,) * dim, (15, 17)[:dim], (40,) * dim])
+    for points, n_rolls in ((lattice_centers(g, 1), len(offsets)),
+                            (lattice_centers(g, 2), len(offsets)), (irregular, 0)):
+        rolls.clear()
+        reads = list(offset_reads(g, a, points, offsets))
+        assert len(reads) == len(offsets) and len(rolls) == n_rolls
+        for off, vals in zip(offsets, reads):
+            want = [a[tuple((x + off) % n)] for x in points]
+            assert vals.shape == (len(points),)
+            assert np.array_equal(vals, want)
