@@ -7,7 +7,9 @@ in OUTDIR, sorted by name, as ``sha256sum`` does.  The set: the
 criterion-9 commands of the acceptance suite, the reports-2d and bridge-2d
 benchmark commands, 1-d and 2-d strichartz in both orders with CSV output,
 1-d and 2-d bmo with CSV output at strides 1 and 3 (the whole-grid, the
-rolled-and-taken and the gathered offset reads), the nu0 and nu1_tilde
+rolled-and-taken and the gathered offset reads), 1-d bmo over radii given
+out of order with one repeated (the report's row order), 2-d strichartz
+over two given sides at stride 16, the nu0 and nu1_tilde
 matrices of the 1-d smooth field (most entries recomputed directly), one
 sqfn run from a --config file with a flag that overrides it, and 1-d and
 2-d log_singularity fields with their fractional derivatives.
@@ -21,7 +23,7 @@ OUTDIR, with each checkout's ``src`` on the import path, and compare:
     diff old.txt new.txt
 
 A command that exits nonzero is named on stderr, and the script then
-exits 1.  The set writes 54 files and runs in about 7 s on a 2-core host.
+exits 1.  The set writes 58 files and runs in about 7 s on a 2-core host.
 """
 
 import hashlib
@@ -83,6 +85,11 @@ def commands(p):
                 ["bmo", "--field", field, "--stride", stride,
                  "--out-json", p(f"bmo_s{stride}_{tag}.json"),
                  "--out-csv", p(f"bmo_s{stride}_{tag}.csv")])
+    walks.append(["bmo", "--field", cusp1, "--radii", "0.0625,0.25,0.125,0.125",
+                  "--out-json", p("bmo_radii.json"), "--out-csv", p("bmo_radii.csv")])
+    walks.append(["strichartz", "--field", cusp2, "--alpha", "0.5", "--order", "first",
+                  "--sides", "0.25,0.125", "--stride", "16",
+                  "--out-json", p("st_sides.json"), "--out-csv", p("st_sides.csv")])
     for kind in ("nu0", "nu1_tilde"):
         walks.append(["coeffs", "--field", smooth, "--kind", kind, "--out", p(f"smooth_{kind}.csv")])
     walks.append(["sqfn", "--config", p("sqfn.cfg"), "--field", fld, "--stride", "8",

@@ -21,7 +21,8 @@ import numpy as np
 from scipy import integrate
 
 from .field import (
-    BallWindow, Grid, SampledField, ball_mask, flat_index, lattice_centers, offset_reads,
+    BallWindow, Grid, SampledField, WindowFamily, ball_mask, flat_index, lattice_centers,
+    offset_reads, window_argmax, window_family, window_rows,
 )
 
 __all__ = [
@@ -42,12 +43,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OscillationReport:
-    per_window: tuple  # rows (center tuple, radius, mean oscillation)
-    norm: float        # max over the family; lower bound of the sup
+    centers: np.ndarray  # (m, dim) ball centers, by radius then input order
+    sizes: np.ndarray    # (m,) radii
+    values: np.ndarray   # (m,) mean oscillations
+    norm: float          # max over the family; lower bound of the sup
+    metadata: dict
 
-    def __post_init__(self):
-        if len(self.per_window) == 0:
-            raise ValueError("empty window family")
+    @property
+    def per_window(self) -> list:
+        """Rows (center tuple, radius, mean oscillation)."""
+        return list(window_rows(self.centers, self.sizes, self.values))
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,16 @@ class CubeSpec:
         if abs(m - round(m)) > 1e-9 or int(round(m)) % 2 != 0:
             raise ValueError("cube side must be an even multiple of the spacing")
 
+    size = property(lambda self: self.side)
+
+    @staticmethod
+    def rows_valid(grid: Grid, centers: np.ndarray, sides: np.ndarray) -> bool:
+        """validate of every row at once: (m, dim) int centers, (m,) sides."""
+        h, m = grid.spacing, np.round(sides / grid.spacing)
+        return not np.any((sides > grid.period / 2.0 + 1e-12 * grid.period)
+                          | (sides < 4.0 * h - 1e-12 * h)
+                          | (np.abs(sides / h - m) > 1e-9) | (m % 2 != 0))
+
     def points_per_axis(self, grid: Grid) -> int:
         return int(round(self.side / grid.spacing))
 
@@ -76,9 +91,16 @@ class CubeSpec:
 class StrichartzReport:
     alpha: float
     order: str              # "first_difference" or "second_difference"
-    per_cube: tuple         # rows (center tuple, side, value)
+    centers: np.ndarray     # (m, dim) cube centers, in input order
+    sizes: np.ndarray       # (m,) sides
+    values: np.ndarray      # (m,) normalized difference sums
     B: float                # max over the family
     metadata: dict
+
+    @property
+    def per_cube(self) -> list:
+        """Rows (center tuple, side, value)."""
+        return list(window_rows(self.centers, self.sizes, self.values))
 
 
 @dataclass(frozen=True)
@@ -102,79 +124,47 @@ class TemperedGrowthReport:
     verdict: str  # "finite" or "divergent tail"
 
 
-def _center_tuples(grid: Grid, stride) -> list:
-    """Strided lattice centers as plain-int tuples (they are serialized)."""
-    return [tuple(int(i) for i in c) for c in lattice_centers(grid, stride)]
-
-
-def make_ball_family(grid: Grid, radii, stride: int = 1) -> list:
+def make_ball_family(grid: Grid, radii, stride: int = 1) -> WindowFamily:
     """Balls at strided grid centers, one window per (center, radius)."""
-    centers = _center_tuples(grid, stride)
-    return [BallWindow(center=c, radius=float(r)) for r in radii for c in centers]
+    return WindowFamily.on_lattice(grid, radii, stride)
 
 
-def make_cube_family(grid: Grid, sides=None, stride: int = None) -> list:
+def make_cube_family(grid: Grid, sides=None, stride: int = None) -> WindowFamily:
     """Cubes at strided centers over dyadic sides (period/2 downward)."""
-    if sides is None:
-        sides = []
-        s = grid.period / 2.0
-        while s >= 4.0 * grid.spacing - 1e-12:
-            sides.append(s)
-            s /= 2.0
+    if sides is None:  # period/2, period/4, ... down to 4h
+        sides = [grid.period / 2.0**k for k in range(1, grid.n_per_axis.bit_length() - 2)]
     if stride is None:
         stride = max(1, grid.n_per_axis // 8)
-    centers = _center_tuples(grid, stride)
-    return [CubeSpec(center=c, side=float(s)) for s in sides for c in centers]
+    return WindowFamily.on_lattice(grid, sides, stride)
 
 
 def bmo_norm(field: SampledField, windows) -> OscillationReport:
-    """Mean |f - ball average| per window; norm is the family maximum."""
+    """Mean |f - ball average| per window (a WindowFamily or a sequence of
+    BallWindow), in rows by ascending radius, then input order; norm is the
+    family maximum."""
     if windows is None or len(windows) == 0:
         raise ValueError("empty window family")
     grid = field.grid
-    shaped = field.shaped
-    centers, radii = _window_arrays(grid, windows)
-    Ff = np.fft.fftn(shaped)
+    family = window_family(grid, windows, BallWindow)
+    order = np.argsort(family.sizes, kind="stable")
+    centers, radii = family.centers[order], family.sizes[order]
+    values = np.full(len(radii), np.nan)  # a NaN radius matches no row below
+    Ff = np.fft.fftn(field.shaped)
     # Group by radius: one walk over the ball offsets serves every center
     # of that radius.
-    levels, level_of = np.unique(radii, return_inverse=True)
-    rows = []
-    for k, radius in enumerate(levels):
-        members = np.flatnonzero(level_of == k)
-        points = centers[members]
+    for radius in np.unique(radii):
+        rows = np.flatnonzero(radii == radius)
         mask = ball_mask(grid, radius)
         count = int(mask.sum())
         Fm = np.conj(np.fft.fftn(mask.astype(float)))
-        mean = np.fft.ifftn(Ff * Fm).real.reshape(-1)[flat_index(grid, points)] / count
-        acc = np.zeros(len(points))
-        for vals in offset_reads(grid, shaped, points, np.argwhere(mask)):
+        mean = np.fft.ifftn(Ff * Fm).real.reshape(-1)[flat_index(grid, centers[rows])] / count
+        acc = np.zeros(len(rows))
+        for vals in offset_reads(grid, field.shaped, centers[rows], np.argwhere(mask)):
             acc += np.abs(vals - mean)
-        osc = acc / count
-        rows.extend((windows[i].center, float(radius), float(v)) for i, v in zip(members, osc))
-    norm = max(r[2] for r in rows)
-    return OscillationReport(per_window=tuple(rows), norm=float(norm))
-
-
-def _window_arrays(grid: Grid, windows):
-    """Integer centers (m, dim) and radii (m,) of a window family.
-
-    The centers and the radii are checked as arrays; when any window is
-    invalid, BallWindow.validate runs in input order, so the first invalid
-    window raises its own error.
-    """
-    centers = [w.center for w in windows]
-    radii = np.array([float(w.radius) for w in windows])
-    valid = all(len(c) == grid.dim for c in centers)
-    if valid:
-        points = np.asarray(centers).astype(int).reshape(len(centers), grid.dim)
-        valid = bool(
-            np.all((points >= 0) & (points < grid.n_per_axis))
-            and not np.any((radii < grid.spacing) | (radii > grid.period / 4))
-        )
-    if not valid:
-        for w in windows:
-            w.validate(grid)  # raises for the first invalid window
-    return points, radii
+        values[rows] = acc / count
+    meta = {"oscillation": "L1 mean oscillation", "sup_lower_bound": True,
+            "argmax": window_argmax(centers, radii, values)}
+    return OscillationReport(centers, radii, values, norm=float(values.max()), metadata=meta)
 
 
 def holder_seminorm(field: SampledField, alpha: float, stride: int = 1) -> float:
@@ -199,10 +189,8 @@ def holder_seminorm(field: SampledField, alpha: float, stride: int = 1) -> float
     return best
 
 
-def _cube_values(field: SampledField, cube: CubeSpec) -> np.ndarray:
-    grid = field.grid
-    m = cube.points_per_axis(grid)
-    axes = [(np.arange(m) + int(c) - m // 2) % grid.n_per_axis for c in cube.center]
+def _cube_values(field: SampledField, center, m: int) -> np.ndarray:
+    axes = [(np.arange(m) + c - m // 2) % field.grid.n_per_axis for c in center]
     return field.shaped[np.ix_(*axes)]
 
 
@@ -242,14 +230,14 @@ def _strichartz(field, alpha, cubes, order: str, alpha_hi: float) -> StrichartzR
     grid = field.grid
     d, h = grid.dim, grid.spacing
     expo = d + 2.0 * alpha
+    family = window_family(grid, cubes, CubeSpec)
     tables = {}  # offset table per cube side, in points per axis
-    rows = []
-    for cube in cubes:
-        cube.validate(grid)
-        m = cube.points_per_axis(grid)
+    values = []
+    for center, side in zip(family.centers.tolist(), family.sizes.tolist()):
+        m = int(round(side / h))
         if m not in tables:
             tables[m] = _difference_terms(m, d, h, expo, order)
-        v = _cube_values(field, cube)
+        v = _cube_values(field, center, m)
         total = 0.0
         if order == "first_difference":
             for w, plus, x in tables[m]:
@@ -257,17 +245,17 @@ def _strichartz(field, alpha, cubes, order: str, alpha_hi: float) -> StrichartzR
         else:
             for w, x, plus, minus in tables[m]:
                 total += 2.0 * w * float(np.sum((2.0 * v[x] - v[plus] - v[minus]) ** 2))
-        volume = cube.side ** d
-        value = math.sqrt(h ** (2 * d) * total / volume)
-        rows.append((cube.center, float(cube.side), value))
-    B = max(r[2] for r in rows)
+        values.append(math.sqrt(h ** (2 * d) * total / side ** d))
+    values = np.array(values)
     meta = {
         "alpha": float(alpha),
         "weight_convention": "offset |y|^(-d-2alpha), diagonal excluded",
-        "family_size": len(rows),
+        "family_size": len(values),
         "sup_lower_bound": True,
+        "argmax": window_argmax(family.centers, family.sizes, values),
     }
-    return StrichartzReport(alpha=float(alpha), order=order, per_cube=tuple(rows), B=float(B), metadata=meta)
+    return StrichartzReport(alpha=float(alpha), order=order, centers=family.centers,
+                            sizes=family.sizes, values=values, B=float(values.max()), metadata=meta)
 
 
 def strichartz_first(field: SampledField, alpha: float, cubes) -> StrichartzReport:

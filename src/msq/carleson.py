@@ -20,7 +20,10 @@ import numpy as np
 
 from .bmo import bmo_norm, make_ball_family
 from .coeffs import CoefficientMatrix, ScaleLadder, coefficient_matrix, make_ladder, matrix_metadata
-from .field import SampledField, ball_mask, flat_index, lattice_centers, periodic_roll
+from .field import (
+    SampledField, ball_mask, flat_index, lattice_centers, periodic_roll, table_columns,
+    window_argmax, window_rows,
+)
 from .spectral import fractional_derivative
 
 __all__ = [
@@ -47,13 +50,9 @@ class CarlesonReport:
     metadata: dict
 
     @property
-    def per_window(self):
-        """Rows (center..., top_radius, normalized_value), center-major."""
-        rows = []
-        for i, c in enumerate(self.centers):
-            for j, R in enumerate(self.tops):
-                rows.append((tuple(int(x) for x in c), float(R), float(self.normalized[i, j])))
-        return rows
+    def per_window(self) -> list:
+        """Rows (center tuple, top_radius, normalized_value), center-major."""
+        return list(window_rows(*table_columns(self.centers, self.tops, self.normalized)))
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ def _ladder_level_of(ladder: ScaleLadder, R: float) -> int:
     radii = ladder.radii
     hits = np.flatnonzero(np.isclose(radii, R, rtol=_RTOL, atol=0.0))
     if hits.size == 0:
-        raise ValueError(f"top radius {R} is not a ladder radius {list(radii)}")
+        raise ValueError(f"top radius {R} is not a ladder radius {radii.tolist()}")
     return int(hits[0])
 
 
@@ -146,6 +145,7 @@ def carleson_constant(
         raise ValueError("empty top-radius family")
 
     table = _normalized_table(matrix, alpha, tops, centers)
+    tops = np.asarray(tops)
     order = 0 if matrix.kind in ("nu0", "nu0_bar", "nu0_tilde") else 1
     meta = matrix_metadata(matrix)
     meta.update(
@@ -156,13 +156,14 @@ def carleson_constant(
             "center_stride": center_stride,
             "n_centers": int(len(centers)),
             "truncation_floor_radius": float(matrix.ladder.radii[-1]),
+            "argmax": window_argmax(*table_columns(centers, tops, table)),
         }
     )
     return CarlesonReport(
         alpha=float(alpha),
         kind=matrix.kind,
         centers=centers,
-        tops=np.asarray(tops),
+        tops=tops,
         normalized=table,
         constant=float(table.max()),
         metadata=meta,
@@ -204,7 +205,8 @@ def comparability_experiment(
     c_sq = report.constant
     ratio = None if bmo_sq == 0.0 else c_sq / bmo_sq
     meta = dict(report.metadata)
-    meta.update({"bmo_window_radii": [float(r) for r in ladder.radii]})
+    meta.update({"bmo_window_radii": [float(r) for r in ladder.radii],
+                 "bmo_argmax": osc.metadata["argmax"]})
     return ComparisonRecord(
         alpha=float(alpha),
         kind=kind,

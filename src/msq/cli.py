@@ -10,6 +10,7 @@ produces byte-identical files (no timestamps anywhere).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from . import coeffs as coeffs_mod
 from . import corpus as corpus_mod
 from . import geometry as geometry_mod
 from . import spectral as spectral_mod
-from .field import make_grid
+from .field import make_grid, table_columns, window_rows
 
 FORMAT_VERSION = "1"
 
@@ -121,8 +122,11 @@ def _require(args, names) -> None:
 
 
 def _float_list(text: str, flag: str):
+    tokens = text.split(",")
+    if "" in tokens:
+        raise UsageError(f"--{flag} has an empty entry in {text!r}")
     try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
+        return [float(tok) for tok in tokens]
     except ValueError as exc:
         raise UsageError(f"--{flag} wants a comma-separated float list") from exc
 
@@ -201,11 +205,22 @@ def _write_rows_csv(path: str, columns, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _report_payload(args, keys, report_meta, extra):
-    payload = {"config": _effective_config(args, keys)}
-    payload.update(extra)
-    payload["metadata"] = report_meta
-    return payload
+def _window_table(dim: int, names, rows):
+    """The columns center_index_k then names, and the window rows
+    (center tuple, value...) as flat lists, produced lazily."""
+    columns = [f"center_index_{k}" for k in range(dim)] + names
+    return columns, (list(center) + list(rest) for center, *rest in rows)
+
+
+def _write_report(args, keys, metadata, scalars, label, names, rows) -> None:
+    """A window report: its rows to --out-csv when given, and the config,
+    scalars, rows (under label) and metadata to --out-json."""
+    columns, flat = _window_table(len(rows[0][0]), names, rows)
+    flat = list(flat)
+    if args.out_csv:
+        _write_rows_csv(args.out_csv, columns, flat)
+    _write_json(args.out_json, {"config": _effective_config(args, keys), **scalars, label: flat,
+                                label + "_columns": columns, "metadata": metadata})
 
 
 def _cmd_sqfn(args):
@@ -224,23 +239,9 @@ def _cmd_sqfn(args):
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    rows = [
-        list(center) + [R, value] for center, R, value in report.per_window
-    ]
-    payload = _report_payload(
-        args,
-        ["field", "kind", "alpha", "top_radius", "levels", "stride", "tops"],
-        report.metadata,
-        {
-            "constant": report.constant,
-            "per_window": rows,
-            "per_window_columns": [f"center_index_{k}" for k in range(field.grid.dim)]
-            + ["top_radius", "normalized_integral"],
-        },
-    )
-    _write_json(args.out_json, payload)
-    if args.out_csv:
-        _write_rows_csv(args.out_csv, payload["per_window_columns"], rows)
+    _write_report(args, ["field", "kind", "alpha", "top_radius", "levels", "stride", "tops"],
+                  report.metadata, {"constant": report.constant},
+                  "per_window", ["top_radius", "normalized_integral"], report.per_window)
     return EXIT_OK
 
 
@@ -251,31 +252,14 @@ def _cmd_bmo(args):
         radii = _float_list(args.radii, "radii")
     else:
         radii = [float(r) for r in _ladder_for(field.grid, args).radii]
-    windows = bmo_mod.make_ball_family(field.grid, radii, stride=args.stride)
     try:
+        windows = bmo_mod.make_ball_family(field.grid, radii, stride=args.stride)
         report = bmo_mod.bmo_norm(field, windows)
     except ValueError as exc:
-        raise NumericError(str(exc)) from exc
-    rows = [list(center) + [r, v] for center, r, v in report.per_window]
-    payload = _report_payload(
-        args,
-        ["field", "radii", "top_radius", "levels", "stride"],
-        {
-            "radii": radii,
-            "stride": args.stride,
-            "sup_lower_bound": True,
-            "oscillation": "L1 mean oscillation",
-        },
-        {
-            "norm": report.norm,
-            "per_window": rows,
-            "per_window_columns": [f"center_index_{k}" for k in range(field.grid.dim)]
-            + ["radius", "mean_oscillation"],
-        },
-    )
-    _write_json(args.out_json, payload)
-    if args.out_csv:
-        _write_rows_csv(args.out_csv, payload["per_window_columns"], rows)
+        raise UsageError(str(exc)) from exc
+    _write_report(args, ["field", "radii", "top_radius", "levels", "stride"],
+                  dict(report.metadata, radii=radii, stride=args.stride), {"norm": report.norm},
+                  "per_window", ["radius", "mean_oscillation"], report.per_window)
     return EXIT_OK
 
 
@@ -293,21 +277,9 @@ def _cmd_strichartz(args):
             report = bmo_mod.strichartz_second(field, args.alpha, cubes)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    rows = [list(center) + [s, v] for center, s, v in report.per_cube]
-    payload = _report_payload(
-        args,
-        ["field", "alpha", "order", "sides", "stride"],
-        report.metadata,
-        {
-            "B": report.B,
-            "per_cube": rows,
-            "per_cube_columns": [f"center_index_{k}" for k in range(field.grid.dim)]
-            + ["side", "value"],
-        },
-    )
-    _write_json(args.out_json, payload)
-    if args.out_csv:
-        _write_rows_csv(args.out_csv, payload["per_cube_columns"], rows)
+    _write_report(args, ["field", "alpha", "order", "sides", "stride"],
+                  report.metadata, {"B": report.B},
+                  "per_cube", ["side", "value"], report.per_cube)
     return EXIT_OK
 
 
@@ -331,28 +303,10 @@ def _cmd_compare(args):
         raise UsageError("--alphas must be a nonempty list inside (0, 2)")
     field, _ = _load_field(args.field)
     ladder = _ladder_for(field.grid, args)
-    records = []
-    for a in alphas:
-        rec = carleson_mod.comparability_experiment(
-            field, a, ladder=ladder, stride=args.stride
-        )
-        records.append(
-            {
-                "alpha": rec.alpha,
-                "kind": rec.kind,
-                "carleson_sq": rec.carleson_sq,
-                "bmo_norm_sq": rec.bmo_norm_sq,
-                "ratio": rec.ratio,
-                "metadata": rec.metadata,
-            }
-        )
-    payload = {
-        "config": _effective_config(
-            args, ["field", "alphas", "top_radius", "levels", "stride"]
-        ),
-        "records": records,
-    }
-    _write_json(args.out, payload)
+    records = [dataclasses.asdict(carleson_mod.comparability_experiment(
+        field, a, ladder=ladder, stride=args.stride)) for a in alphas]
+    config = _effective_config(args, ["field", "alphas", "top_radius", "levels", "stride"])
+    _write_json(args.out, {"config": config, "records": records})
     return EXIT_OK
 
 
@@ -366,10 +320,8 @@ def _cmd_beta(args):
             rep = geometry_mod.graph_beta_vs_nu1(field, ladder, stride=args.stride)
         except ValueError as exc:
             raise NumericError(str(exc)) from exc
-        columns = [f"center_index_{k}" for k in range(field.grid.dim)] + ["radius", "beta", "nu1"]
-        rows = (list(c) + [r, rep.beta[i, j], rep.nu1[i, j]]
-                for i, c in enumerate(rep.centers) for j, r in enumerate(rep.radii))
-        _write_rows_csv(args.out, columns, rows)
+        rows = window_rows(*table_columns(rep.centers, rep.radii, rep.beta, rep.nu1))
+        _write_rows_csv(args.out, *_window_table(field.grid.dim, ["radius", "beta", "nu1"], rows))
         meta = {
             "config": _effective_config(
                 args, ["field", "graph", "top_radius", "levels", "stride", "k"]
@@ -422,11 +374,16 @@ def _build_parser():
     parser = _Parser(prog="msq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, description, ladder=False):
+        p = sub.add_parser(name, description=description)
         p.add_argument("--config", default=None, help="flat key=value config file")
+        if ladder:  # a field file and its scale ladder
+            p.add_argument("--field", default=None)
+            p.add_argument("--top-radius", dest="top_radius", type=float, default=None)
+            p.add_argument("--levels", type=int, default=None)
+        return p
 
-    p = sub.add_parser("generate", description="generate a corpus field file")
-    common(p)
+    p = command("generate", "generate a corpus field file")
     p.add_argument("--family", default=None, choices=corpus_mod.FAMILIES)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--n", type=int, default=None)
@@ -439,39 +396,26 @@ def _build_parser():
     p.add_argument("--frequency", type=int, default=None)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("coeffs", description="coefficient matrix to CSV")
-    common(p)
-    p.add_argument("--field", default=None)
+    p = command("coeffs", "coefficient matrix to CSV", ladder=True)
     p.add_argument("--kind", default=None)
-    p.add_argument("--top-radius", dest="top_radius", type=float, default=None)
-    p.add_argument("--levels", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--meta", default=None)
 
-    p = sub.add_parser("sqfn", description="square-function Carleson report")
-    common(p)
-    p.add_argument("--field", default=None)
+    p = command("sqfn", "square-function Carleson report", ladder=True)
     p.add_argument("--kind", default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--top-radius", dest="top_radius", type=float, default=None)
-    p.add_argument("--levels", type=int, default=None)
     p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--tops", default=None)
     p.add_argument("--out-json", dest="out_json", default=None)
     p.add_argument("--out-csv", dest="out_csv", default=None)
 
-    p = sub.add_parser("bmo", description="mean-oscillation report")
-    common(p)
-    p.add_argument("--field", default=None)
+    p = command("bmo", "mean-oscillation report", ladder=True)
     p.add_argument("--radii", default=None)
-    p.add_argument("--top-radius", dest="top_radius", type=float, default=None)
-    p.add_argument("--levels", type=int, default=None)
     p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--out-json", dest="out_json", default=None)
     p.add_argument("--out-csv", dest="out_csv", default=None)
 
-    p = sub.add_parser("strichartz", description="difference-functional report")
-    common(p)
+    p = command("strichartz", "difference-functional report")
     p.add_argument("--field", default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--order", default=None)
@@ -480,32 +424,23 @@ def _build_parser():
     p.add_argument("--out-json", dest="out_json", default=None)
     p.add_argument("--out-csv", dest="out_csv", default=None)
 
-    p = sub.add_parser("fracderiv", description="fractional derivative field")
-    common(p)
+    p = command("fracderiv", "fractional derivative field")
     p.add_argument("--field", default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("compare", description="square-function vs BMO comparability")
-    common(p)
-    p.add_argument("--field", default=None)
+    p = command("compare", "square-function vs BMO comparability", ladder=True)
     p.add_argument("--alphas", default=None)
-    p.add_argument("--top-radius", dest="top_radius", type=float, default=None)
-    p.add_argument("--levels", type=int, default=None)
     p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("beta", description="plane-approximation numbers")
-    common(p)
+    p = command("beta", "plane-approximation numbers", ladder=True)
     p.add_argument("--cloud", default=None)
     p.add_argument("--ambient-dim", dest="ambient_dim", type=int, default=None)
     p.add_argument("--center", default=None)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--field", default=None)
     p.add_argument("--graph", action="store_true", default=False)
-    p.add_argument("--top-radius", dest="top_radius", type=float, default=None)
-    p.add_argument("--levels", type=int, default=None)
     p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--out", default=None)
 

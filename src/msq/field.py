@@ -19,6 +19,7 @@ __all__ = [
     "Grid",
     "SampledField",
     "BallWindow",
+    "WindowFamily",
     "Mollifier",
     "make_grid",
     "sample",
@@ -36,6 +37,10 @@ __all__ = [
     "lattice_centers",
     "flat_index",
     "offset_reads",
+    "window_family",
+    "window_rows",
+    "table_columns",
+    "window_argmax",
     "window_values",
     "ball_mean",
     "mollify",
@@ -109,6 +114,32 @@ class BallWindow:
             raise ValueError(
                 f"window radius {self.radius} exceeds period/4 = {grid.period / 4}"
             )
+
+    size = property(lambda self: self.radius)
+
+    @staticmethod
+    def rows_valid(grid: Grid, centers: np.ndarray, radii: np.ndarray) -> bool:
+        """validate of every row at once: (m, dim) int centers, (m,) radii."""
+        return bool(np.all((centers >= 0) & (centers < grid.n_per_axis))
+                    and not np.any((radii < grid.spacing) | (radii > grid.period / 4)))
+
+
+@dataclass(frozen=True, eq=False)
+class WindowFamily:
+    """Windows as arrays: (m, dim) int centers and (m,) sizes, ball radii
+    or cube sides."""
+
+    centers: np.ndarray
+    sizes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    @classmethod
+    def on_lattice(cls, grid: Grid, sizes, stride: int) -> "WindowFamily":
+        """Each size at every stride-th center: size-major, centers row-major."""
+        centers, sizes = lattice_centers(grid, stride), np.asarray(sizes, dtype=float).reshape(-1)
+        return cls(np.tile(centers, (len(sizes), 1)), np.repeat(sizes, len(centers)))
 
 
 @dataclass(frozen=True)
@@ -286,6 +317,49 @@ def offset_reads(grid: Grid, a: np.ndarray, points: np.ndarray, offsets):
     for off in offsets:
         rolled = periodic_roll(a, tuple(-int(o) for o in off)).reshape(-1)
         yield rolled if whole else rolled[rows]
+
+
+def window_family(grid: Grid, windows, kind) -> WindowFamily:
+    """A WindowFamily, or a sequence of kind windows (BallWindow or
+    CubeSpec), as a WindowFamily that kind.rows_valid accepts.  Otherwise
+    kind windows are validated in input order: the first invalid one raises."""
+    if isinstance(windows, WindowFamily):
+        centers, sizes = windows.centers, windows.sizes
+        valid = centers.shape[1:] == (grid.dim,)
+    else:
+        centers, sizes = [w.center for w in windows], np.array([float(w.size) for w in windows])
+        valid = all(len(c) == grid.dim for c in centers)
+    if valid:
+        family = WindowFamily(np.asarray(centers, dtype=int).reshape(-1, grid.dim), sizes)
+        valid = kind.rows_valid(grid, family.centers, sizes)
+    if not valid:
+        for c, size in zip(centers, sizes.tolist()):
+            kind(tuple(np.asarray(c).tolist()), size).validate(grid)
+    return family
+
+
+def window_rows(centers: np.ndarray, sizes: np.ndarray, *values):
+    """Yield the rows (center tuple, size, value...) of parallel window
+    arrays in plain Python ints and floats, converting 1024 rows at a time
+    so that a long table is never held as Python objects at once."""
+    for lo in range(0, len(sizes), 1024):
+        block = slice(lo, lo + 1024)
+        yield from zip(map(tuple, centers[block].tolist()), sizes[block].tolist(),
+                       *(v[block].tolist() for v in values))
+
+
+def table_columns(centers: np.ndarray, sizes: np.ndarray, *tables) -> tuple:
+    """(m, t) tables over m centers and t sizes as parallel window arrays,
+    center-major."""
+    t, m = len(sizes), len(centers)
+    return (np.repeat(centers, t, axis=0), np.tile(sizes, m), *(a.reshape(-1) for a in tables))
+
+
+def window_argmax(centers: np.ndarray, sizes: np.ndarray, values: np.ndarray) -> dict:
+    """The first row attaining the maximum value, as {center, size, value}."""
+    i = int(np.argmax(values))
+    center, size, value = next(window_rows(centers[i:i + 1], sizes[i:i + 1], values[i:i + 1]))
+    return {"center": center, "size": size, "value": value}
 
 
 def window_values(field: SampledField, window: BallWindow, mask=None) -> np.ndarray:

@@ -16,7 +16,7 @@ from msq.bmo import (
 )
 from msq.coeffs import make_ladder
 from msq.corpus import CorpusSpec, generate
-from msq.field import BallWindow, SampledField, make_grid, sample
+from msq.field import BallWindow, SampledField, lattice_centers, make_grid, sample
 
 
 def _dyadic_radii(grid, levels=5):
@@ -62,6 +62,16 @@ def _rows_by_window(report):
     return {(tuple(int(c) for c in center), r): v for center, r, v in report.per_window}
 
 
+def _fields(report):
+    """A report's fields with the arrays as lists, comparable with ==."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(report).items()}
+
+
+def _as_list(family, kind):
+    """The per-window objects (BallWindow or CubeSpec) of a window family."""
+    return [kind(tuple(c), s) for c, s in zip(family.centers.tolist(), family.sizes.tolist())]
+
+
 def test_bmo_sublattice_bit_identical_to_full_lattice():
     # strided and irregular families read only their own centers (gathered
     # or taken from the rolled grid); every value must equal the stride-1
@@ -80,6 +90,28 @@ def test_bmo_sublattice_bit_identical_to_full_lattice():
         for key, v in _rows_by_window(rep).items():
             assert v == full[key]
         assert rep.norm == max(_rows_by_window(rep).values())
+    # a family and its BallWindow list give equal reports, in 2-d and 1-d
+    g1 = make_grid(1, 256, 1.0)
+    f1 = generate(CorpusSpec(family="riesz_of_noise", grid=g1, alpha=0.5, seed=4))
+    for field in (f, f1):
+        for stride in (1, 3):
+            family = make_ball_family(field.grid, make_ladder(field.grid).radii, stride=stride)
+            listed = bmo_norm(field, _as_list(family, BallWindow))
+            assert _fields(bmo_norm(field, family)) == _fields(listed)
+
+
+def test_bmo_rows_by_radius_then_input_order(rough_field_1d):
+    g = rough_field_1d.grid
+    radii = [0.0625, 0.25, 0.125, 0.125]  # out of order, one repeated
+    rep = bmo_norm(rough_field_1d, make_ball_family(g, radii, stride=32))
+    centers = [tuple(c) for c in lattice_centers(g, 32).tolist()]
+    want = [(c, r) for r in (0.0625, 0.125, 0.125, 0.25) for c in centers]
+    assert [(c, r) for c, r, _ in rep.per_window] == want
+    windows = [BallWindow(center=c, radius=r)
+               for c, r in (((9,), 0.125), ((2,), 0.0625), ((5,), 0.125), ((9,), 0.125))]
+    rep = bmo_norm(rough_field_1d, windows)
+    assert [(c, r) for c, r, _ in rep.per_window] == [
+        ((2,), 0.0625), ((9,), 0.125), ((5,), 0.125), ((9,), 0.125)]
 
 
 def test_bmo_first_invalid_window_raises_its_error(rough_field_1d):
@@ -97,6 +129,26 @@ def test_bmo_first_invalid_window_raises_its_error(rough_field_1d):
     for windows, message in cases:
         with pytest.raises(ValueError, match=message):
             bmo_norm(rough_field_1d, windows)
+
+
+def test_strichartz_first_invalid_cube_raises_its_error(rough_field_1d):
+    g = rough_field_1d.grid
+    ok = CubeSpec(center=(3,), side=0.25)
+    cubes = [ok, CubeSpec(center=(5,), side=5 * g.spacing), CubeSpec(center=(0,), side=0.6)]
+    for family in (cubes, make_cube_family(g, sides=[0.25, 5 * g.spacing, 0.6], stride=64)):
+        with pytest.raises(ValueError, match="even multiple"):
+            strichartz_first(rough_field_1d, 0.5, family)
+        with pytest.raises(ValueError, match="even multiple"):
+            strichartz_second(rough_field_1d, 1.3, family)
+
+
+def test_cube_family_default_sides():
+    # period/2 down to 4h; a tiny period must not loop forever
+    for period in (1.0, 1e-13):
+        g = make_grid(2, 64, period)
+        family = make_cube_family(g)
+        assert np.unique(family.sizes).tolist() == [period / 16, period / 8, period / 4, period / 2]
+        assert len(family) == 4 * 8 ** 2
 
 
 def test_bmo_empty_family_rejected(rough_field_1d):
@@ -234,6 +286,18 @@ def _brute_force_cube(dim, seed):
     return f, cube, v, list(np.ndindex(v.shape))
 
 
+def _check_cube_families(functional, f, alpha, cube, expected):
+    """Cube families of the cube's side at strides 1 and 3 report == their
+    CubeSpec lists, and at stride 1 the cube's row is the brute-force value."""
+    for stride in (1, 3):
+        family = make_cube_family(f.grid, sides=[cube.side], stride=stride)
+        rep = functional(f, alpha, family)
+        assert _fields(rep) == _fields(functional(f, alpha, _as_list(family, CubeSpec)))
+        if stride == 1:
+            rows = {center: v for center, _, v in rep.per_cube}
+            assert rows[cube.center] == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_strichartz_first_differences_brute_force(dim):
     f, cube, v, points = _brute_force_cube(dim, 9)
@@ -247,6 +311,7 @@ def test_strichartz_first_differences_brute_force(dim):
                 tot += (v[q] - v[p]) ** 2 / d ** (dim + 2 * alpha)
     expected = math.sqrt(h ** (2 * dim) * tot / cube.side**dim)
     assert strichartz_first(f, alpha, [cube]).B == pytest.approx(expected, rel=1e-12)
+    _check_cube_families(strichartz_first, f, alpha, cube, expected)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -265,6 +330,7 @@ def test_strichartz_second_brute_force(dim):
                 tot += (2 * v[x] - v[y] - v[mirror]) ** 2 / d ** (dim + 2 * alpha)
     expected = math.sqrt(h ** (2 * dim) * tot / cube.side**dim)
     assert strichartz_second(f, alpha, [cube]).B == pytest.approx(expected, rel=1e-12)
+    _check_cube_families(strichartz_second, f, alpha, cube, expected)
 
 
 def test_cube_validation():

@@ -85,6 +85,8 @@ def test_top_radius_must_be_on_ladder(rough_field_1d):
         square_function_integral(m, 0.5, (0,), 0.2)
     with pytest.raises(ValueError, match="ladder"):
         carleson_constant(m, 0.5, tops=[0.19])
+    with pytest.raises(ValueError, match=r"ladder radius \[0\.25, 0\.125, "):
+        carleson_constant(m, 0.5, tops=[0.3])
 
 
 def test_report_structure(rough_field_1d):

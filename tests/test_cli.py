@@ -153,6 +153,88 @@ def test_bmo_command(bump_file, tmp_path):
     assert payload["norm"] > 0
 
 
+@pytest.fixture
+def cusp_file(tmp_path):
+    out = tmp_path / "cusp.fld"
+    assert run(["generate", "--family", "cusp", "--gamma", "0.5", "--n", "64",
+                "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("radius", ["0.3", "0.001"])
+def test_bmo_radius_out_of_range_usage_error(cusp_file, tmp_path, capsys, radius):
+    out = tmp_path / "bmo.json"
+    rc = run(["bmo", "--field", str(cusp_file), "--radii", radius, "--out-json", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("msq: error: usage:") and f"window radius {radius}" in err
+    assert not out.exists()
+
+
+def test_empty_list_entry_usage_error(cusp_file, tmp_path, capsys):
+    fld, out = str(cusp_file), str(tmp_path / "out")
+    cloud = tmp_path / "cloud.txt"
+    cloud.write_text("0.0 0.0\n1.0 1.0\n2.0 0.5\n")
+    for flag, argv in (
+        ("alphas", ["compare", "--field", fld, "--alphas", "0.5,,1", "--out", out]),
+        ("radii", ["bmo", "--field", fld, "--radii", "0.1,", "--out-json", out]),
+        ("sides", ["strichartz", "--field", fld, "--alpha", "0.5", "--order", "first",
+                   "--sides", ",0.25", "--out-json", out]),
+        ("tops", ["sqfn", "--field", fld, "--kind", "nu0", "--alpha", "0.5",
+                  "--tops", "0.25,,0.125", "--out-json", out]),
+        ("center", ["beta", "--cloud", str(cloud), "--center", "1.0,", "--radius", "5.0",
+                    "--k", "1", "--out", out]),
+    ):
+        assert run(argv) == EXIT_USAGE, flag
+        assert f"--{flag} has an empty entry" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv, scalar, label", [
+    (["sqfn", "--kind", "nu0", "--alpha", "0.5", "--stride", "8"], "constant", "per_window"),
+    (["bmo", "--stride", "8"], "norm", "per_window"),
+    (["strichartz", "--alpha", "0.5", "--order", "second", "--stride", "16"], "B", "per_cube"),
+], ids=["sqfn", "bmo", "strichartz"])
+def test_report_argmax_is_the_first_maximum_row(cusp_file, tmp_path, argv, scalar, label):
+    out = tmp_path / "r.json"
+    args = argv[:1] + ["--field", str(cusp_file), "--out-json", str(out)] + argv[1:]
+    assert run(args) == EXIT_OK
+    first = out.read_bytes()
+    assert run(args) == EXIT_OK
+    assert out.read_bytes() == first
+    payload = json.loads(first)
+    best = next(row for row in payload[label] if row[-1] == payload[scalar])
+    argmax = payload["metadata"]["argmax"]
+    assert argmax["center"] + [argmax["size"], argmax["value"]] == best
+
+
+def test_compare_records_both_argmaxes(cusp_file, tmp_path):
+    from msq.bmo import bmo_norm, make_ball_family
+    from msq.carleson import carleson_constant
+    from msq.coeffs import coefficient_matrix, make_ladder
+    from msq.spectral import fractional_derivative
+
+    out = tmp_path / "cmp.json"
+    args = ["compare", "--field", str(cusp_file), "--alphas", "0.5,1.3", "--stride", "4",
+            "--out", str(out)]
+    assert run(args) == EXIT_OK
+    first = out.read_bytes()
+    assert run(args) == EXIT_OK
+    assert out.read_bytes() == first
+    field, _ = load_field(cusp_file)
+    ladder = make_ladder(field.grid)
+    for rec in json.loads(first)["records"]:
+        matrix = coefficient_matrix(field, ladder, rec["kind"])
+        carleson = carleson_constant(matrix, rec["alpha"], stride=4)
+        osc = bmo_norm(fractional_derivative(field, rec["alpha"]),
+                       make_ball_family(field.grid, ladder.radii, stride=4))
+        for key, rep, value in (("argmax", carleson, carleson.constant),
+                                ("bmo_argmax", osc, osc.norm)):
+            best = next(row for row in rep.per_window if row[2] == value)
+            got = rec["metadata"][key]
+            assert (tuple(got["center"]), got["size"], got["value"]) == best
+
+
 def test_strichartz_command(bump_file, tmp_path):
     out = tmp_path / "st.json"
     assert run(["strichartz", "--field", str(bump_file), "--alpha", "0.5", "--order",
