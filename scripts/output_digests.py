@@ -5,14 +5,17 @@ Generates fixed input files in OUTDIR, runs each command through the
 in-process ``msq.cli.main`` and prints one ``sha256  file`` line per file
 in OUTDIR, sorted by name, as ``sha256sum`` does.  The set: the
 criterion-9 commands of the acceptance suite, the reports-2d and bridge-2d
-benchmark commands, 1-d and 2-d strichartz in both orders with CSV output,
-1-d and 2-d bmo with CSV output at strides 1 and 3 (the whole-grid, the
-rolled-and-taken and the gathered offset reads), 1-d bmo over radii given
-out of order with one repeated (the report's row order), 2-d strichartz
-over two given sides at stride 16, the nu0 and nu1_tilde
-matrices of the 1-d smooth field (most entries recomputed directly), one
-sqfn run from a --config file with a flag that overrides it, and 1-d and
-2-d log_singularity fields with their fractional derivatives.
+benchmark commands, a 1-d beta --graph run whose default ladder leaves
+cells with too few lifted points (beta nan), 1-d and 2-d strichartz in
+both orders with CSV output, 1-d and 2-d bmo with CSV output at strides 1
+and 3 (the whole-grid, the rolled-and-taken and the gathered offset
+reads), 1-d bmo over radii given out of order with one repeated (the
+report's row order), 2-d strichartz over two given sides at stride 16 and,
+second order, over the default sides at stride 8 on the smooth bump, the
+nu0 and nu1_tilde matrices of the 1-d smooth field (most entries
+recomputed directly), one sqfn run from a --config file with a flag that
+overrides it, and 1-d and 2-d log_singularity fields with their fractional
+derivatives.
 
 It checks that a change keeps the CLI outputs byte-identical.  The outputs
 embed the input paths, so run the old and the new code into the same
@@ -23,7 +26,7 @@ OUTDIR, with each checkout's ``src`` on the import path, and compare:
     diff old.txt new.txt
 
 A command that exits nonzero is named on stderr, and the script then
-exits 1.  The set writes 58 files and runs in about 7 s on a 2-core host.
+exits 1.  The set writes 63 files and runs in about 5 s on a 2-core host.
 """
 
 import hashlib
@@ -70,6 +73,11 @@ def commands(p):
          "--out", cusp2],
         ["beta", "--graph", "--field", bump2, "--out", p("beta.csv")],
     ]
+    bump1 = p("bump1.fld")  # default ladder: cells with too few lifted points
+    bridge1d = [
+        ["generate", "--family", "smooth_bump", "--n", "1024", "--out", bump1],
+        ["beta", "--graph", "--field", bump1, "--stride", "8", "--out", p("beta_1d.csv")],
+    ]
     cusp1 = p("cusp1.fld")
     strichartz = [["generate", "--family", "cusp", "--gamma", "0.8", "--n", "256", "--out", cusp1]]
     for tag, field in (("1d", cusp1), ("2d", cusp2)):
@@ -90,6 +98,8 @@ def commands(p):
     walks.append(["strichartz", "--field", cusp2, "--alpha", "0.5", "--order", "first",
                   "--sides", "0.25,0.125", "--stride", "16",
                   "--out-json", p("st_sides.json"), "--out-csv", p("st_sides.csv")])
+    walks.append(["strichartz", "--field", bump2, "--alpha", "1.5", "--order", "second",
+                  "--stride", "8", "--out-json", p("st_s8.json"), "--out-csv", p("st_s8.csv")])
     for kind in ("nu0", "nu1_tilde"):
         walks.append(["coeffs", "--field", smooth, "--kind", kind, "--out", p(f"smooth_{kind}.csv")])
     walks.append(["sqfn", "--config", p("sqfn.cfg"), "--field", fld, "--stride", "8",
@@ -101,7 +111,7 @@ def commands(p):
             ["generate", "--family", "log_singularity", "--dim", dim, "--n", n, "--out", log],
             ["fracderiv", "--field", log, "--alpha", "0.6", "--out", p(f"log{dim}d_d.fld")],
         ]
-    return criterion9 + reports2d + bridge2d + strichartz + walks + logs
+    return criterion9 + reports2d + bridge2d + bridge1d + strichartz + walks + logs
 
 
 def main(argv=None):

@@ -65,6 +65,8 @@ class CubeSpec:
     def validate(self, grid: Grid) -> None:
         if len(self.center) != grid.dim:
             raise ValueError("cube center rank does not match grid dim")
+        if not math.isfinite(self.side):
+            raise ValueError(f"cube side {self.side} is not finite")
         if self.side > grid.period / 2.0 + 1e-12 * grid.period:
             raise ValueError(f"cube side {self.side} exceeds period/2 (aliasing)")
         if self.side < 4.0 * grid.spacing - 1e-12 * grid.spacing:
@@ -78,6 +80,8 @@ class CubeSpec:
     @staticmethod
     def rows_valid(grid: Grid, centers: np.ndarray, sides: np.ndarray) -> bool:
         """validate of every row at once: (m, dim) int centers, (m,) sides."""
+        if not np.all(np.isfinite(sides)):
+            return False
         h, m = grid.spacing, np.round(sides / grid.spacing)
         return not np.any((sides > grid.period / 2.0 + 1e-12 * grid.period)
                           | (sides < 4.0 * h - 1e-12 * h)
@@ -189,37 +193,53 @@ def holder_seminorm(field: SampledField, alpha: float, stride: int = 1) -> float
     return best
 
 
-def _cube_values(field: SampledField, center, m: int) -> np.ndarray:
-    axes = [(np.arange(m) + c - m // 2) % field.grid.n_per_axis for c in center]
-    return field.shaped[np.ix_(*axes)]
-
-
 # The points each difference reads, as multiples k of the offset o: x + k o.
 _DIFFERENCE_STEPS = {"first_difference": (1, 0), "second_difference": (0, 1, -1)}
 
 
-def _difference_terms(m: int, dim: int, h: float, expo: float, order: str) -> list:
-    """Offset table of a difference sum over a cube of m points per axis.
+def _difference_terms(m: int, dim: int, h: float, expo: float, order: str):
+    """Offset table of a difference sum over a stack of cubes of m points
+    per axis, shape (k, m, ..., m), yielded row by row.
 
     One row per offset o whose first nonzero entry is positive (the
     mirrored offset doubles in the sum): the weight |o h|^(-expo), then one
-    slice tuple per point read, x + o and x for first differences, x, x + o
-    and x - o for second differences, with x running over the points that
-    keep every read point in the cube.
+    index tuple into the stack per point read, x + o and x for first
+    differences, x, x + o and x - o for second differences, with x running
+    over the points that keep every read point in the cube.
     """
     steps = _DIFFERENCE_STEPS[order]
     reach = (m - 1) // (max(steps) - min(steps))
-    terms = []
     for off in itertools.product(range(-reach, reach + 1), repeat=dim):
         if next((o for o in off if o), 0) <= 0:
             continue
         lo = [max(-k * o for k in steps) for o in off]
         hi = [m - max(k * o for k in steps) for o in off]
-        slices = tuple(
-            tuple(slice(a + k * o, b + k * o) for a, b, o in zip(lo, hi, off)) for k in steps
+        reads = tuple(
+            (slice(None),) + tuple(slice(a + k * o, b + k * o) for a, b, o in zip(lo, hi, off))
+            for k in steps
         )
-        terms.append((math.hypot(*[o * h for o in off]) ** (-expo),) + slices)
-    return terms
+        yield (math.hypot(*[o * h for o in off]) ** (-expo),) + reads
+
+
+# _STACK_POINTS: grid values per cube stack.  2**20 values (8 MB) hold a
+# default 2-d family (64 cubes) in one stack per side up to n=256, while a
+# large family, such as one at stride 1, is cut into several stacks.
+_STACK_POINTS = 2**20
+
+
+def _stack_totals(v: np.ndarray, terms, order: str) -> np.ndarray:
+    """Difference sum of each cube of a (k, m, ..., m) stack, term by term
+    in table order.  Each cube's block is summed on its own, in numpy's
+    pairwise order, so every total equals that of a one-cube stack."""
+    k = len(v)
+    total = np.zeros(k)
+    if order == "first_difference":
+        for w, plus, x in terms:
+            total += 2.0 * w * ((v[plus] - v[x]) ** 2).reshape(k, -1).sum(axis=1)
+    else:
+        for w, x, plus, minus in terms:
+            total += 2.0 * w * ((2.0 * v[x] - v[plus] - v[minus]) ** 2).reshape(k, -1).sum(axis=1)
+    return total
 
 
 def _strichartz(field, alpha, cubes, order: str, alpha_hi: float) -> StrichartzReport:
@@ -231,22 +251,26 @@ def _strichartz(field, alpha, cubes, order: str, alpha_hi: float) -> StrichartzR
     d, h = grid.dim, grid.spacing
     expo = d + 2.0 * alpha
     family = window_family(grid, cubes, CubeSpec)
-    tables = {}  # offset table per cube side, in points per axis
-    values = []
-    for center, side in zip(family.centers.tolist(), family.sizes.tolist()):
-        m = int(round(side / h))
-        if m not in tables:
-            tables[m] = _difference_terms(m, d, h, expo, order)
-        v = _cube_values(field, center, m)
-        total = 0.0
-        if order == "first_difference":
-            for w, plus, x in tables[m]:
-                total += 2.0 * w * float(np.sum((v[plus] - v[x]) ** 2))
-        else:
-            for w, x, plus, minus in tables[m]:
-                total += 2.0 * w * float(np.sum((2.0 * v[x] - v[plus] - v[minus]) ** 2))
-        values.append(math.sqrt(h ** (2 * d) * total / side ** d))
-    values = np.array(values)
+    points = np.round(family.sizes / h).astype(int)  # points per axis of each cube
+    totals = np.empty(len(family))
+    # One pass per cube side: the cubes of m points per axis share one
+    # offset table, and each row of it runs once over a stack of them.
+    for m in np.unique(points).tolist():
+        group = np.flatnonzero(points == m)
+        step = max(1, _STACK_POINTS // m**d)
+        for rows in (group[lo:lo + step] for lo in range(0, len(group), step)):
+            # axis a of cube i: indices c[i, a] - m//2 + (0..m-1), wrapped
+            first = family.centers[rows] - m // 2
+            axes = tuple(((first[:, a, None] + np.arange(m)) % grid.n_per_axis)
+                         .reshape((len(rows),) + (1,) * a + (m,) + (1,) * (d - 1 - a))
+                         for a in range(d))
+            # a generator made anew per stack: as a list, the 2-d table of
+            # m = 32 alone holds about 1 MB of Python objects
+            terms = _difference_terms(m, d, h, expo, order)
+            totals[rows] = _stack_totals(field.shaped[axes], terms, order)
+    # normalized in Python floats, so each value is the one-cube value to the bit
+    values = np.array([math.sqrt(h ** (2 * d) * t / side ** d)
+                       for t, side in zip(totals.tolist(), family.sizes.tolist())])
     meta = {
         "alpha": float(alpha),
         "weight_convention": "offset |y|^(-d-2alpha), diagonal excluded",

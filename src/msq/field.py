@@ -106,6 +106,8 @@ class BallWindow:
         for c in self.center:
             if not (0 <= int(c) < grid.n_per_axis):
                 raise ValueError(f"window center index {self.center} out of range")
+        if not np.isfinite(self.radius):
+            raise ValueError(f"window radius {self.radius} is not finite")
         if self.radius < grid.spacing:
             raise ValueError(
                 f"window radius {self.radius} below grid spacing {grid.spacing}"
@@ -121,6 +123,7 @@ class BallWindow:
     def rows_valid(grid: Grid, centers: np.ndarray, radii: np.ndarray) -> bool:
         """validate of every row at once: (m, dim) int centers, (m,) radii."""
         return bool(np.all((centers >= 0) & (centers < grid.n_per_axis))
+                    and np.all(np.isfinite(radii))
                     and not np.any((radii < grid.spacing) | (radii > grid.period / 4)))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import ScaleLadder, coefficient_matrix
-from .field import SampledField, flat_index, lattice_centers, offset_components, periodic_roll
+from .field import SampledField, flat_index, lattice_centers, offset_components
 from .spectral import spectral_gradient
 
 __all__ = [
@@ -194,24 +194,33 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
     centers = lattice_centers(grid, stride)
     nub = coefficient_matrix(field, ladder, "nu1").values[flat_index(grid, centers)]
 
+    # The offsets of the widest candidate ball, in the row-major order of
+    # the chart rolled to the center; each radius takes its candidates as
+    # a mask over that list.
+    top = radii.max()
+    widest = udist_sq < top * top
+    steps = np.argwhere(widest)
+    cands = []
+    for r in radii:
+        cand = udist_sq[widest] < r * r
+        uu = [comp[widest][cand] for comp in ucomp]
+        cands.append((float(r), cand, uu, sum(q * q for q in uu)))
+
     beta = np.empty((len(centers), radii.size))
     for i, c in enumerate(centers):
-        shift = tuple(-int(x) for x in c)
-        fshift = periodic_roll(f, shift)
-        wshift = periodic_roll(area.reshape(grid.shape), shift).reshape(-1)
-        lift = (fshift - fshift.reshape(-1)[0]).reshape(-1)
-        for j, r in enumerate(radii):
-            cand = (udist_sq < r * r).reshape(-1)
+        rows = flat_index(grid, c + steps)
+        lift = field.values[rows] - field.values[rows[0]]  # steps[0] is the zero offset
+        wlift = area[rows]
+        for j, (r, cand, uu, usq) in enumerate(cands):
             ll = lift[cand]
-            uu = [comp.reshape(-1)[cand] for comp in ucomp]
-            inside = sum(q * q for q in uu) + ll * ll < r * r
+            inside = usq + ll * ll < r * r
             if np.count_nonzero(inside) < dim + 1:
                 beta[i, j] = np.nan
                 continue
             pts = np.stack([q[inside] for q in uu] + [ll[inside]], axis=1)
-            w = wshift[cand][inside]
+            w = wlift[cand][inside]
             sub = PointCloud(points=pts, weights=w)
-            b, _ = beta2k(sub, np.zeros(dim + 1), float(r), k=dim)
+            b, _ = beta2k(sub, np.zeros(dim + 1), r, k=dim)
             beta[i, j] = b
 
     floor = 1e-12 * max(1.0, float(np.max(np.abs(f))))

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from msq import bmo as bmo_mod
 from msq.bmo import (
     CubeSpec,
     GrowthProfile,
@@ -339,6 +341,66 @@ def test_cube_validation():
         CubeSpec(center=(0,), side=0.6).validate(g)
     with pytest.raises(ValueError, match="4h"):
         CubeSpec(center=(0,), side=2.0 / 64).validate(g)
+
+
+@pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
+def test_non_finite_window_size_rejected(rough_field_1d, size):
+    # the finiteness check comes first: no arithmetic (and so no numpy
+    # warning) on the size before it, for a window, a list and a family
+    g = rough_field_1d.grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="side .* is not finite"):
+            CubeSpec(center=(0,), side=size).validate(g)
+        with pytest.raises(ValueError, match="radius .* is not finite"):
+            BallWindow(center=(0,), radius=size).validate(g)
+        for cubes in ([CubeSpec(center=(3,), side=0.25), CubeSpec(center=(5,), side=size)],
+                      make_cube_family(g, sides=[0.25, size], stride=64)):
+            with pytest.raises(ValueError, match="side .* is not finite"):
+                strichartz_first(rough_field_1d, 0.5, cubes)
+        for balls in ([BallWindow(center=(3,), radius=0.125), BallWindow(center=(5,), radius=size)],
+                      make_ball_family(g, [0.125, size], stride=64)):
+            with pytest.raises(ValueError, match="radius .* is not finite"):
+                bmo_norm(rough_field_1d, balls)
+
+
+def _one_cube_value(f, cube, alpha, order):
+    """A cube's normalized difference sum as one cube alone is summed: each
+    offset's block by np.sum, accumulated in Python floats in table order."""
+    g = f.grid
+    d, h, m = g.dim, g.spacing, cube.points_per_axis(g)
+    v = f.shaped[np.ix_(*[(np.arange(m) + c - m // 2) % g.n_per_axis for c in cube.center])]
+    total = 0.0
+    for w, *reads in bmo_mod._difference_terms(m, d, h, d + 2.0 * alpha, order):
+        a = [v[None][r] for r in reads]
+        diff = a[0] - a[1] if len(a) == 2 else 2.0 * a[0] - a[1] - a[2]
+        total += 2.0 * w * float(np.sum(diff ** 2))
+    return math.sqrt(h ** (2 * d) * total / cube.side ** d)
+
+
+@pytest.mark.parametrize("stack_points", [None, 100])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_strichartz_stacked_sides_match_one_cube_calls(rough_field_1d, rough_field_2d, dim,
+                                                       stack_points, monkeypatch):
+    # sides interleave and one cube repeats: every row keeps its input
+    # place and equals (==) a one-cube call and the one-cube sum;
+    # stack_points=100 cuts each side's cubes into several stacks
+    if stack_points is not None:
+        monkeypatch.setattr(bmo_mod, "_STACK_POINTS", stack_points)
+    f = rough_field_1d if dim == 1 else rough_field_2d
+    n, h = f.grid.n_per_axis, f.grid.spacing
+    points = (16, 8, 6) if dim == 1 else (8, 4, 6)
+    sides = [points[i] * h for i in (0, 1, 0, 2, 1, 0)]
+    centers = [(0,) * dim, (n - 1,) * dim, (5,) * dim, (0,) * dim, (n // 2,) * dim, (0,) * dim]
+    cubes = [CubeSpec(center=c, side=s) for c, s in zip(centers, sides)]
+    for functional, alpha, order in ((strichartz_first, 0.5, "first_difference"),
+                                     (strichartz_second, 1.3, "second_difference")):
+        rep = functional(f, alpha, cubes)
+        assert [(c, s) for c, s, _ in rep.per_cube] == list(zip(centers, sides))
+        one = [functional(f, alpha, [cube]).values[0] for cube in cubes]
+        assert rep.values.tolist() == one
+        assert one == [_one_cube_value(f, cube, alpha, order) for cube in cubes]
+        assert rep.values[0] == rep.values[5]
 
 
 def test_strichartz_refinement_stability():

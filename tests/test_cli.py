@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,24 @@ def test_bmo_radius_out_of_range_usage_error(cusp_file, tmp_path, capsys, radius
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("msq: error: usage:") and f"window radius {radius}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bmo", "--radii", "nan"], "window radius nan is not finite"),
+    (["strichartz", "--alpha", "0.5", "--order", "first", "--sides", "nan"],
+     "cube side nan is not finite"),
+    (["strichartz", "--alpha", "0.5", "--order", "second", "--sides", "inf"],
+     "cube side inf is not finite"),
+], ids=["bmo-nan", "strichartz-nan", "strichartz-inf"])
+def test_non_finite_window_size_usage_error(cusp_file, tmp_path, capsys, argv, message):
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(argv[:1] + ["--field", str(cusp_file), "--out-json", str(out)] + argv[1:])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == f"msq: error: usage: {message}\n"
+    assert [str(w.message) for w in caught] == []
     assert not out.exists()
 
 

@@ -182,3 +182,44 @@ def test_graph_bridge_scaling_keeps_joint_vanishing():
             SampledField(grid=g, values=lam * f.values), lad, stride=32
         )
         assert np.max(rep.beta) < 1e-10 and np.max(rep.nu1) < 1e-10
+
+
+def _chart_cloud(field, center, area):
+    """The whole periodic chart of a center lifted to the graph: every grid
+    offset u, the lift f(c + u) - f(c) and the surface weight at c + u."""
+    g = field.grid
+    shift = tuple(-int(c) for c in center)
+    rolled = np.roll(field.shaped, shift, axis=tuple(range(g.dim)))
+    u = np.where(np.arange(g.n_per_axis) <= g.n_per_axis // 2, 0, -g.n_per_axis)
+    u = (u + np.arange(g.n_per_axis)) * g.spacing
+    comps = np.meshgrid(*(u,) * g.dim, indexing="ij")
+    pts = np.stack([q.reshape(-1) for q in comps] + [(rolled - rolled.flat[0]).reshape(-1)], axis=1)
+    weights = np.roll(area, shift, axis=tuple(range(g.dim))).reshape(-1)
+    return PointCloud(points=pts, weights=weights)
+
+
+@pytest.mark.parametrize("dim, n, stride", [(1, 1024, 8), (2, 32, 4)])
+def test_graph_bridge_matches_per_cell_oracle(dim, n, stride):
+    # each cell equals (==) beta2k on the center's whole lifted chart, and
+    # a cell whose ambient ball holds fewer than dim + 1 points is NaN
+    from msq.spectral import spectral_gradient
+
+    g = make_grid(dim, n, 1.0)
+    f = generate(CorpusSpec(family="smooth_bump", grid=g))
+    lad = make_ladder(g)
+    rep = graph_beta_vs_nu1(f, lad, stride=stride)
+    gnorm_sq = sum(q.shaped**2 for q in spectral_gradient(f))
+    area = g.spacing**dim * np.sqrt(1.0 + gnorm_sq)
+    expected = np.full(rep.beta.shape, np.nan)
+    for i, c in enumerate(rep.centers):
+        cloud = _chart_cloud(f, c, area)
+        dist_sq = np.sum(cloud.points**2, axis=1)
+        for j, r in enumerate(lad.radii):
+            if np.count_nonzero(dist_sq < r * r) >= dim + 1:
+                expected[i, j], _ = beta2k(cloud, np.zeros(dim + 1), float(r), k=dim)
+    assert np.array_equal(np.isnan(rep.beta), np.isnan(expected))
+    assert rep.insufficient_cells == int(np.isnan(expected).sum())
+    if dim == 1:
+        assert rep.insufficient_cells > 0
+    finite = ~np.isnan(expected)
+    assert rep.beta[finite].tolist() == expected[finite].tolist()
