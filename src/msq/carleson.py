@@ -183,7 +183,6 @@ def comparability_experiment(
     alpha: float,
     ladder: ScaleLadder = None,
     stride: int = 1,
-    bmo_stride: int = None,
 ) -> ComparisonRecord:
     """Carleson constant of the order-matched coefficient vs the squared
     BMO norm of the fractional derivative, plus their ratio."""
@@ -197,10 +196,7 @@ def comparability_experiment(
     report = carleson_constant(matrix, alpha, stride=stride)
 
     deriv = fractional_derivative(field, alpha)
-    windows = make_ball_family(
-        grid, radii=ladder.radii, stride=bmo_stride if bmo_stride else stride
-    )
-    osc = bmo_norm(deriv, windows)
+    osc = bmo_norm(deriv, make_ball_family(grid, radii=ladder.radii, stride=stride))
     bmo_sq = osc.norm ** 2
     c_sq = report.constant
     ratio = None if bmo_sq == 0.0 else c_sq / bmo_sq

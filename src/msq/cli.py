@@ -2,9 +2,10 @@
 
 Subcommands: generate, coeffs, sqfn, bmo, strichartz, fracderiv, compare,
 beta.  Long-form flags only.  Exit codes: 0 success, 2 usage error, 3 data
-error, 4 numeric error.  Every output embeds the effective configuration
-and a format-version string; re-running a command with the same inputs
-produces byte-identical files (no timestamps anywhere).
+error, 4 numeric error, decided by the class of the error in main.  Every
+output embeds the effective configuration and a format-version string;
+re-running a command with the same inputs produces byte-identical files
+(no timestamps anywhere).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import coeffs as coeffs_mod
 from . import corpus as corpus_mod
 from . import geometry as geometry_mod
 from . import spectral as spectral_mod
-from .field import make_grid, table_columns, window_rows
+from .field import NumericError, make_grid, table_columns, window_rows
 
 FORMAT_VERSION = "1"
 
@@ -33,11 +34,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-class UsageError(Exception):
-    pass
-
-
-class NumericError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -131,22 +128,15 @@ def _float_list(text: str, flag: str):
         raise UsageError(f"--{flag} wants a comma-separated float list") from exc
 
 
-def _load_field(path):
-    try:
-        return corpus_mod.load_field(path)
-    except corpus_mod.FieldFileError:
-        raise
-    except OSError as exc:
-        raise corpus_mod.FieldFileError(f"cannot read field file {path}: {exc}") from exc
-
-
 def _ladder_for(grid, args):
+    """The flags' scale ladder.  Without --top-radius and --levels the
+    default ladder can only fail on too coarse a grid: a data error."""
     try:
-        return coeffs_mod.make_ladder(
-            grid, top_radius=args.top_radius, levels=args.levels
-        )
+        return coeffs_mod.make_ladder(grid, top_radius=args.top_radius, levels=args.levels)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        if args.top_radius is None and args.levels is None:
+            raise corpus_mod.FieldFileError(f"{args.field}: {exc}") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -155,20 +145,16 @@ def _ladder_for(grid, args):
 
 def _cmd_generate(args):
     _require(args, ["family", "n", "out"])
-    try:
-        grid = make_grid(args.dim, args.n, args.period)
-        spec = corpus_mod.CorpusSpec(
-            family=args.family,
-            grid=grid,
-            gamma=args.gamma,
-            beta_w=args.beta_w,
-            levels=args.levels,
-            alpha=args.alpha,
-            seed=args.seed,
-            frequency=args.frequency,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = corpus_mod.CorpusSpec(
+        family=args.family,
+        grid=make_grid(args.dim, args.n, args.period),
+        gamma=args.gamma,
+        beta_w=args.beta_w,
+        levels=args.levels,
+        alpha=args.alpha,
+        seed=args.seed,
+        frequency=args.frequency,
+    )
     field = corpus_mod.generate(spec)
     corpus_mod.save_field(field, args.out, extra=spec.params())
     return EXIT_OK
@@ -176,9 +162,7 @@ def _cmd_generate(args):
 
 def _cmd_coeffs(args):
     _require(args, ["field", "kind", "out"])
-    if args.kind not in coeffs_mod.KINDS:
-        raise UsageError(f"--kind must be one of {', '.join(coeffs_mod.KINDS)}")
-    field, _ = _load_field(args.field)
+    field, _ = corpus_mod.load_field(args.field)
     ladder = _ladder_for(field.grid, args)
     matrix = coeffs_mod.coefficient_matrix(field, ladder, args.kind)
     import io
@@ -225,20 +209,13 @@ def _write_report(args, keys, metadata, scalars, label, names, rows) -> None:
 
 def _cmd_sqfn(args):
     _require(args, ["field", "kind", "alpha", "out_json"])
-    if args.kind not in coeffs_mod.KINDS:
-        raise UsageError(f"--kind must be one of {', '.join(coeffs_mod.KINDS)}")
     if not (0.0 < args.alpha < 2.0):
         raise UsageError("--alpha must lie in (0, 2)")
-    field, _ = _load_field(args.field)
+    field, _ = corpus_mod.load_field(args.field)
     ladder = _ladder_for(field.grid, args)
     matrix = coeffs_mod.coefficient_matrix(field, ladder, args.kind)
     tops = _float_list(args.tops, "tops") if args.tops else None
-    try:
-        report = carleson_mod.carleson_constant(
-            matrix, args.alpha, tops=tops, stride=args.stride
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = carleson_mod.carleson_constant(matrix, args.alpha, tops=tops, stride=args.stride)
     _write_report(args, ["field", "kind", "alpha", "top_radius", "levels", "stride", "tops"],
                   report.metadata, {"constant": report.constant},
                   "per_window", ["top_radius", "normalized_integral"], report.per_window)
@@ -247,16 +224,13 @@ def _cmd_sqfn(args):
 
 def _cmd_bmo(args):
     _require(args, ["field", "out_json"])
-    field, _ = _load_field(args.field)
+    field, _ = corpus_mod.load_field(args.field)
     if args.radii:
         radii = _float_list(args.radii, "radii")
     else:
         radii = [float(r) for r in _ladder_for(field.grid, args).radii]
-    try:
-        windows = bmo_mod.make_ball_family(field.grid, radii, stride=args.stride)
-        report = bmo_mod.bmo_norm(field, windows)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    windows = bmo_mod.make_ball_family(field.grid, radii, stride=args.stride)
+    report = bmo_mod.bmo_norm(field, windows)
     _write_report(args, ["field", "radii", "top_radius", "levels", "stride"],
                   dict(report.metadata, radii=radii, stride=args.stride), {"norm": report.norm},
                   "per_window", ["radius", "mean_oscillation"], report.per_window)
@@ -265,18 +239,11 @@ def _cmd_bmo(args):
 
 def _cmd_strichartz(args):
     _require(args, ["field", "alpha", "order", "out_json"])
-    if args.order not in ("first", "second"):
-        raise UsageError("--order must be first or second")
-    field, _ = _load_field(args.field)
+    field, _ = corpus_mod.load_field(args.field)
     sides = _float_list(args.sides, "sides") if args.sides else None
-    try:
-        cubes = bmo_mod.make_cube_family(field.grid, sides=sides, stride=args.stride)
-        if args.order == "first":
-            report = bmo_mod.strichartz_first(field, args.alpha, cubes)
-        else:
-            report = bmo_mod.strichartz_second(field, args.alpha, cubes)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cubes = bmo_mod.make_cube_family(field.grid, sides=sides, stride=args.stride)
+    strichartz = bmo_mod.strichartz_first if args.order == "first" else bmo_mod.strichartz_second
+    report = strichartz(field, args.alpha, cubes)
     _write_report(args, ["field", "alpha", "order", "sides", "stride"],
                   report.metadata, {"B": report.B},
                   "per_cube", ["side", "value"], report.per_cube)
@@ -285,7 +252,7 @@ def _cmd_strichartz(args):
 
 def _cmd_fracderiv(args):
     _require(args, ["field", "alpha", "out"])
-    field, meta = _load_field(args.field)
+    field, meta = corpus_mod.load_field(args.field)
     if not (0.0 < args.alpha < 2.0):
         raise UsageError("--alpha must lie in (0, 2)")
     out = spectral_mod.fractional_derivative(field, args.alpha)
@@ -301,7 +268,7 @@ def _cmd_compare(args):
     alphas = _float_list(args.alphas, "alphas")
     if not alphas or any(not (0.0 < a < 2.0) for a in alphas):
         raise UsageError("--alphas must be a nonempty list inside (0, 2)")
-    field, _ = _load_field(args.field)
+    field, _ = corpus_mod.load_field(args.field)
     ladder = _ladder_for(field.grid, args)
     records = [dataclasses.asdict(carleson_mod.comparability_experiment(
         field, a, ladder=ladder, stride=args.stride)) for a in alphas]
@@ -314,12 +281,9 @@ def _cmd_beta(args):
     _require(args, ["out"])
     if args.graph:
         _require(args, ["field"])
-        field, _ = _load_field(args.field)
+        field, _ = corpus_mod.load_field(args.field)
         ladder = _ladder_for(field.grid, args)
-        try:
-            rep = geometry_mod.graph_beta_vs_nu1(field, ladder, stride=args.stride)
-        except ValueError as exc:
-            raise NumericError(str(exc)) from exc
+        rep = geometry_mod.graph_beta_vs_nu1(field, ladder, stride=args.stride)
         rows = window_rows(*table_columns(rep.centers, rep.radii, rep.beta, rep.nu1))
         _write_rows_csv(args.out, *_window_table(field.grid.dim, ["radius", "beta", "nu1"], rows))
         meta = {
@@ -335,22 +299,16 @@ def _cmd_beta(args):
         return EXIT_OK
 
     _require(args, ["cloud", "radius", "k"])
-    try:
-        cloud, weighted = geometry_mod.load_cloud(args.cloud, ambient_dim=args.ambient_dim)
-    except OSError as exc:
-        raise corpus_mod.FieldFileError(f"cannot read cloud file: {exc}") from exc
-    except ValueError as exc:
-        raise corpus_mod.FieldFileError(str(exc)) from exc
+    cloud, weighted = geometry_mod.load_cloud(args.cloud, ambient_dim=args.ambient_dim)
     if args.center:
         center = _float_list(args.center, "center")
         if len(center) != cloud.ambient_dim:
             raise UsageError("--center rank does not match the cloud")
+        if not np.all(np.isfinite(center)):
+            raise UsageError(f"--center {args.center} is not finite")
     else:
         center = list(cloud.points.mean(axis=0))
-    try:
-        beta, fit = geometry_mod.beta2k(cloud, np.asarray(center), args.radius, args.k)
-    except ValueError as exc:
-        raise NumericError(str(exc)) from exc
+    beta, _ = geometry_mod.beta2k(cloud, np.asarray(center), args.radius, args.k)
     cols = [f"center_{k}" for k in range(cloud.ambient_dim)] + ["radius", "k", "beta"]
     _write_rows_csv(args.out, cols, [list(center) + [args.radius, args.k, beta]])
     meta = {
@@ -397,12 +355,12 @@ def _build_parser():
     p.add_argument("--out", default=None)
 
     p = command("coeffs", "coefficient matrix to CSV", ladder=True)
-    p.add_argument("--kind", default=None)
+    p.add_argument("--kind", default=None, choices=coeffs_mod.KINDS)
     p.add_argument("--out", default=None)
     p.add_argument("--meta", default=None)
 
     p = command("sqfn", "square-function Carleson report", ladder=True)
-    p.add_argument("--kind", default=None)
+    p.add_argument("--kind", default=None, choices=coeffs_mod.KINDS)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--tops", default=None)
@@ -418,7 +376,7 @@ def _build_parser():
     p = command("strichartz", "difference-functional report")
     p.add_argument("--field", default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--order", default=None)
+    p.add_argument("--order", default=None, choices=("first", "second"))
     p.add_argument("--sides", default=None)
     p.add_argument("--stride", type=_positive_int, default=None)
     p.add_argument("--out-json", dest="out_json", default=None)
@@ -459,30 +417,36 @@ _COMMANDS = {
 }
 
 
+# Error classes and their exit codes, tried in order: the first row that
+# matches decides.  FieldFileError, NumericError and LinAlgError are
+# ValueErrors, so the last row only catches the other ValueErrors,
+# UsageError among them.
+_EXIT_CODES = (
+    ((corpus_mod.FieldFileError, OSError), EXIT_DATA, "data"),
+    ((NumericError, np.linalg.LinAlgError, ArithmeticError), EXIT_NUMERIC, "numeric"),
+    (ValueError, EXIT_USAGE, "usage"),
+)
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  Numpy overflow, division
+    by zero and invalid operations raise FloatingPointError (an
+    ArithmeticError) instead of writing NaN or inf with a warning."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            tokens = _config_tokens(args, commands[args.command])
-            args = parser.parse_args(argv[:1] + tokens + argv[1:])
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"msq: error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except corpus_mod.FieldFileError as exc:
-        print(f"msq: error: data: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"msq: error: numeric: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"msq: error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"msq: error: data: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            args = parser.parse_args(argv)
+            if args.config:
+                tokens = _config_tokens(args, commands[args.command])
+                args = parser.parse_args(argv[:1] + tokens + argv[1:])
+            return _COMMANDS[args.command](args)
+    except Exception as exc:
+        for classes, code, label in _EXIT_CODES:
+            if isinstance(exc, classes):
+                print(f"msq: error: {label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def entrypoint() -> None:

@@ -32,6 +32,7 @@ from .field import (
     BallWindow,
     Grid,
     Mollifier,
+    NumericError,
     SampledField,
     annulus_mask,
     ball_mask,
@@ -123,6 +124,8 @@ def make_ladder(grid: Grid, top_radius: float = None, levels: int = None) -> Sca
     h = grid.spacing
     if top_radius is None:
         top_radius = grid.period / 4.0
+    if not (0.0 < top_radius < math.inf):
+        raise ValueError(f"ladder top radius {top_radius} must be positive and finite")
     if top_radius > grid.period / 4.0 + 1e-12 * grid.period:
         raise ValueError("ladder top radius exceeds period/4")
     max_levels = int(math.floor(math.log2(top_radius / (4.0 * h)))) + 1
@@ -158,7 +161,7 @@ class CoefficientMatrix:
         if vals.shape != expected:
             raise ValueError(f"matrix shape {vals.shape}, expected {expected}")
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ValueError("coefficient entries must be finite and nonnegative")
+            raise NumericError("coefficient entries must be finite and nonnegative")
         object.__setattr__(self, "values", vals)
 
 

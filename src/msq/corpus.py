@@ -62,7 +62,7 @@ FORMAT_VERSION = "1"
 
 
 class FieldFileError(ValueError):
-    """Base for field-file problems."""
+    """Base for input-file problems: field files and point-cloud files."""
 
 
 class FieldHeaderError(FieldFileError):
@@ -217,8 +217,10 @@ def save_field(field: SampledField, path, extra: dict = None) -> None:
 
 
 def load_field(path):
-    """Read a field file; returns (field, header metadata dict)."""
-    with open(path) as fh:
+    """Read a field file; returns (field, header metadata dict).  Bytes
+    that are not UTF-8 fail the header or a value line like any other
+    malformed text."""
+    with open(path, errors="replace") as fh:
         header = fh.readline().rstrip("\n")
         tokens = header.split()
         if len(tokens) < 2 or tokens[0] != FORMAT_MAGIC:
@@ -237,30 +239,29 @@ def load_field(path):
             period = float(meta["period"])
         except (KeyError, ValueError) as exc:
             raise FieldHeaderError(f"{path}: header missing grid geometry") from exc
-        if dim not in (1, 2):
-            raise FieldHeaderError(f"{path}: unsupported dimension {dim}")
         try:
             grid = make_grid(dim, n, period)
         except ValueError as exc:
             raise FieldHeaderError(f"{path}: invalid grid geometry: {exc}") from exc
 
-        values = np.empty(grid.n_points)
-        count = 0
+        # a list, not an array of the header's size: a corrupt n_per_axis
+        # must not allocate before the count check
+        values = []
         for line_no, line in enumerate(fh, start=2):
             txt = line.strip()
             if not txt:
                 continue
-            if count >= grid.n_points:
+            if len(values) >= grid.n_points:
                 raise FieldLengthError(f"{path}: more values than the grid holds")
             try:
-                values[count] = float(txt)
+                values.append(float(txt))
             except ValueError as exc:
                 raise FieldValueError(f"{path}:{line_no}: unparsable value") from exc
-            count += 1
-        if count != grid.n_points:
+        if len(values) != grid.n_points:
             raise FieldLengthError(
-                f"{path}: {count} values for a grid of {grid.n_points}"
+                f"{path}: {len(values)} values for a grid of {grid.n_points}"
             )
+        values = np.array(values)
         if not np.all(np.isfinite(values)):
             raise FieldValueError(f"{path}: non-finite value in body")
     return SampledField(grid=grid, values=values), meta

@@ -21,6 +21,7 @@ __all__ = [
     "BallWindow",
     "WindowFamily",
     "Mollifier",
+    "NumericError",
     "make_grid",
     "sample",
     "coordinates",
@@ -46,6 +47,11 @@ __all__ = [
     "mollify",
     "mollify_gradient_kernel",
 ]
+
+
+class NumericError(ValueError):
+    """A computation that left the finite floating-point range, or had too
+    few points to determine its result."""
 
 
 @dataclass(frozen=True)
@@ -155,13 +161,10 @@ class Mollifier:
     """
 
     scale: float
-    profile: str = "bump"
 
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("mollifier scale must be positive")
-        if self.profile != "bump":
-            raise ValueError(f"unknown mollifier profile {self.profile!r}")
 
     def kernel(self, grid: Grid) -> np.ndarray:
         """Sampled kernel on the grid, shape (n,)*dim, sum == 1."""
@@ -177,12 +180,12 @@ class Mollifier:
 def make_grid(dim: int, n_per_axis: int, period: float) -> Grid:
     """Build a validated Grid; n_per_axis must be a power of two >= 8."""
     if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
+        raise ValueError(f"dimension must be 1 or 2, got {dim}")
     n = int(n_per_axis)
     if n < 8 or (n & (n - 1)) != 0:
         raise ValueError(f"n_per_axis must be a power of two >= 8, got {n_per_axis}")
-    if not (period > 0):
-        raise ValueError(f"period must be positive, got {period}")
+    if not (0.0 < period < np.inf):
+        raise ValueError(f"period must be positive and finite, got {period}")
     return Grid(dim=dim, n_per_axis=n, period=float(period))
 
 

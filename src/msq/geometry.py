@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import ScaleLadder, coefficient_matrix
-from .field import SampledField, flat_index, lattice_centers, offset_components
+from .corpus import FieldLengthError, FieldValueError
+from .field import NumericError, SampledField, flat_index, lattice_centers, offset_components
 from .spectral import spectral_gradient
 
 __all__ = [
@@ -96,11 +97,11 @@ def beta2k(cloud: PointCloud, center, r: float, k: int):
     D = cloud.ambient_dim
     if not (1 <= k <= D - 1):
         raise ValueError(f"k must lie in [1, {D - 1}], got {k}")
-    if not (r > 0):
-        raise ValueError("radius must be positive")
+    if not (0.0 < r < np.inf):
+        raise ValueError(f"radius must be positive and finite, got {r}")
     pts, w = _ball_select(cloud, center, r)
     if pts.shape[0] < k + 1:
-        raise ValueError(
+        raise NumericError(
             f"ball at {np.asarray(center).tolist()} radius {r} holds "
             f"{pts.shape[0]} points; need at least {k + 1}"
         )
@@ -141,10 +142,11 @@ def load_cloud(path, ambient_dim: int = None):
 
     With ambient_dim given and one extra column, the last column is the
     weight; otherwise every column is a coordinate and weights default to
-    one.  Returns (cloud, used_weight_column).
+    one.  Returns (cloud, used_weight_column).  A malformed file raises a
+    corpus.FieldFileError.
     """
     rows = []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for line_no, line in enumerate(fh, start=1):
             txt = line.strip()
             if not txt or txt.startswith("#"):
@@ -152,20 +154,23 @@ def load_cloud(path, ambient_dim: int = None):
             try:
                 rows.append([float(tok) for tok in txt.split()])
             except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: unparsable point line") from exc
+                raise FieldValueError(f"{path}:{line_no}: unparsable point line") from exc
     if not rows:
-        raise ValueError(f"{path}: no points found")
+        raise FieldLengthError(f"{path}: no points found")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows; all lines need {width} columns")
+        raise FieldLengthError(f"{path}: ragged rows; all lines need {width} columns")
     arr = np.asarray(rows, dtype=float)
-    if ambient_dim is not None and width == ambient_dim + 1:
-        return PointCloud(points=arr[:, :-1], weights=arr[:, -1]), True
-    if ambient_dim is not None and width != ambient_dim:
-        raise ValueError(
+    weighted = ambient_dim is not None and width == ambient_dim + 1
+    if ambient_dim is not None and not weighted and width != ambient_dim:
+        raise FieldLengthError(
             f"{path}: {width} columns incompatible with ambient dim {ambient_dim}"
         )
-    return PointCloud(points=arr, weights=np.ones(arr.shape[0])), False
+    points, weights = (arr[:, :-1], arr[:, -1]) if weighted else (arr, np.ones(len(arr)))
+    try:
+        return PointCloud(points=points, weights=weights), weighted
+    except ValueError as exc:  # too few columns, non-finite or nonpositive entries
+        raise FieldValueError(f"{path}: {exc}") from exc
 
 
 def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1) -> GraphBridgeReport:
@@ -181,6 +186,8 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
     """
     grid = field.grid
     h = grid.spacing
+    if h * h < np.finfo(float).tiny:  # the squared offsets below would underflow
+        raise NumericError(f"squared grid spacing underflows: h = {h}")
     dim = grid.dim
     grads = spectral_gradient(field)
     gnorm_sq = sum(g.shaped**2 for g in grads)

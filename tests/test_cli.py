@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msq.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from msq.corpus import load_field
@@ -347,6 +350,20 @@ def test_beta_too_few_points_numeric_error(tmp_path, capsys):
     assert "numeric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--radius", "inf"], "radius must be positive and finite, got inf"),
+    (["--radius", "5.0", "--center", "nan,0"], "--center nan,0 is not finite"),
+    (["--radius", "5.0", "--k", "2"], "k must lie in [1, 1], got 2"),
+], ids=["radius-inf", "center-nan", "k-range"])
+def test_beta_cloud_bad_flag_usage_error(tmp_path, capsys, extra, message):
+    cloud, out = tmp_path / "pts.txt", tmp_path / "b.csv"
+    cloud.write_text("0.0 0.0\n1.0 1.0\n2.0 0.5\n")
+    argv = ["beta", "--cloud", str(cloud), "--k", "1"] + extra + ["--out", str(out)]
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"msq: error: usage: {message}\n"
+    assert not out.exists()
+
+
 def test_config_file_merge(tmp_path, bump_file, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family=smooth_bump\nn=128\nperiod=1.0\n")
@@ -412,3 +429,308 @@ def test_no_tmp_files_left_behind(bump_file, tmp_path):
     assert run(["coeffs", "--field", str(bump_file), "--kind", "nu0", "--out", str(out)]) == EXIT_OK
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("command", [
+    ["sqfn", "--kind", "nu0", "--alpha", "0.5", "--out-json"],
+    ["bmo", "--out-json"],
+    ["beta", "--graph", "--out"],
+], ids=["sqfn", "bmo", "beta-graph"])
+@pytest.mark.parametrize("top", ["nan", "-1", "0"])
+def test_bad_top_radius_usage_error(cusp_file, tmp_path, capsys, command, top):
+    out = tmp_path / "out"
+    argv = command[:1] + ["--field", str(cusp_file), "--top-radius", top] + command[1:]
+    assert run(argv + [str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("msq: error: usage: ladder top radius") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract: 0 ok, 2 usage, 3 data, 4 numeric, one stderr line
+
+
+def _run_quietly(argv):
+    """main(argv) with stderr captured and every warning recorded: (code,
+    stderr text, warning messages)."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _assert_contract(code, err, caught, outdir):
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC), err
+    assert caught == [] and "Traceback" not in err and "Warning" not in err, err
+    if code == EXIT_OK:
+        assert err == ""
+        for name in os.listdir(outdir):
+            if name.endswith(".json"):
+                with open(os.path.join(outdir, name)) as fh:
+                    json.loads(fh.read(), parse_constant=_reject_constant)
+    else:
+        assert err.startswith("msq: error: ") and err.count("\n") == 1, err
+
+
+def _with_header(path, out, old, new):
+    text = path.read_text()
+    header, body = text.split("\n", 1)
+    out.write_text(header.replace(old, new) + "\n" + body)
+    return out
+
+
+@pytest.fixture(scope="module")
+def repro_dir(tmp_path_factory):
+    """The 1-d n=64 files of the exit-code repros."""
+    d = tmp_path_factory.mktemp("repro")
+    for name, argv in (("c.fld", ["--family", "cusp", "--gamma", "0.5", "--n", "64"]),
+                       ("c8.fld", ["--family", "cusp", "--gamma", "0.5", "--n", "8"]),
+                       ("r.fld", ["--family", "riesz_of_noise", "--alpha", "0.8", "--seed", "3",
+                                  "--n", "64"])):
+        assert main(["generate"] + argv + ["--out", str(d / name)]) == EXIT_OK
+    for src, name, period in (("c.fld", "tiny.fld", "1e-300"), ("c.fld", "huge.fld", "1e300"),
+                              ("r.fld", "rtiny.fld", "1e-300"), ("c.fld", "inf.fld", "inf")):
+        _with_header(d / src, d / name, "period=1.0", f"period={period}")
+    return d
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sqfn", "--field", "tiny.fld", "--kind", "nu0", "--alpha", "0.5", "--out-json"],
+     EXIT_NUMERIC),
+    (["coeffs", "--field", "tiny.fld", "--kind", "nu1", "--out"], EXIT_NUMERIC),
+    (["compare", "--field", "huge.fld", "--alphas", "0.5,1.3", "--out"], EXIT_NUMERIC),
+    (["strichartz", "--field", "rtiny.fld", "--alpha", "0.5", "--order", "first", "--out-json"],
+     EXIT_NUMERIC),
+    (["beta", "--graph", "--field", "tiny.fld", "--out"], EXIT_NUMERIC),
+    (["sqfn", "--field", "c8.fld", "--kind", "nu0", "--alpha", "0.5", "--out-json"], EXIT_DATA),
+    (["sqfn", "--field", "c8.fld", "--kind", "nu0", "--alpha", "0.5", "--levels", "1",
+      "--out-json"], EXIT_USAGE),
+    (["sqfn", "--field", "inf.fld", "--kind", "nu0", "--alpha", "0.5", "--out-json"], EXIT_DATA),
+    (["bmo", "--field", "inf.fld", "--out-json"], EXIT_DATA),
+    (["strichartz", "--field", "inf.fld", "--alpha", "0.5", "--order", "first", "--out-json"],
+     EXIT_DATA),
+    (["fracderiv", "--field", "inf.fld", "--alpha", "0.5", "--out"], EXIT_DATA),
+], ids=["sqfn-tiny", "coeffs-tiny", "compare-huge", "strichartz-rtiny", "beta-graph-tiny",
+        "sqfn-coarse", "sqfn-coarse-levels", "sqfn-inf", "bmo-inf", "strichartz-inf",
+        "fracderiv-inf"])
+def test_exit_code_by_fault(repro_dir, tmp_path, argv, code):
+    argv = [str(repro_dir / a) if a.endswith(".fld") else a for a in argv]
+    got, err, caught = _run_quietly(argv + [str(tmp_path / "out")])
+    assert got == code, err
+    _assert_contract(got, err, caught, tmp_path)
+    assert not (tmp_path / "out").exists()
+
+
+# Corruptions of a valid 1-d n=16 field file, each an edit of its header
+# line and its value lines: each must exit 3 wherever the file is read.
+_FIELD_CORRUPTIONS = {
+    "magic": lambda h, b: (h.replace("msq-field", "msq-feld"), b),
+    "version": lambda h, b: (h.replace(" v1 ", " v9 "), b),
+    "no-period": lambda h, b: (h.replace("period=1.0", ""), b),
+    "no-n": lambda h, b: (h.replace("n_per_axis=16", ""), b),
+    "n-not-pow2": lambda h, b: (h.replace("n_per_axis=16", "n_per_axis=12"), b[:12]),
+    "n-huge": lambda h, b: (h.replace("n_per_axis=16", f"n_per_axis={2 ** 40}"), b),
+    "dim3": lambda h, b: (h.replace("dim=1", "dim=3"), b),
+    "token": lambda h, b: (h + " junk", b),
+    "period-inf": lambda h, b: (h.replace("period=1.0", "period=inf"), b),
+    "period-nan": lambda h, b: (h.replace("period=1.0", "period=nan"), b),
+    "period-zero": lambda h, b: (h.replace("period=1.0", "period=0"), b),
+    "unparsable": lambda h, b: (h, b[:3] + ["1.0.0"] + b[4:]),
+    "nan-value": lambda h, b: (h, b[:3] + ["nan"] + b[4:]),
+    "inf-value": lambda h, b: (h, b[:3] + ["-inf"] + b[4:]),
+    "too-few": lambda h, b: (h, b[:-1]),
+    "too-many": lambda h, b: (h, b + ["0.5"]),
+    "empty": lambda h, b: ("", []),
+    "binary": lambda h, b: ("\udcff\udcfe" + h, b),
+}
+
+_CLOUD_CORRUPTIONS = {
+    "unparsable": "0.0 0.0\n1.0 x\n2.0 0.5\n",
+    "ragged": "0.0 0.0\n1.0\n2.0 0.5\n",
+    "empty": "# no points\n",
+    "one-column": "0.0\n1.0\n2.0\n",
+    "nan": "0.0 0.0\nnan 1.0\n2.0 0.5\n",
+    "weight-zero": "0.0 0.0 1.0\n1.0 1.0 0.0\n2.0 0.5 1.0\n",
+    "binary": "0.0 0.0\n\udcff 1.0\n",
+}
+
+# Each subcommand that reads a field file, with valid flags.
+_FIELD_COMMANDS = {
+    "coeffs": ["coeffs", "--kind", "nu1", "--out", "{out}.csv"],
+    "sqfn": ["sqfn", "--kind", "nu0", "--alpha", "0.5", "--out-json", "{out}.json"],
+    "bmo": ["bmo", "--out-json", "{out}.json"],
+    "strichartz": ["strichartz", "--alpha", "0.5", "--order", "first", "--out-json",
+                   "{out}.json"],
+    "fracderiv": ["fracderiv", "--alpha", "0.5", "--out", "{out}.fld"],
+    "compare": ["compare", "--alphas", "0.5,1.3", "--out", "{out}.json"],
+    "beta-graph": ["beta", "--graph", "--out", "{out}.csv"],
+}
+
+
+def _write_text(path, text):
+    # surrogate escapes stand for raw non-UTF-8 bytes
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    return path
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Valid and corrupted input files: {name: (path, corrupt)}."""
+    d = tmp_path_factory.mktemp("fuzz")
+    base = d / "base.fld"
+    assert main(["generate", "--family", "cusp", "--gamma", "0.5", "--n", "16",
+                 "--out", str(base)]) == EXIT_OK
+    header, *body = base.read_text().split("\n")[:-1]
+    files = {"base": (base, False)}
+    assert main(["generate", "--family", "riesz_of_noise", "--alpha", "1.3", "--seed", "2",
+                 "--dim", "2", "--n", "16", "--out", str(d / "noise2.fld")]) == EXIT_OK
+    files["noise2"] = (d / "noise2.fld", False)
+    # constant fields: no gradient overflows ahead of the other numeric checks
+    header2 = (d / "noise2.fld").read_text().split("\n")[0]
+    for name, h, count in (("const", header, 16), ("const2", header2, 256)):
+        text = "\n".join([h] + ["2.5"] * count) + "\n"
+        files[name] = (_write_text(d / f"{name}.fld", text), False)
+    for name in ("base", "noise2", "const", "const2"):
+        for period in ("1e-300", "1e300"):
+            path = d / f"{name}-{period}.fld"
+            _with_header(files[name][0], path, "period=1.0", f"period={period}")
+            files[f"{name}-{period}"] = (path, False)
+    for name, edit in _FIELD_CORRUPTIONS.items():
+        h, b = edit(header, body)
+        files[f"field-{name}"] = (_write_text(d / f"{name}.fld", "\n".join([h] + b) + "\n"), True)
+    files["cloud"] = (_write_text(d / "cloud.txt", "0.0 0.0\n1.0 1.0\n2.0 0.5\n3.0 0.25\n"), False)
+    for name, text in _CLOUD_CORRUPTIONS.items():
+        files[f"cloud-{name}"] = (_write_text(d / f"{name}.txt", text), True)
+    return files
+
+
+def test_file_corruption_exits_data_error_everywhere(fuzz_files, tmp_path):
+    out = str(tmp_path / "out")
+    for name, (path, corrupt) in fuzz_files.items():
+        if name.startswith("cloud"):
+            readers = {"beta-cloud": ["beta", "--cloud", str(path), "--radius", "5.0", "--k", "1",
+                                      "--ambient-dim", "2", "--out", out + ".csv"]}
+        else:
+            readers = {cmd: [argv[0], "--field", str(path)] + [a.format(out=out) for a in argv[1:]]
+                       for cmd, argv in _FIELD_COMMANDS.items()}
+        for cmd, argv in readers.items():
+            code, err, caught = _run_quietly(argv)
+            _assert_contract(code, err, caught, tmp_path)
+            if corrupt:
+                assert code == EXIT_DATA, (name, cmd, err)
+                assert not os.listdir(tmp_path), (name, cmd)
+            else:
+                assert code != EXIT_DATA, (name, cmd, err)
+            for leftover in os.listdir(tmp_path):
+                os.remove(tmp_path / leftover)
+
+
+# Values per flag for the fuzz: valid ones and edge cases.  Sizes stay
+# small (n <= 64), so every run is cheap.
+_FLOATS = ["0.5", "1.3", "0", "-1", "2", "nan", "inf", "1e-300", "1e300", "x", ""]
+_FUZZ_VALUES = {
+    "family": ["cusp", "smooth_bump", "riesz_of_noise", "sinusoid", "weierstrass", "nope"],
+    "dim": ["1", "2", "3", "0", "x"],
+    "n": ["8", "16", "32", "12", "0", "-16", "x"],
+    "period": ["1.0", "1e-300", "1e300", "inf", "nan", "0", "-1"],
+    "gamma": _FLOATS, "beta_w": _FLOATS, "alpha": _FLOATS, "radius": _FLOATS,
+    "levels": ["1", "2", "4", "0", "-1", "40", "x"],
+    "seed": ["0", "3", "-1", "x"],
+    "frequency": ["1", "3", "0", "x"],
+    "kind": ["nu0", "nu1", "nu0_bar", "nu1_bar", "nu0_tilde", "nu1_tilde", "nu2"],
+    "top_radius": ["0.25", "0.125", "0.0625", "0.3", "0", "-1", "nan", "inf", "1e-300", "x"],
+    "stride": ["1", "3", "8", "1000", "0", "-2", "x"],
+    "tops": ["0.25", "0.25,0.125", "0.2", "nan", ",", "x"],
+    "radii": ["0.25", "0.125,0.0625", "0.25,0.25", "0.3", "0.001", "nan", "inf", ",", "x"],
+    "order": ["first", "second", "third"],
+    "sides": ["0.5", "0.25,0.125", "0.3", "0.0625", "0.01", "nan", "inf", ",", "x"],
+    "alphas": ["0.5", "0.5,1.3", "1.0", "0", "2", "nan", ",", "0.5,,1", "x"],
+    "ambient_dim": ["2", "3", "1", "0", "x"],
+    "center": ["0.0,0.0", "1.0", "1.0,2.0,3.0", "nan,0", ",", "x"],
+    "k": ["1", "2", "0", "-1", "x"],
+    "graph": ["1", "0"],
+}
+_FUZZ_FLAGS = {
+    "generate": ["family", "dim", "n", "period", "gamma", "beta_w", "levels", "alpha", "seed",
+                 "frequency"],
+    "coeffs": ["top_radius", "levels", "kind"],
+    "sqfn": ["top_radius", "levels", "kind", "alpha", "stride", "tops"],
+    "bmo": ["top_radius", "levels", "radii", "stride"],
+    "strichartz": ["alpha", "order", "sides", "stride"],
+    "fracderiv": ["alpha"],
+    "compare": ["top_radius", "levels", "alphas", "stride"],
+    "beta": ["top_radius", "levels", "ambient_dim", "center", "radius", "k", "graph", "stride"],
+}
+# A valid value of each required flag, drawn more often than the others.
+_FUZZ_VALID = {
+    "generate": {"family": "cusp", "n": "16", "gamma": "0.5"},
+    "coeffs": {"kind": "nu1"},
+    "sqfn": {"kind": "nu0", "alpha": "0.5"},
+    "strichartz": {"alpha": "0.5", "order": "first"},
+    "fracderiv": {"alpha": "0.5"},
+    "compare": {"alphas": "0.5,1.3"},
+    "beta": {"radius": "2.0", "k": "1"},
+}
+_OUT_FLAGS = {
+    "generate": ["--out", "{out}.fld"],
+    "coeffs": ["--out", "{out}.csv", "--meta", "{out}.json"],
+    "sqfn": ["--out-json", "{out}.json", "--out-csv", "{out}.csv"],
+    "bmo": ["--out-json", "{out}.json", "--out-csv", "{out}.csv"],
+    "strichartz": ["--out-json", "{out}.json", "--out-csv", "{out}.csv"],
+    "fracderiv": ["--out", "{out}.fld"],
+    "compare": ["--out", "{out}.json"],
+    "beta": ["--out", "{out}.csv"],
+}
+
+
+@st.composite
+def _fuzz_command(draw, files):
+    """(argv, config text or None): a subcommand, an input file, and
+    flags, each kept (a valid value of a required flag, else absent) or set
+    to a value from its fuzz list, some of them moved to a --config file."""
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    valid = _FUZZ_VALID.get(command, {})
+    flags = {}
+    for name in _FUZZ_FLAGS[command]:
+        if draw(st.sampled_from(("keep", "keep", "keep", "fuzz"))) == "fuzz":
+            flags[name] = draw(st.sampled_from(_FUZZ_VALUES[name]))
+        elif name in valid:
+            flags[name] = valid[name]
+    kind = "cloud" if command == "beta" and flags.get("graph") != "1" else "field"
+    if command != "generate":
+        corrupt = draw(st.booleans())
+        names = sorted(n for n, (_, bad) in files.items()
+                       if n.startswith("cloud") == (kind == "cloud") and bad == corrupt)
+        flags[kind] = str(files[draw(st.sampled_from(names))][0])
+    config = {}
+    for name in sorted(flags):
+        if draw(st.sampled_from((False, False, False, True))):
+            config[name] = flags.pop(name)
+    argv = [command]
+    for name, value in flags.items():
+        flag = "--" + name.replace("_", "-")
+        if name == "graph":
+            argv += [flag] if value == "1" else []
+        else:
+            argv.append(f"{flag}={value}")
+    lines = [f"{k}={v}" for k, v in config.items()]
+    lines += draw(st.sampled_from([[]] * 7 + [["# comment"], ["nonsense=1"], ["no value"]]))
+    return argv, "\n".join(lines) + "\n" if lines else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzz_exit_contract(fuzz_files, tmp_path_factory, data):
+    argv, config = data.draw(_fuzz_command(fuzz_files))
+    outdir = tmp_path_factory.mktemp("run")
+    if config is not None:
+        (outdir / "run.cfg").write_text(config)
+        argv += ["--config", str(outdir / "run.cfg")]
+    argv += [a.format(out=outdir / "out") for a in _OUT_FLAGS[argv[0]]]
+    code, err, caught = _run_quietly(argv)
+    _assert_contract(code, err, caught, outdir)
