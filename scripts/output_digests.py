@@ -7,10 +7,10 @@ in OUTDIR, sorted by name, as ``sha256sum`` does.  The set: the
 criterion-9 commands of the acceptance suite, the reports-2d and bridge-2d
 benchmark commands, a 1-d beta --graph run whose default ladder leaves
 cells with too few lifted points (beta nan), 1-d and 2-d strichartz in
-both orders with CSV output, 1-d and 2-d bmo with CSV output at strides 1
-and 3 (the whole-grid, the rolled-and-taken and the gathered offset
-reads), 1-d bmo over radii given out of order with one repeated (the
-report's row order), 2-d strichartz over two given sides at stride 16 and,
+both orders with CSV output, 1-d and 2-d bmo with CSV output at strides 1,
+2 and 3 (lattice offset reads) and at stride n (one center per radius, a
+single-column sum), 1-d bmo over radii given out of order with one
+repeated (the report's row order), 2-d strichartz over two given sides at stride 16 and,
 second order, over the default sides at stride 8 on the smooth bump, the
 nu0 and nu1_tilde matrices of the 1-d smooth field (most entries
 recomputed directly), one sqfn run from a --config file with a flag that
@@ -26,7 +26,7 @@ OUTDIR, with each checkout's ``src`` on the import path, and compare:
     diff old.txt new.txt
 
 A command that exits nonzero is named on stderr, and the script then
-exits 1.  The set writes 63 files and runs in about 5 s on a 2-core host.
+exits 1.  The set writes 71 files and runs in about 5 s on a 2-core host.
 """
 
 import hashlib
@@ -86,9 +86,9 @@ def commands(p):
                 ["strichartz", "--field", field, "--alpha", alpha, "--order", order,
                  "--out-json", p(f"st_{order}_{tag}.json"),
                  "--out-csv", p(f"st_{order}_{tag}.csv")])
-    walks = []  # the three read paths of field.offset_reads and the fallback
-    for tag, field in (("1d", cusp1), ("2d", cusp2)):
-        for stride in ("1", "3"):
+    walks = []  # the read paths of field.offset_reads and the fallback
+    for tag, field, one in (("1d", cusp1, "256"), ("2d", cusp2, "64")):
+        for stride in ("1", "2", "3", one):
             walks.append(
                 ["bmo", "--field", field, "--stride", stride,
                  "--out-json", p(f"bmo_s{stride}_{tag}.json"),

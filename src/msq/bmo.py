@@ -22,7 +22,7 @@ from scipy import integrate
 
 from .field import (
     BallWindow, Grid, SampledField, WindowFamily, ball_mask, flat_index, lattice_centers,
-    offset_reads, window_argmax, window_family, window_rows,
+    offset_reads, offset_sums, window_argmax, window_family, window_rows,
 )
 
 __all__ = [
@@ -162,9 +162,8 @@ def bmo_norm(field: SampledField, windows) -> OscillationReport:
         count = int(mask.sum())
         Fm = np.conj(np.fft.fftn(mask.astype(float)))
         mean = np.fft.ifftn(Ff * Fm).real.reshape(-1)[flat_index(grid, centers[rows])] / count
-        acc = np.zeros(len(rows))
-        for vals in offset_reads(grid, field.shaped, centers[rows], np.argwhere(mask)):
-            acc += np.abs(vals - mean)
+        acc = offset_sums(grid, field.shaped, centers[rows], np.argwhere(mask), mean,
+                          lambda diff, _: np.abs(diff, out=diff))
         values[rows] = acc / count
     meta = {"oscillation": "L1 mean oscillation", "sup_lower_bound": True,
             "argmax": window_argmax(centers, radii, values)}
@@ -185,11 +184,14 @@ def holder_seminorm(field: SampledField, alpha: float, stride: int = 1) -> float
     reach = itertools.product(range(-(n // 4), n // 4 + 1), repeat=grid.dim)
     dist = {off: math.hypot(*[o * h for o in off]) for off in reach}
     offsets = [off for off, d in dist.items() if 0.0 < d <= grid.period / 4.0]
+    weights = np.array([dist[off] ** alpha for off in offsets])
     anchors = lattice_centers(grid, stride)
     base = field.values[flat_index(grid, anchors)]
-    best = 0.0
-    for off, vals in zip(offsets, offset_reads(grid, field.shaped, anchors, offsets)):
-        best = max(best, float(np.abs(vals - base).max()) / dist[off] ** alpha)
+    best, lo = 0.0, 0
+    for block in offset_reads(grid, field.shaped, anchors, offsets):
+        top = np.abs(np.subtract(block, base, out=block), out=block).max(axis=1)
+        best = max(best, float((top / weights[lo:lo + len(block)]).max()))
+        lo += len(block)
     return best
 
 

@@ -41,7 +41,7 @@ from .field import (
     masked_offsets,
     mollify,
     offset_components,
-    offset_reads,
+    offset_sums,
     window_values,
 )
 from .spectral import spectral_gradient
@@ -386,23 +386,21 @@ def _direct_square_sums(grid, fc, A, B, mask, rows) -> np.ndarray:
     """Residual square sums at the flat indices `rows`, accumulated offset
     by offset in mask order with the arithmetic of the whole-grid pass.
 
-    The reads fc[x + o] come from field.offset_reads, so the cost never
-    exceeds one whole-grid pass.
+    The sums come from field.offset_sums, in blocks of offsets.
+    An offset with u_i = 0 subtracts B_i * 0, a signed zero, which at most
+    flips the sign of a zero term before it is squared.
     """
-    ucomps = offset_components(grid)
     points = np.stack(np.unravel_index(rows, grid.shape), axis=1)
     A = A.reshape(-1)[rows]
     B = [b.reshape(-1)[rows] for b in B or ()]
-    acc = np.zeros(A.shape)
-    offsets = np.argwhere(mask)
-    for off, vals in zip(offsets, offset_reads(grid, fc, points, offsets)):
-        term = vals - A
-        for B_i, uc in zip(B, ucomps):
-            ui = uc[tuple(off)]
-            if ui != 0.0:
-                term = term - B_i * ui
-        acc += term * term
-    return acc
+    u = [uc[mask] for uc in offset_components(grid)]
+
+    def squares(diff, offs):
+        for B_i, u_i in zip(B, u):
+            diff -= B_i * u_i[offs, None]
+        return np.multiply(diff, diff, out=diff)
+
+    return offset_sums(grid, fc, points, np.argwhere(mask), A, squares)
 
 
 def _mollified(fc_shaped: np.ndarray, grid: Grid, scale: float) -> np.ndarray:

@@ -38,6 +38,7 @@ __all__ = [
     "lattice_centers",
     "flat_index",
     "offset_reads",
+    "offset_sums",
     "window_family",
     "window_rows",
     "table_columns",
@@ -186,6 +187,9 @@ def make_grid(dim: int, n_per_axis: int, period: float) -> Grid:
         raise ValueError(f"n_per_axis must be a power of two >= 8, got {n_per_axis}")
     if not (0.0 < period < np.inf):
         raise ValueError(f"period must be positive and finite, got {period}")
+    if period / n < np.finfo(float).tiny:
+        raise ValueError(f"grid spacing {period / n!r} (period {period!r} over {n} points) "
+                         "is below the normal float range")
     return Grid(dim=dim, n_per_axis=n, period=float(period))
 
 
@@ -302,27 +306,82 @@ def flat_index(grid: Grid, center):
     )
 
 
-# _GATHER_SHARE: offset_reads gathers its anchors while they are fewer than
-# a quarter of the grid, where a gather of k entries costs less than a
-# whole-grid roll; beyond that it rolls the whole grid.
+# _GATHER_SHARE: offset_reads gathers irregular anchors from a padded copy
+# while they are fewer than a quarter of the grid, where a gather of k
+# entries costs less than a whole-grid roll; beyond that it rolls the whole
+# grid per offset and takes the anchor rows.
 _GATHER_SHARE = 4
+# _BLOCK_VALUES: offset_reads yields blocks of about this many values (256
+# KB), so that each numpy call reduces many offsets at once.
+_BLOCK_VALUES = 2**15
+
+
+def _lattice_stride(grid: Grid, points: np.ndarray):
+    """The stride s with points == lattice_centers(grid, s), or None."""
+    n = grid.n_per_axis
+    s = n if len(points) < 2 else int(points[1, -1] - points[0, -1])
+    if s < 1 or len(points) != len(range(0, n, s)) ** grid.dim:
+        return None
+    return s if np.array_equal(points, lattice_centers(grid, s)) else None
 
 
 def offset_reads(grid: Grid, a: np.ndarray, points: np.ndarray, offsets):
-    """Yield a[x + o], wrapped onto the torus, as an (m,) array over the
-    anchors x (the rows of the (m, dim) int array points), one per offset
-    row o: gathered for few anchors, else taken from the rolled grid, which
-    is yielded as it is when the anchors are the whole grid in row-major
-    order."""
-    if _GATHER_SHARE * len(points) < grid.n_points:
-        for off in offsets:
-            yield a.reshape(-1)[flat_index(grid, points + off)]
+    """Yield a[x + o], wrapped onto the torus, at the anchors x (the rows of
+    the (m, dim) int array points), for the offset rows o in blocks of b
+    rows: each block is a fresh (b, m) array, row i for the i-th offset of
+    the block.  Lattice anchors are read through strided views of one
+    wrap-padded copy, fewer other anchors than a quarter of the grid are
+    gathered from that copy by flat shifts, and otherwise the whole grid is
+    rolled per offset and the anchor rows are taken."""
+    n, dim = grid.n_per_axis, grid.dim
+    points = np.asarray(points, dtype=int).reshape(-1, dim)
+    offsets = (np.asarray(offsets, dtype=int).reshape(-1, dim) + n // 2) % n - n // 2
+    m = len(points)
+    b = max(1, _BLOCK_VALUES // max(m, 1))
+    blocks = (offsets[lo:lo + b] for lo in range(0, len(offsets), b))
+    stride = _lattice_stride(grid, points)
+    if stride is None and _GATHER_SHARE * m >= grid.n_points:
+        rows = flat_index(grid, points)
+        for ob in blocks:
+            block = np.empty((len(ob), m))
+            for row, off in zip(block, (-ob).tolist()):
+                periodic_roll(a, off).reshape(-1).take(rows, out=row)
+            yield block
         return
-    rows = flat_index(grid, points)
-    whole = rows.size == grid.n_points and np.array_equal(rows, np.arange(rows.size))
-    for off in offsets:
-        rolled = periodic_roll(a, tuple(-int(o) for o in off)).reshape(-1)
-        yield rolled if whole else rolled[rows]
+    reach = int(np.abs(offsets).max(initial=0))
+    padded = np.pad(a, reach, mode="wrap")
+    if stride is not None:
+        view = np.lib.stride_tricks.sliding_window_view(padded, grid.shape)
+        lattice = (slice(None, None, stride),) * dim
+        for ob in blocks:
+            yield view[tuple((ob + reach).T) + lattice].reshape(len(ob), m)
+        return
+    steps = np.array(padded.strides) // padded.itemsize
+    base = np.ravel_multi_index(tuple((points % n + reach).T), padded.shape)
+    flat = padded.reshape(-1)
+    for ob in blocks:
+        yield flat[(ob @ steps)[:, None] + base]
+
+
+def offset_sums(grid: Grid, a: np.ndarray, points: np.ndarray, offsets, center,
+                term) -> np.ndarray:
+    """Sum over the offset rows o of term(a[x + o] - center[x]) at the
+    anchors x, an (m,) array added one offset at a time in offset order, bit
+    for bit as a sequential `acc += term(row - center)`.  term(block, rows)
+    maps a (b, m) block of differences, for the offsets offsets[rows] (a
+    slice), to its terms, in place or not."""
+    acc, lo, tiled = np.zeros(len(points)), 0, None
+    for block in offset_reads(grid, a, points, offsets):
+        if tiled is None:  # the first block is the tallest; a full operand
+            tiled = np.tile(center, (len(block), 1))  # subtracts faster than (m,)
+        block = term(np.subtract(block, tiled[:len(block)], out=block),
+                     slice(lo, lo + len(block)))
+        lo += len(block)
+        block[0] += acc
+        # numpy sums a (b, m >= 2) block down axis 0 row by row, but a
+        # single column pairwise, so that one is accumulated
+        acc = block.sum(axis=0) if block.shape[1] > 1 else np.add.accumulate(block[:, 0])[-1:]
+    return acc
 
 
 def window_family(grid: Grid, windows, kind) -> WindowFamily:

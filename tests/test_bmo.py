@@ -18,7 +18,7 @@ from msq.bmo import (
 )
 from msq.coeffs import make_ladder
 from msq.corpus import CorpusSpec, generate
-from msq.field import BallWindow, SampledField, lattice_centers, make_grid, sample
+from msq.field import BallWindow, SampledField, ball_mask, lattice_centers, make_grid, sample
 
 
 def _dyadic_radii(grid, levels=5):
@@ -100,6 +100,25 @@ def test_bmo_sublattice_bit_identical_to_full_lattice():
             family = make_ball_family(field.grid, make_ladder(field.grid).radii, stride=stride)
             listed = bmo_norm(field, _as_list(family, BallWindow))
             assert _fields(bmo_norm(field, family)) == _fields(listed)
+
+
+@pytest.mark.parametrize("center", [0, 5, 777])
+def test_bmo_one_window_sums_in_offset_order(center):
+    # one anchor reads one column per block; it must be summed offset by
+    # offset like every wider family, not in numpy's pairwise order
+    g = make_grid(1, 2048, 1.0)
+    f = generate(CorpusSpec(family="riesz_of_noise", grid=g, alpha=0.5, seed=4))
+    a = f.values
+    for radius in (0.01, 0.1, 0.2):
+        mask = ball_mask(g, radius)
+        count = int(mask.sum())
+        Fm = np.conj(np.fft.fftn(mask.astype(float)))
+        mean = np.fft.ifftn(np.fft.fftn(f.shaped) * Fm).real.reshape(-1)[[center]] / count
+        acc = np.zeros(1)
+        for (o,) in np.argwhere(mask):
+            acc += np.abs(a[[(center + o) % 2048]] - mean)
+        rep = bmo_norm(f, [BallWindow(center=(center,), radius=radius)])
+        assert np.array_equal(rep.values, acc / count)
 
 
 def test_bmo_rows_by_radius_then_input_order(rough_field_1d):

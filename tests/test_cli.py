@@ -486,15 +486,17 @@ def _with_header(path, out, old, new):
 
 @pytest.fixture(scope="module")
 def repro_dir(tmp_path_factory):
-    """The 1-d n=64 files of the exit-code repros."""
+    """The 1-d files of the exit-code repros (n=64 unless named)."""
     d = tmp_path_factory.mktemp("repro")
     for name, argv in (("c.fld", ["--family", "cusp", "--gamma", "0.5", "--n", "64"]),
                        ("c8.fld", ["--family", "cusp", "--gamma", "0.5", "--n", "8"]),
+                       ("c16.fld", ["--family", "cusp", "--gamma", "0.5", "--n", "16"]),
                        ("r.fld", ["--family", "riesz_of_noise", "--alpha", "0.8", "--seed", "3",
                                   "--n", "64"])):
         assert main(["generate"] + argv + ["--out", str(d / name)]) == EXIT_OK
     for src, name, period in (("c.fld", "tiny.fld", "1e-300"), ("c.fld", "huge.fld", "1e300"),
-                              ("r.fld", "rtiny.fld", "1e-300"), ("c.fld", "inf.fld", "inf")):
+                              ("r.fld", "rtiny.fld", "1e-300"), ("c.fld", "inf.fld", "inf"),
+                              ("c16.fld", "subnormal.fld", "1e-320")):
         _with_header(d / src, d / name, "period=1.0", f"period={period}")
     return d
 
@@ -515,9 +517,11 @@ def repro_dir(tmp_path_factory):
     (["strichartz", "--field", "inf.fld", "--alpha", "0.5", "--order", "first", "--out-json"],
      EXIT_DATA),
     (["fracderiv", "--field", "inf.fld", "--alpha", "0.5", "--out"], EXIT_DATA),
+    (["strichartz", "--field", "subnormal.fld", "--alpha", "0.5", "--order", "first",
+      "--out-json"], EXIT_DATA),
 ], ids=["sqfn-tiny", "coeffs-tiny", "compare-huge", "strichartz-rtiny", "beta-graph-tiny",
         "sqfn-coarse", "sqfn-coarse-levels", "sqfn-inf", "bmo-inf", "strichartz-inf",
-        "fracderiv-inf"])
+        "fracderiv-inf", "strichartz-subnormal"])
 def test_exit_code_by_fault(repro_dir, tmp_path, argv, code):
     argv = [str(repro_dir / a) if a.endswith(".fld") else a for a in argv]
     got, err, caught = _run_quietly(argv + [str(tmp_path / "out")])

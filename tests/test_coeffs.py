@@ -309,6 +309,31 @@ def test_moment_rounding_bound_holds(dim, n):
                 assert np.all(err <= delta.reshape(-1)[rows]), (spec.family, kind)
 
 
+@pytest.mark.parametrize("dim, n", [(1, 2048), (2, 64)])
+@pytest.mark.parametrize("rows", [[5], [5, 777]])
+def test_direct_square_sums_in_offset_order(dim, n, rows):
+    # one or two anchors: each sum must add the offsets' squared terms one
+    # at a time in mask order, as a sequential `acc += term * term` does
+    g = make_grid(dim, n, 1.0)
+    rng = np.random.default_rng(11)
+    fc, A = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    B = [rng.standard_normal(g.shape) for _ in range(dim)]
+    mask = ball_mask(g, 0.2)
+    u = masked_offsets(g, mask)
+    rows = np.array(rows)
+    points = np.stack(np.unravel_index(rows, g.shape), axis=1)
+    for competitor in (None, B):
+        acc = np.zeros(len(rows))
+        for off, u_off in zip(np.argwhere(mask), u):
+            term = fc.reshape(-1)[flat_index(g, points + off)] - A.reshape(-1)[rows]
+            for B_i, ui in zip(competitor or (), u_off):
+                if ui != 0.0:
+                    term = term - B_i.reshape(-1)[rows] * ui
+            acc += term * term
+        got = coeffs_mod._direct_square_sums(g, fc, A, competitor, mask, rows)
+        assert np.array_equal(got, acc)
+
+
 def test_exact_blocks_fall_back_to_roundoff():
     # noise outside a block, a constant (nu0, nu0_tilde) or an affine
     # (nu1) function inside: the moment expansion cancels on the block, so

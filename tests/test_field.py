@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msq.field import (
     BallWindow,
@@ -256,26 +258,60 @@ def test_periodic_lattice_helpers(dim):
     assert np.all(np.sqrt(np.sum(off ** 2, axis=1)) < r)
 
 
+def _brute_reads(a, points, offsets):
+    """a[(x + o) % n] for every offset row o (rows) and anchor x (columns)."""
+    n = a.shape[0]
+    return np.array([[a[tuple((x + o) % n)] for x in points] for o in offsets]).reshape(
+        len(offsets), len(points))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_offset_reads(dim, monkeypatch):
     import msq.field as field_mod
 
     g = make_grid(dim, 16, 1.0)
-    n = g.n_per_axis
     a = np.random.default_rng(3).standard_normal(g.shape)
     offsets = np.concatenate([np.argwhere(ball_mask(g, 0.2)), [(-3,) * dim, (17,) * dim]])
     rolls = []
     monkeypatch.setattr(field_mod, "periodic_roll",
                         lambda x, shift: rolls.append(shift) or periodic_roll(x, shift))
-    # the whole lattice (rolled grid as it is), a strided lattice (rolled
-    # grid at the anchor rows) and an irregular list that wraps (gathered)
+    # lattices (strided views of the padded copy), an irregular list that
+    # wraps (gathered from the padded copy) and the reversed whole lattice,
+    # a dense irregular list (one whole-grid roll per offset)
     irregular = np.array([(-1,) * dim, (15, 17)[:dim], (40,) * dim])
-    for points, n_rolls in ((lattice_centers(g, 1), len(offsets)),
-                            (lattice_centers(g, 2), len(offsets)), (irregular, 0)):
-        rolls.clear()
-        reads = list(offset_reads(g, a, points, offsets))
-        assert len(reads) == len(offsets) and len(rolls) == n_rolls
-        for off, vals in zip(offsets, reads):
-            want = [a[tuple((x + off) % n)] for x in points]
-            assert vals.shape == (len(points),)
-            assert np.array_equal(vals, want)
+    for block_values in (7, 2**15):  # several blocks per walk, and one
+        monkeypatch.setattr(field_mod, "_BLOCK_VALUES", block_values)
+        for points, n_rolls in ((lattice_centers(g, 1), 0), (lattice_centers(g, 2), 0),
+                                (lattice_centers(g, 3), 0), (irregular, 0),
+                                (lattice_centers(g, 1)[::-1], len(offsets))):
+            rolls.clear()
+            blocks = list(offset_reads(g, a, points, offsets))
+            assert len(rolls) == n_rolls
+            rows = max(1, block_values // len(points))
+            assert all(b.shape == (min(rows, len(offsets) - i * rows), len(points))
+                       for i, b in enumerate(blocks))
+            assert np.array_equal(np.concatenate(blocks), _brute_reads(a, points, offsets))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_offset_reads_property(data):
+    import msq.field as field_mod
+
+    dim = data.draw(st.sampled_from([1, 2]))
+    n = data.draw(st.sampled_from([8, 16]))
+    g = make_grid(dim, n, 1.0)
+    a = np.random.default_rng(data.draw(st.integers(0, 99))).standard_normal(g.shape)
+    coord = st.integers(-2 * n, 3 * n)
+    if data.draw(st.booleans()):
+        points = lattice_centers(g, data.draw(st.integers(1, n + 1)))
+    else:
+        points = np.array(data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1,
+                                             max_size=2 * n ** dim)))
+    offsets = np.array(data.draw(st.lists(st.tuples(*[coord] * dim), max_size=40)),
+                       dtype=int).reshape(-1, dim)
+    block_values = data.draw(st.sampled_from([1, 5, 64, 2**15]))
+    with mock.patch.object(field_mod, "_BLOCK_VALUES", block_values):
+        blocks = list(offset_reads(g, a, points, offsets))
+    got = np.concatenate(blocks) if blocks else np.empty((0, len(points)))
+    assert np.array_equal(got, _brute_reads(a, points, offsets))
