@@ -6,7 +6,8 @@ in-process ``msq.cli.main`` and prints one ``sha256  file`` line per file
 in OUTDIR, sorted by name, as ``sha256sum`` does.  The set: the
 criterion-9 commands of the acceptance suite, the reports-2d and bridge-2d
 benchmark commands, a 1-d beta --graph run whose default ladder leaves
-cells with too few lifted points (beta nan), 1-d and 2-d strichartz in
+cells with too few lifted points (beta nan), a 2-d one at stride 4 on a
+period-0.25 grid with four such cells, 1-d and 2-d strichartz in
 both orders with CSV output, 1-d and 2-d bmo with CSV output at strides 1,
 2 and 3 (lattice offset reads) and at stride n (one center per radius, a
 single-column sum), 1-d bmo over radii given out of order with one
@@ -26,7 +27,7 @@ OUTDIR, with each checkout's ``src`` on the import path, and compare:
     diff old.txt new.txt
 
 A command that exits nonzero is named on stderr, and the script then
-exits 1.  The set writes 71 files and runs in about 5 s on a 2-core host.
+exits 1.  The set writes 74 files and runs in about 5 s on a 2-core host.
 """
 
 import hashlib
@@ -73,10 +74,13 @@ def commands(p):
          "--out", cusp2],
         ["beta", "--graph", "--field", bump2, "--out", p("beta.csv")],
     ]
-    bump1 = p("bump1.fld")  # default ladder: cells with too few lifted points
-    bridge1d = [
+    bump1, bumpq = p("bump1.fld"), p("bumpq.fld")  # cells with too few lifted points
+    bridge_nan = [
         ["generate", "--family", "smooth_bump", "--n", "1024", "--out", bump1],
         ["beta", "--graph", "--field", bump1, "--stride", "8", "--out", p("beta_1d.csv")],
+        ["generate", "--family", "smooth_bump", "--dim", "2", "--n", "32", "--period", "0.25",
+         "--out", bumpq],
+        ["beta", "--graph", "--field", bumpq, "--stride", "4", "--out", p("beta_2d_nan.csv")],
     ]
     cusp1 = p("cusp1.fld")
     strichartz = [["generate", "--family", "cusp", "--gamma", "0.8", "--n", "256", "--out", cusp1]]
@@ -111,7 +115,7 @@ def commands(p):
             ["generate", "--family", "log_singularity", "--dim", dim, "--n", n, "--out", log],
             ["fracderiv", "--field", log, "--alpha", "0.6", "--out", p(f"log{dim}d_d.fld")],
         ]
-    return criterion9 + reports2d + bridge2d + bridge1d + strichartz + walks + logs
+    return criterion9 + reports2d + bridge2d + bridge_nan + strichartz + walks + logs
 
 
 def main(argv=None):

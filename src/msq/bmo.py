@@ -22,7 +22,7 @@ from scipy import integrate
 
 from .field import (
     BallWindow, Grid, SampledField, WindowFamily, ball_mask, flat_index, lattice_centers,
-    offset_reads, offset_sums, window_argmax, window_family, window_rows,
+    offset_distance, offset_reads, offset_sums, window_argmax, window_family, window_rows,
 )
 
 __all__ = [
@@ -180,11 +180,10 @@ def holder_seminorm(field: SampledField, alpha: float, stride: int = 1) -> float
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     grid = field.grid
-    n, h = grid.n_per_axis, grid.spacing
-    reach = itertools.product(range(-(n // 4), n // 4 + 1), repeat=grid.dim)
-    dist = {off: math.hypot(*[o * h for o in off]) for off in reach}
-    offsets = [off for off, d in dist.items() if 0.0 < d <= grid.period / 4.0]
-    weights = np.array([dist[off] ** alpha for off in offsets])
+    dist = offset_distance(grid)
+    tested = (dist > 0) & (dist <= grid.period / 4.0)
+    offsets = np.argwhere(tested)
+    weights = dist[tested] ** alpha
     anchors = lattice_centers(grid, stride)
     base = field.values[flat_index(grid, anchors)]
     best, lo = 0.0, 0

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -68,10 +69,7 @@ def _write_json(path: str, payload: dict) -> None:
 def _effective_config(args, keys) -> dict:
     cfg = {"format_version": FORMAT_VERSION, "command": args.command}
     for k in keys:
-        v = getattr(args, k)
-        if isinstance(v, np.floating):
-            v = float(v)
-        cfg[k] = v
+        cfg[k] = getattr(args, k)
     return cfg
 
 
@@ -442,9 +440,13 @@ def main(argv=None) -> int:
                 args = parser.parse_args(argv[:1] + tokens + argv[1:])
             return _COMMANDS[args.command](args)
     except Exception as exc:
+        text = str(exc)
+        if isinstance(exc, OverflowError):  # a Python float op's (errno, text)
+            where = traceback.extract_tb(exc.__traceback__)[-1].name
+            text = f"overflow in {where}: {exc.args[-1]}"
         for classes, code, label in _EXIT_CODES:
             if isinstance(exc, classes):
-                print(f"msq: error: {label}: {exc}", file=sys.stderr)
+                print(f"msq: error: {label}: {text}", file=sys.stderr)
                 return code
         raise
 

@@ -22,7 +22,6 @@ oracles, and the test suite checks the routes against each other.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -151,7 +150,7 @@ class CoefficientMatrix:
     kind: str
     values: np.ndarray  # shape (n_points, levels), center-major
     # per-level count of entries recomputed directly by coefficient_matrix
-    fallback_counts: tuple = dataclasses.field(default=(), init=False)
+    fallback_counts: tuple = ()
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -313,9 +312,8 @@ def coefficient_matrix(field: SampledField, ladder: ScaleLadder, kind: str) -> C
             acc = _direct_square_sums(grid, fc, A, B, mask, rows)
             col[rows] = np.sqrt(acc / count) / r
         out[:, j] = col
-    matrix = CoefficientMatrix(grid=grid, ladder=ladder, kind=kind, values=out)
-    object.__setattr__(matrix, "fallback_counts", tuple(fallback_counts))
-    return matrix
+    return CoefficientMatrix(grid=grid, ladder=ladder, kind=kind, values=out,
+                             fallback_counts=tuple(fallback_counts))
 
 
 def _moment_levels(fc: np.ndarray, grid: Grid, radii, kind: str):
@@ -348,7 +346,7 @@ def _moment_levels(fc: np.ndarray, grid: Grid, radii, kind: str):
         if kind in ("nu0", "nu1"):
             A = S1 / count
         elif kind in ("nu0_bar", "nu1_bar"):
-            A = _mollified(fc, grid, r)
+            A = mollify(SampledField(grid=grid, values=fc.reshape(-1)), Mollifier(scale=r)).shaped
         else:
             A = fc
 
@@ -401,11 +399,6 @@ def _direct_square_sums(grid, fc, A, B, mask, rows) -> np.ndarray:
         return np.multiply(diff, diff, out=diff)
 
     return offset_sums(grid, fc, points, np.argwhere(mask), A, squares)
-
-
-def _mollified(fc_shaped: np.ndarray, grid: Grid, scale: float) -> np.ndarray:
-    f = SampledField(grid=grid, values=fc_shaped.reshape(-1))
-    return mollify(f, Mollifier(scale=scale)).shaped
 
 
 # ---------------------------------------------------------------------------

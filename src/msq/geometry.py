@@ -189,11 +189,9 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
     if h * h < np.finfo(float).tiny:  # the squared offsets below would underflow
         raise NumericError(f"squared grid spacing underflows: h = {h}")
     dim = grid.dim
-    grads = spectral_gradient(field)
-    gnorm_sq = sum(g.shaped**2 for g in grads)
+    gnorm_sq = sum(g.shaped**2 for g in spectral_gradient(field))
     lipschitz = float(np.sqrt(gnorm_sq.max()))
     area = (h**dim * np.sqrt(1.0 + gnorm_sq)).reshape(-1)
-    f = field.shaped
     ucomp = offset_components(grid)
     udist_sq = sum(uc**2 for uc in ucomp)
 
@@ -202,35 +200,26 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
     nub = coefficient_matrix(field, ladder, "nu1").values[flat_index(grid, centers)]
 
     # The offsets of the widest candidate ball, in the row-major order of
-    # the chart rolled to the center; each radius takes its candidates as
-    # a mask over that list.
+    # the chart rolled to the center; beta2k selects each radius's ball
+    # from the one cloud over them.
     top = radii.max()
     widest = udist_sq < top * top
     steps = np.argwhere(widest)
-    cands = []
-    for r in radii:
-        cand = udist_sq[widest] < r * r
-        uu = [comp[widest][cand] for comp in ucomp]
-        cands.append((float(r), cand, uu, sum(q * q for q in uu)))
+    chart = [comp[widest] for comp in ucomp]
 
     beta = np.empty((len(centers), radii.size))
+    origin = np.zeros(dim + 1)
     for i, c in enumerate(centers):
         rows = flat_index(grid, c + steps)
         lift = field.values[rows] - field.values[rows[0]]  # steps[0] is the zero offset
-        wlift = area[rows]
-        for j, (r, cand, uu, usq) in enumerate(cands):
-            ll = lift[cand]
-            inside = usq + ll * ll < r * r
-            if np.count_nonzero(inside) < dim + 1:
+        cloud = PointCloud(points=np.stack(chart + [lift], axis=1), weights=area[rows])
+        for j, r in enumerate(radii):
+            try:
+                beta[i, j], _ = beta2k(cloud, origin, float(r), k=dim)
+            except NumericError:  # fewer than dim + 1 points in the ball
                 beta[i, j] = np.nan
-                continue
-            pts = np.stack([q[inside] for q in uu] + [ll[inside]], axis=1)
-            w = wlift[cand][inside]
-            sub = PointCloud(points=pts, weights=w)
-            b, _ = beta2k(sub, np.zeros(dim + 1), r, k=dim)
-            beta[i, j] = b
 
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(f))))
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(field.values))))
     both = (beta > floor) & (nub > floor)
     if np.any(both):
         up = float(np.max(beta[both] / nub[both]))

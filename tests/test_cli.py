@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -475,6 +476,7 @@ def _assert_contract(code, err, caught, outdir):
                     json.loads(fh.read(), parse_constant=_reject_constant)
     else:
         assert err.startswith("msq: error: ") and err.count("\n") == 1, err
+        assert not re.search(r"\(\d+, '", err), err  # a bare (errno, text) tuple
 
 
 def _with_header(path, out, old, new):
@@ -486,7 +488,8 @@ def _with_header(path, out, old, new):
 
 @pytest.fixture(scope="module")
 def repro_dir(tmp_path_factory):
-    """The 1-d files of the exit-code repros (n=64 unless named)."""
+    """The files of the exit-code repros: 1-d (n=64 unless named) and a
+    2-d n=16 constant field on a huge period."""
     d = tmp_path_factory.mktemp("repro")
     for name, argv in (("c.fld", ["--family", "cusp", "--gamma", "0.5", "--n", "64"]),
                        ("c8.fld", ["--family", "cusp", "--gamma", "0.5", "--n", "8"]),
@@ -498,6 +501,8 @@ def repro_dir(tmp_path_factory):
                               ("r.fld", "rtiny.fld", "1e-300"), ("c.fld", "inf.fld", "inf"),
                               ("c16.fld", "subnormal.fld", "1e-320")):
         _with_header(d / src, d / name, "period=1.0", f"period={period}")
+    header = "msq-field v1 dim=2 n_per_axis=16 period=1e300\n"
+    (d / "const2.fld").write_text(header + "1.0\n" * 256)
     return d
 
 
@@ -509,6 +514,9 @@ def repro_dir(tmp_path_factory):
     (["strichartz", "--field", "rtiny.fld", "--alpha", "0.5", "--order", "first", "--out-json"],
      EXIT_NUMERIC),
     (["beta", "--graph", "--field", "tiny.fld", "--out"], EXIT_NUMERIC),
+    (["sqfn", "--field", "const2.fld", "--kind", "nu0", "--alpha", "0.5", "--out-json"],
+     EXIT_NUMERIC),
+    (["beta", "--graph", "--field", "const2.fld", "--out"], EXIT_NUMERIC),
     (["sqfn", "--field", "c8.fld", "--kind", "nu0", "--alpha", "0.5", "--out-json"], EXIT_DATA),
     (["sqfn", "--field", "c8.fld", "--kind", "nu0", "--alpha", "0.5", "--levels", "1",
       "--out-json"], EXIT_USAGE),
@@ -520,6 +528,7 @@ def repro_dir(tmp_path_factory):
     (["strichartz", "--field", "subnormal.fld", "--alpha", "0.5", "--order", "first",
       "--out-json"], EXIT_DATA),
 ], ids=["sqfn-tiny", "coeffs-tiny", "compare-huge", "strichartz-rtiny", "beta-graph-tiny",
+        "sqfn-const2d-huge", "beta-graph-const2d-huge",
         "sqfn-coarse", "sqfn-coarse-levels", "sqfn-inf", "bmo-inf", "strichartz-inf",
         "fracderiv-inf", "strichartz-subnormal"])
 def test_exit_code_by_fault(repro_dir, tmp_path, argv, code):

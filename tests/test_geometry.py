@@ -198,13 +198,15 @@ def _chart_cloud(field, center, area):
     return PointCloud(points=pts, weights=weights)
 
 
-@pytest.mark.parametrize("dim, n, stride", [(1, 1024, 8), (2, 32, 4)])
-def test_graph_bridge_matches_per_cell_oracle(dim, n, stride):
+@pytest.mark.parametrize("dim, n, period, stride, nan_cells",
+                         [(1, 1024, 1.0, 8, 40), (2, 32, 1.0, 4, 0), (2, 32, 0.25, 4, 4)],
+                         ids=["1-1024-8", "2-32-4", "2-32-4-period0.25"])
+def test_graph_bridge_matches_per_cell_oracle(dim, n, period, stride, nan_cells):
     # each cell equals (==) beta2k on the center's whole lifted chart, and
     # a cell whose ambient ball holds fewer than dim + 1 points is NaN
     from msq.spectral import spectral_gradient
 
-    g = make_grid(dim, n, 1.0)
+    g = make_grid(dim, n, period)
     f = generate(CorpusSpec(family="smooth_bump", grid=g))
     lad = make_ladder(g)
     rep = graph_beta_vs_nu1(f, lad, stride=stride)
@@ -218,8 +220,6 @@ def test_graph_bridge_matches_per_cell_oracle(dim, n, stride):
             if np.count_nonzero(dist_sq < r * r) >= dim + 1:
                 expected[i, j], _ = beta2k(cloud, np.zeros(dim + 1), float(r), k=dim)
     assert np.array_equal(np.isnan(rep.beta), np.isnan(expected))
-    assert rep.insufficient_cells == int(np.isnan(expected).sum())
-    if dim == 1:
-        assert rep.insufficient_cells > 0
+    assert rep.insufficient_cells == int(np.isnan(expected).sum()) == nan_cells
     finite = ~np.isnan(expected)
     assert rep.beta[finite].tolist() == expected[finite].tolist()
