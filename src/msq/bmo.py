@@ -8,6 +8,11 @@ the weight |y|^(-d-2*alpha) in the offset y (the offset form is the one
 implemented; reports note it).  The y = 0 diagonal is excluded, and the
 second-difference sum only uses offsets with both x+y and x-y inside the
 cube so that locally affine data cancels exactly on interior cubes.
+
+A first-difference sum takes its near offsets from the offset table and
+the rest as one FFT quadratic form per cube, with an a-priori bound on
+its rounding error; a cube the bound does not certify, and every
+second-difference cube, is summed directly over the whole offset table.
 """
 
 from __future__ import annotations
@@ -198,7 +203,7 @@ def holder_seminorm(field: SampledField, alpha: float, stride: int = 1) -> float
 _DIFFERENCE_STEPS = {"first_difference": (1, 0), "second_difference": (0, 1, -1)}
 
 
-def _difference_terms(m: int, dim: int, h: float, expo: float, order: str):
+def _difference_terms(m: int, dim: int, h: float, expo: float, order: str, reach: int = None):
     """Offset table of a difference sum over a stack of cubes of m points
     per axis, shape (k, m, ..., m), yielded row by row.
 
@@ -206,10 +211,12 @@ def _difference_terms(m: int, dim: int, h: float, expo: float, order: str):
     mirrored offset doubles in the sum): the weight |o h|^(-expo), then one
     index tuple into the stack per point read, x + o and x for first
     differences, x, x + o and x - o for second differences, with x running
-    over the points that keep every read point in the cube.
+    over the points that keep every read point in the cube.  With reach
+    given, only the offsets with every |o_a| <= reach.
     """
     steps = _DIFFERENCE_STEPS[order]
-    reach = (m - 1) // (max(steps) - min(steps))
+    full = (m - 1) // (max(steps) - min(steps))
+    reach = full if reach is None else min(reach, full)
     for off in itertools.product(range(-reach, reach + 1), repeat=dim):
         if next((o for o in off if o), 0) <= 0:
             continue
@@ -226,6 +233,103 @@ def _difference_terms(m: int, dim: int, h: float, expo: float, order: str):
 # default 2-d family (64 cubes) in one stack per side up to n=256, while a
 # large family, such as one at stride 1, is cut into several stacks.
 _STACK_POINTS = 2**20
+# _FFT_VALUES: padded values per batch of first-difference transforms.  A
+# batch holds its zero-padded cubes, their spectra and the inverse
+# transforms at once; 2**14 values keep that near the size of one stack.
+_FFT_VALUES = 2**14
+# _NEAR_REACH: a first-difference sum takes the offsets with every
+# |o_a| <= 2 (12 rows of the 2-d offset table, 2 in 1-d) from the direct
+# sum and only the rest from the FFT.  The near offsets carry the largest
+# weights and most of the cancellation, so leaving them out of K shrinks
+# ||K||_2, which sets the rounding bound.  On 2-d n=256 cusp(0.7), alpha =
+# 0.5, with the default cubes: reach 0 (the whole K) left 86 of 384 cubes
+# to the direct sum (23 s), reach 1 left 13 (6.1 s), reach 2 none (0.21 s).
+_NEAR_REACH = 2
+
+# Rounding bound of the first-difference quadratic form.
+_EPS = float(np.finfo(float).eps)
+# _FORM_FFT_C: the far part 2 (A - B) of a cube's sum takes transforms of
+# N = (2m)^d points: of K, of v and the inverse one of their product for
+# B, three more for W = K*1_Q.  A radix-2 transform errs by at most
+# log2(N) 6.7 eps in the 2-norm (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., Thm. 24.2; see coeffs._FFT_C).  Carried
+# through the convolution and by Cauchy-Schwarz to 2 sum v (K*v), that is
+# at most c eps log2(N) ||K||_1 sum v^2 with c < 50 (||K||_1 = K^(0) is
+# the convolution's operator norm, as K >= 0).  The bound takes ||K||_2
+# instead, the size of the error when each spectrum's rounding errors
+# spread evenly over its frequencies, and c = 16, as the errors of the
+# transforms add like independent variables; W's error is taken to be of
+# the same size.  This is an estimate, not a proof: against exact rational
+# and extended-precision sums the observed error stays below 5% of it
+# (tests/test_bmo.py::test_first_difference_form_error_within_its_bound).
+_FORM_FFT_C = 16.0
+# _FORM_SUM_C: the products v^2 W and v (K*v), their pairwise sums over a
+# cube of m^d <= 2^20 points, A - B, and the near part's at most 12
+# pairwise-summed rows of positive terms added in turn: gamma_40 (sum v^2 W
+# + sum |v (K*v)| + near) bounds them (Higham, Sec. 4.2).
+_FORM_SUM_C = 40.0
+# _FORM_TAU: a cube's value sqrt(c sum) errs by about delta / (2 sum)
+# relative, and a cube is certified when that stays below tau.  The tests
+# compare values at rel 1e-12 (with all-pairs sums and the direct route);
+# tau = 1e-13 keeps each comparison a factor 10 inside that.
+_FORM_TAU = 1e-13
+
+
+def _first_difference_form(m: int, d: int, h: float, expo: float):
+    """The far first-difference kernel of cubes of m points per axis on the
+    zero-padded (2m)^d torus: K(o) = |o h|^(-expo) for
+    _NEAR_REACH < max |o_a| < m, else 0.  Returns (rfftn of K,
+    W = K*1_Q on the cube, ||K||_2)."""
+    o = np.arange(2 * m)
+    o = np.where(o < m, o, o - 2 * m)  # index m is offset -m, outside every cube
+    grids = np.meshgrid(*(o,) * d, indexing="ij")
+    reach = np.max(np.abs(grids), axis=0)
+    far = (reach > _NEAR_REACH) & (reach < m)
+    K = np.zeros(reach.shape)
+    # h^(-expo) as a Python float raises OverflowError, as the direct
+    # route's weights do
+    K[far] = h ** (-expo) * sum(g * g for g in grids)[far] ** (-expo / 2.0)
+    Kf = np.fft.rfftn(K)
+    box = np.zeros(reach.shape)
+    cube = (slice(0, m),) * d
+    box[cube] = 1.0
+    W = np.fft.irfftn(Kf * np.fft.rfftn(box), s=reach.shape, axes=tuple(range(d)))[cube]
+    return Kf, W, math.sqrt(float(np.sum(K * K)))
+
+
+def _first_difference_fft(values: np.ndarray, form, near_terms) -> tuple:
+    """First-difference sums of a (k, m, ..., m) stack, and the a-priori
+    bound on each sum's rounding error.
+
+    The near offsets (near_terms, the offset table up to _NEAR_REACH) are
+    summed directly.  The far ones form one quadratic form per cube: with
+    v the cube's values minus their mean, the sum over ordered pairs
+    x != y of K(y - x) (v(y) - v(x))^2 is 2 (A - B), A = sum v^2 W and
+    B = sum v (K*v), and K*v is one zero-padded FFT convolution.  A
+    constant cube's sum and bound are exactly 0.  Each cube's transforms
+    and sums run on that cube alone, so its sum does not depend on the
+    stack.
+    """
+    Kf, W, knorm = form
+    k, d, m = len(values), values.ndim - 1, values.shape[1]
+    padded, axes = (2 * m,) * d, tuple(range(1, d + 1))
+    scale = _FORM_FFT_C * _EPS * d * math.log2(2 * m) * knorm
+    near = _stack_totals(values, near_terms, "first_difference")
+    totals, delta = np.empty(k), np.empty(k)
+    step = max(1, _FFT_VALUES // (2 * m) ** d)
+    for lo in range(0, k, step):
+        flat = values[lo:lo + step].reshape(-1, m**d)
+        v = flat - flat.mean(axis=1, keepdims=True)
+        spec = np.fft.rfftn(v.reshape((-1,) + values.shape[1:]), s=padded, axes=axes)
+        conv = np.fft.irfftn(spec * Kf, s=padded, axes=axes)[(slice(None),) + (slice(0, m),) * d]
+        v2, vk = v * v, v * conv.reshape(v.shape)
+        A, B = (v2 * W.reshape(-1)).sum(axis=1), vk.sum(axis=1)
+        inner = near[lo:lo + step]
+        bound = scale * v2.sum(axis=1) + _FORM_SUM_C * _EPS * (A + np.abs(vk).sum(axis=1) + inner)
+        constant = flat.max(axis=1) == flat.min(axis=1)
+        totals[lo:lo + step] = np.where(constant, 0.0, inner + 2.0 * (A - B))
+        delta[lo:lo + step] = np.where(constant, 0.0, bound)
+    return totals, delta
 
 
 def _stack_totals(v: np.ndarray, terms, order: str) -> np.ndarray:
@@ -254,21 +358,36 @@ def _strichartz(field, alpha, cubes, order: str, alpha_hi: float) -> StrichartzR
     family = window_family(grid, cubes, CubeSpec)
     points = np.round(family.sizes / h).astype(int)  # points per axis of each cube
     totals = np.empty(len(family))
+    fallback_counts = {}
     # One pass per cube side: the cubes of m points per axis share one
-    # offset table, and each row of it runs once over a stack of them.
+    # offset table (and one kernel), and each row of it runs once over a
+    # stack of them.
     for m in np.unique(points).tolist():
         group = np.flatnonzero(points == m)
         step = max(1, _STACK_POINTS // m**d)
+        form = _first_difference_form(m, d, h, expo) if order == "first_difference" else None
+        direct_count = 0
         for rows in (group[lo:lo + step] for lo in range(0, len(group), step)):
             # axis a of cube i: indices c[i, a] - m//2 + (0..m-1), wrapped
             first = family.centers[rows] - m // 2
             axes = tuple(((first[:, a, None] + np.arange(m)) % grid.n_per_axis)
                          .reshape((len(rows),) + (1,) * a + (m,) + (1,) * (d - 1 - a))
                          for a in range(d))
-            # a generator made anew per stack: as a list, the 2-d table of
-            # m = 32 alone holds about 1 MB of Python objects
-            terms = _difference_terms(m, d, h, expo, order)
-            totals[rows] = _stack_totals(field.shaped[axes], terms, order)
+            stack = field.shaped[axes]
+            direct = np.arange(len(rows))
+            if form is not None:
+                near = _difference_terms(m, d, h, expo, order, reach=_NEAR_REACH)
+                totals[rows], delta = _first_difference_fft(stack, form, near)
+                # a sum the bound does not certify, NaN included, is
+                # summed directly
+                direct = np.flatnonzero(~(delta <= 2.0 * _FORM_TAU * totals[rows]))
+            if direct.size:
+                # a generator made anew per stack: as a list, the 2-d table
+                # of m = 32 alone holds about 1 MB of Python objects
+                terms = _difference_terms(m, d, h, expo, order)
+                totals[rows[direct]] = _stack_totals(stack[direct], terms, order)
+            direct_count += int(direct.size)
+        fallback_counts[float(family.sizes[group[0]])] = direct_count
     # normalized in Python floats, so each value is the one-cube value to the bit
     values = np.array([math.sqrt(h ** (2 * d) * t / side ** d)
                        for t, side in zip(totals.tolist(), family.sizes.tolist())])
@@ -278,6 +397,7 @@ def _strichartz(field, alpha, cubes, order: str, alpha_hi: float) -> StrichartzR
         "family_size": len(values),
         "sup_lower_bound": True,
         "argmax": window_argmax(family.centers, family.sizes, values),
+        "fallback_counts": fallback_counts,
     }
     return StrichartzReport(alpha=float(alpha), order=order, centers=family.centers,
                             sizes=family.sizes, values=values, B=float(values.max()), metadata=meta)

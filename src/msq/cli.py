@@ -242,8 +242,11 @@ def _cmd_strichartz(args):
     cubes = bmo_mod.make_cube_family(field.grid, sides=sides, stride=args.stride)
     strichartz = bmo_mod.strichartz_first if args.order == "first" else bmo_mod.strichartz_second
     report = strichartz(field, args.alpha, cubes)
+    # the JSON leaves out the per-side fallback counts, as the coeffs
+    # metadata file leaves out the per-level ones
+    metadata = {k: v for k, v in report.metadata.items() if k != "fallback_counts"}
     _write_report(args, ["field", "alpha", "order", "sides", "stride"],
-                  report.metadata, {"B": report.B},
+                  metadata, {"B": report.B},
                   "per_cube", ["side", "value"], report.per_cube)
     return EXIT_OK
 

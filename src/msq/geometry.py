@@ -6,6 +6,9 @@ the optimal plane passes through the weighted centroid of the ball and is
 spanned by the top-k eigenvectors of the weighted second-moment matrix, so
 the squared number is the sum of the D-k smallest eigenvalues divided by
 r^2 times the ball weight.  No iterative plane search is involved.
+beta2k takes one radius or an array of them; the array form selects every
+ball from one squared-distance pass and solves all of them in one stacked
+eigh, which is how the graph bridge asks for a center's whole ladder.
 """
 
 from __future__ import annotations
@@ -79,44 +82,62 @@ class GraphBridgeReport:
         return int(np.isnan(self.beta).sum())
 
 
-def _ball_select(cloud: PointCloud, center, r: float):
-    center = np.asarray(center, dtype=float).reshape(-1)
-    if center.shape[0] != cloud.ambient_dim:
-        raise ValueError("center dimension does not match the cloud")
-    d2 = np.sum((cloud.points - center) ** 2, axis=1)
-    sel = d2 < r * r
-    return cloud.points[sel], cloud.weights[sel]
-
-
-def beta2k(cloud: PointCloud, center, r: float, k: int):
+def beta2k(cloud: PointCloud, center, r, k: int):
     """Best normalized RMS distance to an affine k-plane over the ball.
 
-    Returns (beta, PlaneFit).  Ties between eigenvalues are resolved by the
-    solver's ordering; beta itself depends only on eigenvalue sums.
+    With a scalar radius r, returns (beta, PlaneFit) and raises
+    NumericError for a ball of fewer than k + 1 points.  With a 1-d array
+    of radii, returns the array of their betas, NaN where the ball holds
+    fewer than k + 1 points: one squared-distance pass and one stacked
+    eigh serve every radius, and each beta equals (==) the scalar call's.
+    Ties between eigenvalues are resolved by the solver's ordering; beta
+    itself depends only on eigenvalue sums.
     """
     D = cloud.ambient_dim
     if not (1 <= k <= D - 1):
         raise ValueError(f"k must lie in [1, {D - 1}], got {k}")
-    if not (0.0 < r < np.inf):
+    radii = np.asarray(r, dtype=float)
+    if radii.ndim > 1:
+        raise ValueError("radii must be a scalar or a 1-d array")
+    if not np.all((0.0 < radii) & (radii < np.inf)):
         raise ValueError(f"radius must be positive and finite, got {r}")
-    pts, w = _ball_select(cloud, center, r)
-    if pts.shape[0] < k + 1:
-        raise NumericError(
-            f"ball at {np.asarray(center).tolist()} radius {r} holds "
-            f"{pts.shape[0]} points; need at least {k + 1}"
-        )
-    W = w.sum()
-    centroid = (w @ pts) / W
-    c = pts - centroid
-    moment = (c * w[:, None]).T @ c
-    evals, evecs = np.linalg.eigh(moment)  # ascending
+    center = np.asarray(center, dtype=float).reshape(-1)
+    if center.shape[0] != D:
+        raise ValueError("center dimension does not match the cloud")
+    d2 = np.sum((cloud.points - center) ** 2, axis=1)
+    each = np.atleast_1d(radii)
+    betas = np.full(each.size, np.nan)
+    full, sizes, moments = [], [], []
+    for j, rj in enumerate(each.tolist()):
+        sel = d2 < rj * rj
+        pts, w = cloud.points[sel], cloud.weights[sel]
+        if pts.shape[0] < k + 1:
+            if radii.ndim == 0:
+                raise NumericError(
+                    f"ball at {center.tolist()} radius {rj} holds "
+                    f"{pts.shape[0]} points; need at least {k + 1}"
+                )
+            continue
+        W = w.sum()
+        centroid = (w @ pts) / W
+        c = pts - centroid
+        full.append(j)
+        sizes.append(W)
+        moments.append((c * w[:, None]).T @ c)
+    if not full:
+        return betas
+    evals, evecs = np.linalg.eigh(np.stack(moments))  # ascending, per radius
     # eigenvalues below the solver's backward-error scale are numerical
     # zeros; without the cutoff a perfectly flat cloud reports sqrt(eps)
-    floor = 64.0 * np.finfo(float).eps * max(abs(evals[0]), abs(evals[-1]))
+    floor = 64.0 * np.finfo(float).eps * np.maximum(np.abs(evals[:, :1]), np.abs(evals[:, -1:]))
     evals = np.where(np.abs(evals) <= floor, 0.0, evals)
-    resid_sq = float(np.clip(evals[: D - k].sum(), 0.0, None)) / (r * r * W)
-    beta = float(np.sqrt(resid_sq))
-    basis = evecs[:, D - k :].T[::-1]  # leading directions first
+    rf = each[full]
+    resid_sq = np.clip(evals[:, : D - k].sum(axis=1), 0.0, None) / (rf * rf * np.array(sizes))
+    betas[full] = np.sqrt(resid_sq)
+    if radii.ndim > 0:
+        return betas
+    beta = float(betas[0])
+    basis = evecs[0][:, D - k :].T[::-1]  # leading directions first
     return beta, PlaneFit(basepoint=centroid, orthonormal_basis=basis, residual=beta)
 
 
@@ -126,7 +147,11 @@ def plane_residual(cloud: PointCloud, center, r: float, basepoint, basis) -> flo
     Always at least the beta2k value up to rounding; used as the competitor
     check for the eigen-solution.
     """
-    pts, w = _ball_select(cloud, center, r)
+    center = np.asarray(center, dtype=float).reshape(-1)
+    if center.shape[0] != cloud.ambient_dim:
+        raise ValueError("center dimension does not match the cloud")
+    sel = np.sum((cloud.points - center) ** 2, axis=1) < r * r
+    pts, w = cloud.points[sel], cloud.weights[sel]
     if pts.shape[0] == 0:
         raise ValueError("empty ball")
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
@@ -213,11 +238,7 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
         rows = flat_index(grid, c + steps)
         lift = field.values[rows] - field.values[rows[0]]  # steps[0] is the zero offset
         cloud = PointCloud(points=np.stack(chart + [lift], axis=1), weights=area[rows])
-        for j, r in enumerate(radii):
-            try:
-                beta[i, j], _ = beta2k(cloud, origin, float(r), k=dim)
-            except NumericError:  # fewer than dim + 1 points in the ball
-                beta[i, j] = np.nan
+        beta[i] = beta2k(cloud, origin, radii, k=dim)
 
     floor = 1e-12 * max(1.0, float(np.max(np.abs(field.values))))
     both = (beta > floor) & (nub > floor)

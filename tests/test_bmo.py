@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -402,8 +403,11 @@ def _one_cube_value(f, cube, alpha, order):
 def test_strichartz_stacked_sides_match_one_cube_calls(rough_field_1d, rough_field_2d, dim,
                                                        stack_points, monkeypatch):
     # sides interleave and one cube repeats: every row keeps its input
-    # place and equals (==) a one-cube call and the one-cube sum;
-    # stack_points=100 cuts each side's cubes into several stacks
+    # place and equals (==) a one-cube call; a second-order value, and a
+    # first-order one with the certificate forced to fail (tau = 0), also
+    # equals the one-cube sum, and a first-order value of the FFT route
+    # lies within 1e-12 of it; stack_points=100 cuts each side's cubes
+    # into several stacks
     if stack_points is not None:
         monkeypatch.setattr(bmo_mod, "_STACK_POINTS", stack_points)
     f = rough_field_1d if dim == 1 else rough_field_2d
@@ -418,8 +422,110 @@ def test_strichartz_stacked_sides_match_one_cube_calls(rough_field_1d, rough_fie
         assert [(c, s) for c, s, _ in rep.per_cube] == list(zip(centers, sides))
         one = [functional(f, alpha, [cube]).values[0] for cube in cubes]
         assert rep.values.tolist() == one
-        assert one == [_one_cube_value(f, cube, alpha, order) for cube in cubes]
+        direct = [_one_cube_value(f, cube, alpha, order) for cube in cubes]
+        if order == "second_difference":
+            assert one == direct
+        else:
+            assert one == pytest.approx(direct, rel=1e-12)
+            with monkeypatch.context() as forced:
+                forced.setattr(bmo_mod, "_FORM_TAU", 0.0)
+                assert functional(f, alpha, cubes).values.tolist() == direct
         assert rep.values[0] == rep.values[5]
+
+
+def _cube_stack(f, centers, m):
+    """The (k, m, ..., m) values of the cubes of m points per axis at the
+    given centers."""
+    g = f.grid
+    return np.stack([f.shaped[np.ix_(*[(np.arange(m) + c - m // 2) % g.n_per_axis for c in center])]
+                     for center in centers])
+
+
+def _exact_first_total(v, h, expo):
+    """One cube's first-difference sum over ordered pairs x != y, exact in
+    rationals from the float weights of the offset table and the float
+    values v."""
+    m, d = v.shape[0], v.ndim
+    total = Fraction(0)
+    for w, plus, x in bmo_mod._difference_terms(m, d, h, expo, "first_difference"):
+        pairs = zip(v[None][plus].ravel().tolist(), v[None][x].ravel().tolist())
+        total += 2 * Fraction(w) * sum((Fraction(a) - Fraction(b)) ** 2 for a, b in pairs)
+    return total
+
+
+@pytest.mark.parametrize("dim, n, points", [(1, 128, (8, 16)), (2, 32, (4, 8))])
+def test_first_difference_form_error_within_its_bound(dim, n, points):
+    # against the exact rational sum, the quadratic form of every cube errs
+    # by at most a quarter of its rounding bound delta (observed: below
+    # 4 percent here, and below 5 percent on the cusp, smooth_bump and
+    # riesz_of_noise cubes of 2-d n=64 to 256 and 1-d n=1024 against
+    # extended-precision sums); a constant cube has sum and bound 0
+    g = make_grid(dim, n, 1.0)
+    h = g.spacing
+    specs = [dict(family="cusp", gamma=0.5), dict(family="smooth_bump"),
+             dict(family="riesz_of_noise", alpha=0.8, seed=4), dict(family="sign_jump")]
+    for alpha in (0.3, 0.7):
+        expo = dim + 2.0 * alpha
+        for spec in specs:
+            f = generate(CorpusSpec(grid=g, **spec))
+            for m in points:
+                centers = make_cube_family(g, sides=[m * h], stride=n // 2).centers.tolist()
+                stack = _cube_stack(f, centers, m)
+                near = bmo_mod._difference_terms(m, dim, h, expo, "first_difference",
+                                                 reach=bmo_mod._NEAR_REACH)
+                totals, delta = bmo_mod._first_difference_fft(
+                    stack, bmo_mod._first_difference_form(m, dim, h, expo), near)
+                for v, t, bound in zip(stack, totals.tolist(), delta.tolist()):
+                    exact = _exact_first_total(v, h, expo)
+                    assert abs(Fraction(t) - exact) <= Fraction(bound) / 4, (spec, m)
+                    assert (bound == 0.0) == (exact == 0) == (v.max() == v.min())
+
+
+def test_strichartz_first_constant_cubes_exactly_zero():
+    # 0.1 + a bump: the cubes off the bump are constant, and their mean is
+    # not exactly 0.1; their values are exactly 0, as their direct sums are
+    g = make_grid(2, 32, 1.0)
+    h = g.spacing
+    bump = generate(CorpusSpec(family="smooth_bump", grid=g))
+    f = SampledField(grid=g, values=0.1 + bump.values)
+    family = make_cube_family(g)
+    rep = strichartz_first(f, 0.5, family)
+    constant = 0
+    for center, side, value in zip(family.centers.tolist(), family.sizes.tolist(),
+                                   rep.values.tolist()):
+        m = int(round(side / h))
+        stack = _cube_stack(f, [center], m)
+        if stack.max() == stack.min():
+            constant += 1
+            terms = bmo_mod._difference_terms(m, 2, h, 3.0, "first_difference")
+            assert value == 0.0 == bmo_mod._stack_totals(stack, terms, "first_difference")[0]
+    assert 0 < constant < len(family)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 16)])
+def test_strichartz_forced_fallback_is_the_direct_route(dim, n, monkeypatch):
+    # with tau = 0 no nonconstant cube is certified: every value equals (==)
+    # the direct stacked sum, and fallback_counts counts those cubes per
+    # side; second order counts every cube
+    g = make_grid(dim, n, 1.0)
+    h = g.spacing
+    f = generate(CorpusSpec(family="cusp", grid=g, gamma=0.7))
+    family = make_cube_family(g)
+    monkeypatch.setattr(bmo_mod, "_FORM_TAU", 0.0)
+    for functional, alpha, order in ((strichartz_first, 0.5, "first_difference"),
+                                     (strichartz_second, 1.3, "second_difference")):
+        rep = functional(f, alpha, family)
+        expected, counts = [], {}
+        for center, side in zip(family.centers.tolist(), family.sizes.tolist()):
+            m = int(round(side / h))
+            stack = _cube_stack(f, [center], m)
+            terms = bmo_mod._difference_terms(m, dim, h, dim + 2.0 * alpha, order)
+            total = bmo_mod._stack_totals(stack, terms, order).tolist()[0]
+            expected.append(math.sqrt(h ** (2 * dim) * total / side ** dim))
+            counts[side] = counts.get(side, 0) + int(order == "second_difference"
+                                                     or stack.max() != stack.min())
+        assert rep.values.tolist() == expected
+        assert rep.metadata["fallback_counts"] == dict(sorted(counts.items()))
 
 
 def test_strichartz_refinement_stability():

@@ -3,7 +3,7 @@ import pytest
 
 from msq.coeffs import make_ladder
 from msq.corpus import CorpusSpec, generate
-from msq.field import SampledField, make_grid, sample
+from msq.field import NumericError, SampledField, lattice_centers, make_grid, sample
 from msq.geometry import (
     PointCloud,
     beta2k,
@@ -223,3 +223,39 @@ def test_graph_bridge_matches_per_cell_oracle(dim, n, period, stride, nan_cells)
     assert rep.insufficient_cells == int(np.isnan(expected).sum()) == nan_cells
     finite = ~np.isnan(expected)
     assert rep.beta[finite].tolist() == expected[finite].tolist()
+
+
+@pytest.mark.parametrize("dim, n, nan_cells", [(1, 1024, 310), (2, 32, 0)], ids=["1-1024", "2-32"])
+def test_beta2k_radius_array_matches_scalar_calls(dim, n, nan_cells):
+    # one call over the default ladder equals (==) the per-radius scalar
+    # calls, and is NaN exactly where a scalar call raises NumericError
+    from msq.spectral import spectral_gradient
+
+    g = make_grid(dim, n, 1.0)
+    f = generate(CorpusSpec(family="smooth_bump", grid=g))
+    radii = make_ladder(g).radii
+    area = g.spacing**dim * np.sqrt(1.0 + sum(q.shaped**2 for q in spectral_gradient(f)))
+    origin = np.zeros(dim + 1)
+    raised = 0
+    for c in lattice_centers(g, 1):
+        cloud = _chart_cloud(f, c, area)
+        got = beta2k(cloud, origin, radii, k=dim)
+        assert got.shape == radii.shape
+        for j, r in enumerate(radii.tolist()):
+            try:
+                want, _ = beta2k(cloud, origin, r, k=dim)
+            except NumericError:
+                raised += 1
+                assert np.isnan(got[j])
+            else:
+                assert got[j] == want
+    assert raised == nan_cells
+
+
+def test_beta2k_radius_array_validation():
+    # every radius is checked before any ball is selected
+    cloud = _circle_cloud(10)
+    with pytest.raises(ValueError, match="positive and finite"):
+        beta2k(cloud, np.zeros(2), np.array([2.0, np.nan]), k=1)
+    with pytest.raises(ValueError, match="1-d"):
+        beta2k(cloud, np.zeros(2), np.ones((2, 2)), k=1)
