@@ -177,31 +177,34 @@ def _cmd_coeffs(args):
     return EXIT_OK
 
 
-def _write_rows_csv(path: str, columns, rows) -> None:
-    """Header, then one line per row: integers (center indices, k) in
-    decimal, every other value as its shortest round-trip float."""
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = (str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row)
-        lines.append(",".join(cells))
+def _write_rows_csv(path: str, names, columns) -> None:
+    """Header, then one line per row of the parallel 1-d column arrays:
+    integer columns (center indices, k) in decimal, every other column as
+    its shortest round-trip float, formatted 4096 rows at a time."""
+    lines = [",".join(names)]
+    for lo in range(0, len(columns[0]), 4096):
+        cells = [map(str if col.dtype.kind in "iu" else repr, col[lo:lo + 4096].tolist())
+                 for col in columns]
+        lines.extend(map(",".join, zip(*cells)))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _window_table(dim: int, names, rows):
-    """The columns center_index_k then names, and the window rows
-    (center tuple, value...) as flat lists, produced lazily."""
-    columns = [f"center_index_{k}" for k in range(dim)] + names
-    return columns, (list(center) + list(rest) for center, *rest in rows)
+def _window_table(names, centers, sizes, *values):
+    """The column names center_index_k then names, and the parallel window
+    arrays (centers, sizes, values...) as CSV columns."""
+    names = [f"center_index_{k}" for k in range(centers.shape[1])] + names
+    return names, [*centers.T, sizes, *values]
 
 
-def _write_report(args, keys, metadata, scalars, label, names, rows) -> None:
-    """A window report: its rows to --out-csv when given, and the config,
-    scalars, rows (under label) and metadata to --out-json."""
-    columns, flat = _window_table(len(rows[0][0]), names, rows)
-    flat = list(flat)
+def _write_report(args, keys, metadata, scalars, label, names, table) -> None:
+    """A window report: its table, the parallel window arrays (centers,
+    sizes, values...), to --out-csv when given, and the config, scalars,
+    rows (under label) and metadata to --out-json."""
+    columns, cells = _window_table(names, *table)
     if args.out_csv:
-        _write_rows_csv(args.out_csv, columns, flat)
-    _write_json(args.out_json, {"config": _effective_config(args, keys), **scalars, label: flat,
+        _write_rows_csv(args.out_csv, columns, cells)
+    rows = [list(center) + rest for center, *rest in window_rows(*table)]
+    _write_json(args.out_json, {"config": _effective_config(args, keys), **scalars, label: rows,
                                 label + "_columns": columns, "metadata": metadata})
 
 
@@ -216,7 +219,8 @@ def _cmd_sqfn(args):
     report = carleson_mod.carleson_constant(matrix, args.alpha, tops=tops, stride=args.stride)
     _write_report(args, ["field", "kind", "alpha", "top_radius", "levels", "stride", "tops"],
                   report.metadata, {"constant": report.constant},
-                  "per_window", ["top_radius", "normalized_integral"], report.per_window)
+                  "per_window", ["top_radius", "normalized_integral"],
+                  table_columns(report.centers, report.tops, report.normalized))
     return EXIT_OK
 
 
@@ -231,7 +235,8 @@ def _cmd_bmo(args):
     report = bmo_mod.bmo_norm(field, windows)
     _write_report(args, ["field", "radii", "top_radius", "levels", "stride"],
                   dict(report.metadata, radii=radii, stride=args.stride), {"norm": report.norm},
-                  "per_window", ["radius", "mean_oscillation"], report.per_window)
+                  "per_window", ["radius", "mean_oscillation"],
+                  (report.centers, report.sizes, report.values))
     return EXIT_OK
 
 
@@ -247,7 +252,7 @@ def _cmd_strichartz(args):
     metadata = {k: v for k, v in report.metadata.items() if k != "fallback_counts"}
     _write_report(args, ["field", "alpha", "order", "sides", "stride"],
                   metadata, {"B": report.B},
-                  "per_cube", ["side", "value"], report.per_cube)
+                  "per_cube", ["side", "value"], (report.centers, report.sizes, report.values))
     return EXIT_OK
 
 
@@ -285,8 +290,8 @@ def _cmd_beta(args):
         field, _ = corpus_mod.load_field(args.field)
         ladder = _ladder_for(field.grid, args)
         rep = geometry_mod.graph_beta_vs_nu1(field, ladder, stride=args.stride)
-        rows = window_rows(*table_columns(rep.centers, rep.radii, rep.beta, rep.nu1))
-        _write_rows_csv(args.out, *_window_table(field.grid.dim, ["radius", "beta", "nu1"], rows))
+        table = table_columns(rep.centers, rep.radii, rep.beta, rep.nu1)
+        _write_rows_csv(args.out, *_window_table(["radius", "beta", "nu1"], *table))
         meta = {
             "config": _effective_config(
                 args, ["field", "graph", "top_radius", "levels", "stride", "k"]
@@ -311,7 +316,8 @@ def _cmd_beta(args):
         center = list(cloud.points.mean(axis=0))
     beta, _ = geometry_mod.beta2k(cloud, np.asarray(center), args.radius, args.k)
     cols = [f"center_{k}" for k in range(cloud.ambient_dim)] + ["radius", "k", "beta"]
-    _write_rows_csv(args.out, cols, [list(center) + [args.radius, args.k, beta]])
+    row = list(center) + [args.radius, args.k, beta]
+    _write_rows_csv(args.out, cols, [np.array([v]) for v in row])
     meta = {
         "config": _effective_config(
             args, ["cloud", "ambient_dim", "center", "radius", "k"]

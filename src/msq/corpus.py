@@ -211,9 +211,8 @@ def save_field(field: SampledField, path, extra: dict = None) -> None:
     header = f"{FORMAT_MAGIC} v{FORMAT_VERSION} " + " ".join(
         f"{k}={v}" for k, v in items.items()
     )
-    lines = [header] + [repr(float(v)) for v in field.values]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header, *map(repr, field.values.tolist())]) + "\n")
 
 
 def load_field(path):
@@ -246,17 +245,20 @@ def load_field(path):
 
         # a list, not an array of the header's size: a corrupt n_per_axis
         # must not allocate before the count check
-        values = []
-        for line_no, line in enumerate(fh, start=2):
-            txt = line.strip()
-            if not txt:
-                continue
-            if len(values) >= grid.n_points:
-                raise FieldLengthError(f"{path}: more values than the grid holds")
-            try:
-                values.append(float(txt))
-            except ValueError as exc:
-                raise FieldValueError(f"{path}:{line_no}: unparsable value") from exc
+        lines = list(map(str.strip, fh))
+        body = list(filter(None, lines))
+        try:
+            values = list(map(float, body[: grid.n_points]))
+        except ValueError:
+            # the first unparsable line lies among the first n_points values
+            for line_no, txt in enumerate(lines, start=2):
+                if txt:
+                    try:
+                        float(txt)
+                    except ValueError as exc:
+                        raise FieldValueError(f"{path}:{line_no}: unparsable value") from exc
+        if len(body) > grid.n_points:
+            raise FieldLengthError(f"{path}: more values than the grid holds")
         if len(values) != grid.n_points:
             raise FieldLengthError(
                 f"{path}: {len(values)} values for a grid of {grid.n_points}"

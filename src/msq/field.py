@@ -38,6 +38,7 @@ __all__ = [
     "lattice_centers",
     "flat_index",
     "offset_reads",
+    "ordered_sum",
     "offset_sums",
     "window_family",
     "window_rows",
@@ -364,6 +365,20 @@ def offset_reads(grid: Grid, a: np.ndarray, points: np.ndarray, offsets):
         yield flat[(ob @ steps)[:, None] + base]
 
 
+def ordered_sum(block: np.ndarray) -> np.ndarray:
+    """The sums of a (..., b, m) block down its rows (axis -2), added row
+    after row in row order, so that rows of exact zeros change nothing:
+    shape (..., m).  Each (b, m) plane must be C-contiguous."""
+    # numpy sums a (b, m >= 2) block down the rows one row at a time, but a
+    # single column pairwise, so that one is accumulated;
+    # test_offset_sums_sequential and test_ordered_sum_row_order pin both.
+    # np.add.accumulate down the rows adds in order for any m, but takes
+    # about ten times as long per (16, 2048) block.
+    if block.shape[-1] > 1:
+        return block.sum(axis=-2)
+    return np.add.accumulate(block[..., 0], axis=-1)[..., -1:]
+
+
 def offset_sums(grid: Grid, a: np.ndarray, points: np.ndarray, offsets, center,
                 term) -> np.ndarray:
     """Sum over the offset rows o of term(a[x + o] - center[x]) at the
@@ -376,12 +391,7 @@ def offset_sums(grid: Grid, a: np.ndarray, points: np.ndarray, offsets, center,
         block = term(np.subtract(block, center, out=block), slice(lo, lo + len(block)))
         lo += len(block)
         block[0] += acc
-        # numpy sums a (b, m >= 2) block down axis 0 row by row, but a
-        # single column pairwise, so that one is accumulated;
-        # test_offset_sums_sequential pins both.  np.add.accumulate over
-        # axis 0 adds in order for any m, but takes about ten times as long
-        # per (16, 2048) block.
-        acc = block.sum(axis=0) if block.shape[1] > 1 else np.add.accumulate(block[:, 0])[-1:]
+        acc = ordered_sum(block)
     return acc
 
 

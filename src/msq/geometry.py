@@ -6,9 +6,12 @@ the optimal plane passes through the weighted centroid of the ball and is
 spanned by the top-k eigenvectors of the weighted second-moment matrix, so
 the squared number is the sum of the D-k smallest eigenvalues divided by
 r^2 times the ball weight.  No iterative plane search is involved.
-beta2k takes one radius or an array of them; the array form selects every
-ball from one squared-distance pass and solves all of them in one stacked
-eigh, which is how the graph bridge asks for a center's whole ladder.
+beta2k takes one cloud or a stack of equal-sized clouds, and one radius or
+an array of them.  It selects every ball from one squared-distance pass,
+sums the moments over the points in point order and solves all the balls
+in one stacked eigh, so a stack gives each cloud the betas of its own
+call.  The graph bridge lifts blocks of centers and makes one call per
+block over the whole ladder.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ import numpy as np
 
 from .coeffs import ScaleLadder, coefficient_matrix
 from .corpus import FieldLengthError, FieldValueError
-from .field import NumericError, SampledField, flat_index, lattice_centers, offset_components
+from . import field as field_mod
+from .field import (
+    NumericError, SampledField, flat_index, lattice_centers, offset_components, ordered_sum,
+)
 from .spectral import spectral_gradient
 
 __all__ = [
@@ -35,28 +41,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Weighted points in ambient dimension D >= 2."""
+    """Weighted points in ambient dimension D >= 2: one cloud, or a stack of
+    B clouds of N points each."""
 
-    points: np.ndarray   # (N, D)
-    weights: np.ndarray  # (N,) strictly positive
+    points: np.ndarray   # (N, D), or (B, N, D) for a stack
+    weights: np.ndarray  # (N,), or (B, N) for a stack; strictly positive
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] < 2:
-            raise ValueError("points must be an (N, D) array with D >= 2")
+        pts = np.asarray(self.points, dtype=float)
+        pts = pts if pts.ndim == 3 else np.atleast_2d(pts)
+        if pts.ndim not in (2, 3) or pts.shape[-1] < 2:
+            raise ValueError("points must be an (N, D) or (B, N, D) array with D >= 2")
         if not np.all(np.isfinite(pts)):
             raise ValueError("point coordinates must be finite")
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.shape[0] != pts.shape[0]:
-            raise ValueError("weights length does not match point count")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0) or w.sum() <= 0:
+        w = np.asarray(self.weights, dtype=float)
+        w = w.reshape(-1) if pts.ndim == 2 else w
+        if w.shape != pts.shape[:-1]:
+            raise ValueError("weights shape does not match the points")
+        if not np.all(np.isfinite(w)) or np.any(w <= 0) or not np.all(w.sum(axis=-1) > 0):
             raise ValueError("weights must be finite and strictly positive")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
     @property
     def ambient_dim(self) -> int:
-        return self.points.shape[1]
+        return self.points.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -85,13 +94,27 @@ class GraphBridgeReport:
 def beta2k(cloud: PointCloud, center, r, k: int):
     """Best normalized RMS distance to an affine k-plane over the ball.
 
-    With a scalar radius r, returns (beta, PlaneFit) and raises
-    NumericError for a ball of fewer than k + 1 points.  With a 1-d array
-    of radii, returns the array of their betas, NaN where the ball holds
-    fewer than k + 1 points: one squared-distance pass and one stacked
-    eigh serve every radius, and each beta equals (==) the scalar call's.
-    Ties between eigenvalues are resolved by the solver's ordering; beta
-    itself depends only on eigenvalue sums.
+    With one cloud and a scalar radius r, returns (beta, PlaneFit) and
+    raises NumericError for a ball of fewer than k + 1 points.  With a 1-d
+    array of radii, returns their betas, NaN where the ball holds fewer
+    than k + 1 points; a stack of B clouds, all about the one center,
+    returns the (B, L) betas over L radii (shape (B,) for a scalar r).
+
+    One arithmetic serves every form, so each beta equals (==) the call on
+    its cloud alone, with any radius, and with any points added outside
+    its ball: the coordinates are laid out (N, B), every moment is summed
+    over the points in point order (field.ordered_sum), where a point
+    outside the ball adds exact zeros, and the rows that no cloud selects
+    are dropped first.  The centered second moments of every ball go to
+    one stacked eigh.  Ties between eigenvalues are resolved by the
+    solver's ordering; beta itself depends only on eigenvalue sums.
+
+    Conditioning: beta ~ sqrt(lambda_min), and eigenvalues below
+    64 eps lambda_max are set to zero, so on a nearly flat ball beta
+    carries a roundoff of order eps / beta.  Two summation orders of the
+    moments differed by up to 4.9e-10 absolute on 2-d n=128 smooth_bump
+    graph balls; a tolerance on beta of that size holds only between
+    computations that share this arithmetic.
     """
     D = cloud.ambient_dim
     if not (1 <= k <= D - 1):
@@ -104,41 +127,68 @@ def beta2k(cloud: PointCloud, center, r, k: int):
     center = np.asarray(center, dtype=float).reshape(-1)
     if center.shape[0] != D:
         raise ValueError("center dimension does not match the cloud")
-    d2 = np.sum((cloud.points - center) ** 2, axis=1)
+    stacked = cloud.points.ndim == 3
+    pts = cloud.points if stacked else cloud.points[None]
+    data = np.ascontiguousarray(pts.transpose(2, 1, 0))  # (D, N, B)
+    w = np.ascontiguousarray(cloud.weights.reshape(pts.shape[:2]).T)  # (N, B)
+    d2 = (data[0] - center[0]) ** 2
+    for a in range(1, D):
+        d2 += (data[a] - center[a]) ** 2
     each = np.atleast_1d(radii)
-    betas = np.full(each.size, np.nan)
+    B = pts.shape[0]
+    betas = np.full((each.size, B), np.nan)
     full, sizes, moments = [], [], []
+    # one work array serves every radius, as (n, B) planes over the n rows
+    # that some ball selects: the weights ws (0 outside each ball), ws * x,
+    # which becomes the centered c, x, which becomes ws * c, and the terms
+    # of one moment
+    top = each.max()
+    widest = int(np.count_nonzero((d2 < top * top).any(axis=1)))
+    work = np.empty((2 + 2 * D, widest, B))
     for j, rj in enumerate(each.tolist()):
         sel = d2 < rj * rj
-        pts, w = cloud.points[sel], cloud.weights[sel]
-        if pts.shape[0] < k + 1:
-            if radii.ndim == 0:
-                raise NumericError(
-                    f"ball at {center.tolist()} radius {rj} holds "
-                    f"{pts.shape[0]} points; need at least {k + 1}"
-                )
+        ok = np.count_nonzero(sel, axis=0) >= k + 1
+        if not stacked and radii.ndim == 0 and not ok[0]:
+            raise NumericError(
+                f"ball at {center.tolist()} radius {rj} holds "
+                f"{np.count_nonzero(sel)} points; need at least {k + 1}"
+            )
+        if not ok.any():
             continue
-        W = w.sum()
-        centroid = (w @ pts) / W
-        c = pts - centroid
-        full.append(j)
+        rows = sel.any(axis=1)
+        part = work[:, : np.count_nonzero(rows)]
+        ws, wx, x, term = part[0], part[1 : D + 1], part[D + 1 : 2 * D + 1], part[2 * D + 1]
+        np.multiply(w.compress(rows, axis=0), sel.compress(rows, axis=0), out=ws)
+        np.compress(rows, data, axis=1, out=x)
+        np.multiply(ws, x, out=wx)
+        total = ordered_sum(part[: D + 1])
+        W = np.where(ok, total[0], 1.0)
+        centroid = total[1:] / W
+        c = np.subtract(x, centroid[:, None], out=wx)
+        wc = np.multiply(ws, c, out=x)
+        ball = np.empty((B, D, D))
+        for a in range(D):
+            for b in range(a + 1):
+                ball[:, a, b] = ball[:, b, a] = ordered_sum(np.multiply(wc[a], c[b], out=term))
+        full.append((j, ok))
         sizes.append(W)
-        moments.append((c * w[:, None]).T @ c)
-    if not full:
-        return betas
-    evals, evecs = np.linalg.eigh(np.stack(moments))  # ascending, per radius
-    # eigenvalues below the solver's backward-error scale are numerical
-    # zeros; without the cutoff a perfectly flat cloud reports sqrt(eps)
-    floor = 64.0 * np.finfo(float).eps * np.maximum(np.abs(evals[:, :1]), np.abs(evals[:, -1:]))
-    evals = np.where(np.abs(evals) <= floor, 0.0, evals)
-    rf = each[full]
-    resid_sq = np.clip(evals[:, : D - k].sum(axis=1), 0.0, None) / (rf * rf * np.array(sizes))
-    betas[full] = np.sqrt(resid_sq)
+        moments.append(ball)
+    if full:
+        evals, evecs = np.linalg.eigh(np.concatenate(moments))  # ascending, per ball
+        # eigenvalues below the solver's backward-error scale are numerical
+        # zeros; without the cutoff a perfectly flat cloud reports sqrt(eps)
+        floor = 64.0 * np.finfo(float).eps * np.maximum(np.abs(evals[:, :1]), np.abs(evals[:, -1:]))
+        evals = np.where(np.abs(evals) <= floor, 0.0, evals)
+        lowest = np.clip(evals[:, : D - k].sum(axis=1), 0.0, None).reshape(len(full), B)
+        for (j, ok), W, low in zip(full, sizes, lowest):
+            betas[j, ok] = np.sqrt(low[ok] / (each[j] * each[j] * W[ok]))
+    if stacked:
+        return betas.T.reshape((B,) + radii.shape)
     if radii.ndim > 0:
-        return betas
-    beta = float(betas[0])
+        return betas[:, 0]
+    beta = float(betas[0, 0])
     basis = evecs[0][:, D - k :].T[::-1]  # leading directions first
-    return beta, PlaneFit(basepoint=centroid, orthonormal_basis=basis, residual=beta)
+    return beta, PlaneFit(basepoint=centroid[:, 0], orthonormal_basis=basis, residual=beta)
 
 
 def plane_residual(cloud: PointCloud, center, r: float, basepoint, basis) -> float:
@@ -225,20 +275,32 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
     nub = coefficient_matrix(field, ladder, "nu1").values[flat_index(grid, centers)]
 
     # The offsets of the widest candidate ball, in the row-major order of
-    # the chart rolled to the center; beta2k selects each radius's ball
-    # from the one cloud over them.
+    # the chart rolled to the center.  Blocks of centers, each about
+    # _BLOCK_VALUES lifted values, go to beta2k as one stacked cloud, which
+    # selects every radius's ball from it.  A center's rows are read from
+    # the flat indices tiled twice per axis, so c + step needs no wrap.
     top = radii.max()
     widest = udist_sq < top * top
     steps = np.argwhere(widest)
-    chart = [comp[widest] for comp in ucomp]
+    per_block = min(max(1, field_mod._BLOCK_VALUES // len(steps)), len(centers))
+    wide = (2 * grid.n_per_axis,) * dim
+    tiled = np.tile(np.arange(grid.n_points).reshape(grid.shape), (2,) * dim).reshape(-1)
+    shift = np.ravel_multi_index(tuple(steps.T), wide)
+    base = np.ravel_multi_index(tuple(centers.T), wide)
+    # one points array serves every block, laid out (dim + 1, K, B) as
+    # beta2k reads a stack: the chart, then each block's lift
+    points = np.empty((dim + 1, len(steps), per_block))
+    points[:dim] = np.stack([comp[widest] for comp in ucomp])[..., None]
 
     beta = np.empty((len(centers), radii.size))
     origin = np.zeros(dim + 1)
-    for i, c in enumerate(centers):
-        rows = flat_index(grid, c + steps)
-        lift = field.values[rows] - field.values[rows[0]]  # steps[0] is the zero offset
-        cloud = PointCloud(points=np.stack(chart + [lift], axis=1), weights=area[rows])
-        beta[i] = beta2k(cloud, origin, radii, k=dim)
+    for lo in range(0, len(centers), per_block):
+        rows = tiled[shift[:, None] + base[lo:lo + per_block]]  # (K, B)
+        block = points[..., : rows.shape[1]]
+        # rows[0] is the center: steps[0] is the zero offset
+        np.subtract(field.values[rows], field.values[rows[0]], out=block[dim])
+        cloud = PointCloud(points=block.transpose(2, 1, 0), weights=area[rows].T)
+        beta[lo:lo + per_block] = beta2k(cloud, origin, radii, k=dim)
 
     floor = 1e-12 * max(1.0, float(np.max(np.abs(field.values))))
     both = (beta > floor) & (nub > floor)

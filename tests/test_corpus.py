@@ -183,3 +183,32 @@ def test_log_singularity_is_finite_and_peaked():
     f = generate(CorpusSpec(family="log_singularity", grid=g))
     assert np.all(np.isfinite(f.values))
     assert f.values.argmax() in (128, 129)  # singular point sits between them
+
+
+def test_field_file_error_order(tmp_path):
+    # among the first n_points values the first unparsable line wins, with
+    # its line number counted over blank lines; past them, any further
+    # line, parsable or not, is one value too many
+    g = make_grid(1, 8, 1.0)
+    good = tmp_path / "good.fld"
+    save_field(SampledField(grid=g, values=np.arange(8.0)), good)
+    header, *values = good.read_text().split("\n")[:9]
+
+    def load(body):
+        p = tmp_path / "case.fld"
+        p.write_text("\n".join([header] + body) + "\n")
+        return load_field(p)
+
+    cases = [
+        (values[:2] + ["", "x"] + values[3:] + ["1.0"], FieldValueError, r"case\.fld:5: unparsable"),
+        (values[:6] + ["y", "z"] + ["1.0", "2.0"], FieldValueError, r"case\.fld:8: unparsable"),
+        (values + ["", "bad"], FieldLengthError, "more values than the grid holds"),
+        (values + ["3.0"], FieldLengthError, "more values than the grid holds"),
+        (values[:7] + ["", "  "], FieldLengthError, "7 values for a grid of 8"),
+        (values[:7] + ["w"], FieldValueError, r"case\.fld:9: unparsable"),
+    ]
+    for body, error, message in cases:
+        with pytest.raises(error, match=message):
+            load(body)
+    field, _ = load(["", *values, " ", ""])
+    assert field.values.tolist() == list(range(8))

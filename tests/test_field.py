@@ -20,6 +20,7 @@ from msq.field import (
     mollify,
     offset_reads,
     offset_sums,
+    ordered_sum,
     periodic_roll,
     sample,
 )
@@ -341,3 +342,20 @@ def test_offset_sums_sequential(block_values, monkeypatch):
         assert np.array_equal(got, ref)
         # the data tell the orders apart: a pairwise sum reads otherwise
         assert not np.array_equal([np.sum(t) for t in terms.T], ref)
+
+
+@pytest.mark.parametrize("shape", [(64, 1), (64, 2), (64, 5), (3, 64, 1), (3, 64, 4)])
+def test_ordered_sum_row_order(shape):
+    # ordered_sum adds the rows one at a time in row order, also for a
+    # single column and for a stack of blocks, so that rows of exact zeros
+    # inserted anywhere leave every sum unchanged
+    rng = np.random.default_rng(17)
+    block = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    ref = np.zeros(shape[:-2] + shape[-1:])
+    for i in range(shape[-2]):
+        ref += block[..., i, :]
+    assert np.array_equal(ordered_sum(block), ref)
+    padded = np.insert(block, [0, 7, 7, 64], 0.0, axis=-2)
+    assert np.array_equal(ordered_sum(padded), ref)
+    # the data tell the orders apart: a pairwise sum reads otherwise
+    assert not np.array_equal(np.ascontiguousarray(np.moveaxis(block, -2, -1)).sum(axis=-1), ref)

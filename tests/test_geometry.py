@@ -259,3 +259,71 @@ def test_beta2k_radius_array_validation():
         beta2k(cloud, np.zeros(2), np.array([2.0, np.nan]), k=1)
     with pytest.raises(ValueError, match="1-d"):
         beta2k(cloud, np.zeros(2), np.ones((2, 2)), k=1)
+
+
+def _stack_and_clouds():
+    # three clouds of 40 points about the origin in R^3 whose balls select
+    # different rows: radius 1.0 holds all of cloud 0, part of cloud 1
+    # and a single point of cloud 2 (a NaN cell)
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(-1.0, 1.0, (3, 40, 3)) * np.array([0.5, 1.2, 3.0])[:, None, None]
+    pts[2, 0] = [0.1, 0.0, 0.2]
+    pts[2, 1:] = 2.0 + np.abs(pts[2, 1:])
+    weights = rng.uniform(0.2, 2.0, (3, 40))
+    clouds = [PointCloud(points=p, weights=w) for p, w in zip(pts, weights)]
+    return PointCloud(points=pts, weights=weights), clouds
+
+
+def test_beta2k_stack_matches_per_cloud_calls():
+    # every cell of a stacked call equals (==) the call on its cloud alone,
+    # and a stack of one cloud equals that cloud
+    stack, clouds = _stack_and_clouds()
+    radii = np.array([6.0, 1.0, 0.45])
+    origin = np.zeros(3)
+    got = beta2k(stack, origin, radii, k=2)
+    assert got.shape == (3, 3)
+    want = np.stack([beta2k(c, origin, radii, k=2) for c in clouds])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.isnan(got[2, 1])
+    assert got[~np.isnan(got)].tolist() == want[~np.isnan(want)].tolist()
+    for i, c in enumerate(clouds):
+        for j, r in enumerate(radii.tolist()):
+            if not np.isnan(want[i, j]):
+                assert beta2k(c, origin, r, k=2)[0] == got[i, j]
+    one = PointCloud(points=stack.points[1:2], weights=stack.weights[1:2])
+    assert np.array_equal(beta2k(one, origin, radii, k=2), want[1:2], equal_nan=True)
+    assert beta2k(stack, origin, 1.0, k=2).shape == (3,)
+
+
+def test_stacked_cloud_validation():
+    stack, _ = _stack_and_clouds()
+    pts, w = stack.points.copy(), stack.weights.copy()
+    pts[1, 7, 2] = np.nan
+    with pytest.raises(ValueError, match="point coordinates must be finite"):
+        PointCloud(points=pts, weights=w)
+    w[2, 3] = 0.0
+    with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
+        PointCloud(points=stack.points, weights=w)
+    for bad in (stack.weights[:, :-1], stack.weights[0], stack.weights[:2]):
+        with pytest.raises(ValueError, match="weights shape"):
+            PointCloud(points=stack.points, weights=bad)
+    with pytest.raises(ValueError, match="D >= 2"):
+        PointCloud(points=np.zeros((2, 5, 1)), weights=np.ones((2, 5)))
+
+
+@pytest.mark.parametrize("D, k", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_beta2k_matches_singular_values(D, k):
+    # an oracle outside beta2k's arithmetic: the D - k smallest singular
+    # values of the weighted centered points of the ball
+    rng = np.random.default_rng(31 + D + k)
+    for _ in range(5):
+        pts = rng.standard_normal((300, D)) * rng.uniform(0.2, 3.0, D)
+        w = rng.uniform(0.1, 5.0, 300)
+        center, r = rng.standard_normal(D) * 0.3, rng.uniform(1.0, 3.0)
+        inside = np.sum((pts - center) ** 2, axis=1) < r * r
+        p, wi = pts[inside], w[inside]
+        sv = np.linalg.svd(np.sqrt(wi)[:, None] * (p - np.average(p, axis=0, weights=wi)),
+                           compute_uv=False)
+        want = np.sqrt(np.sum(sv[k:] ** 2) / (r * r * wi.sum()))
+        got, _ = beta2k(PointCloud(points=pts, weights=w), center, r, k=k)
+        assert got == pytest.approx(want, rel=1e-12)
