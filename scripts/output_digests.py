@@ -13,10 +13,13 @@ both orders with CSV output, 1-d and 2-d bmo with CSV output at strides 1,
 single-column sum), 1-d bmo over radii given out of order with one
 repeated (the report's row order), 2-d strichartz over two given sides at stride 16 and,
 second order, over the default sides at stride 8 on the smooth bump, the
-nu0 and nu1_tilde matrices of the 1-d smooth field (most entries
-recomputed directly), one sqfn run from a --config file with a flag that
-overrides it, and 1-d and 2-d log_singularity fields with their fractional
-derivatives.
+nu0 and nu1_tilde matrices of the 1-d n=128 smooth field (the float route
+rejects most entries, and on so small a grid every rejected level is
+shorter to sum directly than to take the exact route, so those entries are
+recomputed directly), the nu1 and nu1_bar matrices of the 2-d n=64 smooth
+bump (whose upper levels take the exact route), one sqfn run from a
+--config file with a flag that overrides it, and 1-d and 2-d
+log_singularity fields with their fractional derivatives.
 
 It checks that a change keeps the CLI outputs byte-identical.  The outputs
 embed the input paths, so run the old and the new code into the same
@@ -27,7 +30,7 @@ OUTDIR, with each checkout's ``src`` on the import path, and compare:
     diff old.txt new.txt
 
 A command that exits nonzero is named on stderr, and the script then
-exits 1.  The set writes 74 files and runs in about 5 s on a 2-core host.
+exits 1.  The set writes 78 files and runs in about 5 s on a 2-core host.
 """
 
 import hashlib
@@ -106,6 +109,8 @@ def commands(p):
                   "--stride", "8", "--out-json", p("st_s8.json"), "--out-csv", p("st_s8.csv")])
     for kind in ("nu0", "nu1_tilde"):
         walks.append(["coeffs", "--field", smooth, "--kind", kind, "--out", p(f"smooth_{kind}.csv")])
+    for kind in ("nu1", "nu1_bar"):
+        walks.append(["coeffs", "--field", bump2, "--kind", kind, "--out", p(f"bump2_{kind}.csv")])
     walks.append(["sqfn", "--config", p("sqfn.cfg"), "--field", fld, "--stride", "8",
                   "--out-json", p("sq_cfg.json")])
     logs = []

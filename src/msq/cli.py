@@ -228,6 +228,9 @@ def _cmd_bmo(args):
     _require(args, ["field", "out_json"])
     field, _ = corpus_mod.load_field(args.field)
     if args.radii:
+        if args.top_radius is not None or args.levels is not None:
+            raise UsageError("--radii replaces the ladder; give it without --top-radius "
+                             "and --levels")
         radii = _float_list(args.radii, "radii")
     else:
         radii = [float(r) for r in _ladder_for(field.grid, args).radii]
@@ -247,8 +250,8 @@ def _cmd_strichartz(args):
     cubes = bmo_mod.make_cube_family(field.grid, sides=sides, stride=args.stride)
     strichartz = bmo_mod.strichartz_first if args.order == "first" else bmo_mod.strichartz_second
     report = strichartz(field, args.alpha, cubes)
-    # the JSON leaves out the per-side fallback counts, as the coeffs
-    # metadata file leaves out the per-level ones
+    # the JSON leaves out the per-side fallback counts (the coeffs metadata
+    # file, in contrast, keeps the per-level ones)
     metadata = {k: v for k, v in report.metadata.items() if k != "fallback_counts"}
     _write_report(args, ["field", "alpha", "order", "sides", "stride"],
                   metadata, {"B": report.B},

@@ -312,6 +312,12 @@ def flat_index(grid: Grid, center):
 # more.  The gather from the padded copy would read them as well; this
 # branch is kept only because perfbench/layers.REQUIRED_COUNTS requires
 # np.roll calls on every workload, and these are reports-2d's only ones.
+# Counted over its five commands on the 2-d n=128 riesz_of_noise(1.3) field
+# of seed 5, all 180 come from coefficient_matrix's direct sums on the
+# bottom level (45 points, one roll per offset): 16,083 rejected rows for
+# nu1 (in coeffs, and again in compare), 16,042 for nu1_bar (sqfn) and
+# 9,445 for nu0 (compare).  That level keeps the direct sum rather than the
+# exact route, because the sum is the shorter of the two there.
 _GATHER_SHARE = 4
 # _BLOCK_VALUES: offset_reads yields blocks of about this many values (256
 # KB), so that each numpy call reduces many offsets at once.

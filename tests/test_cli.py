@@ -70,6 +70,17 @@ def test_coeffs_csv_shape_and_determinism(bump_file, tmp_path):
     assert meta["config"]["format_version"] == "1"
 
 
+def test_coeffs_metadata_keeps_fallback_counts_routes_and_margins(bump_file, tmp_path):
+    # the metadata file records the per-level diagnostics of the matrix; at
+    # 1-d n=256 no smooth_bump level pays for the exact route
+    out = tmp_path / "m.csv"
+    assert run(["coeffs", "--field", str(bump_file), "--kind", "nu1", "--out", str(out)]) == EXIT_OK
+    meta = json.loads((tmp_path / "m.csv.json").read_text())["metadata"]
+    assert meta["fallback_counts"] == [221, 256, 256, 256, 256]
+    assert meta["routes"] == ["float"] * 5
+    assert meta["margins"][0] > 1.0 and meta["margins"][1:] == [None] * 4
+
+
 def test_coeffs_constant_field_zero_column(tmp_path):
     fld = tmp_path / "c.fld"
     assert run(["generate", "--family", "sinusoid", "--frequency", "1", "--n", "64",
@@ -182,7 +193,10 @@ def test_bmo_radius_out_of_range_usage_error(cusp_file, tmp_path, capsys, radius
      "cube side nan is not finite"),
     (["strichartz", "--alpha", "0.5", "--order", "second", "--sides", "inf"],
      "cube side inf is not finite"),
-], ids=["bmo-nan", "strichartz-nan", "strichartz-inf"])
+    # an unused ladder flag would be echoed into the JSON config as NaN
+    (["bmo", "--radii", "0.25", "--top-radius", "nan"],
+     "--radii replaces the ladder; give it without --top-radius and --levels"),
+], ids=["bmo-nan", "strichartz-nan", "strichartz-inf", "bmo-radii-top-radius-nan"])
 def test_non_finite_window_size_usage_error(cusp_file, tmp_path, capsys, argv, message):
     out = tmp_path / "r.json"
     with warnings.catch_warnings(record=True) as caught:

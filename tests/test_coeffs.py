@@ -1,4 +1,6 @@
 import io
+import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from msq.coeffs import (
     residual_for_constant,
     write_matrix_csv,
 )
+from msq.corpus import CorpusSpec
 from msq.corpus import generate as corpus_generate
 from msq.experiments import default_specs
 from msq.field import (
@@ -355,3 +358,143 @@ def test_exact_blocks_fall_back_to_roundoff():
                 want = _window_op(kind, f, BallWindow(center=(c,), radius=float(r)))
                 assert want < 1e-12
                 assert abs(mat.values[c, j] - want) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the exact route: integer slices and double-double moments
+
+
+def _exact_levels(field, lad, kind):
+    """The float-route levels of a matrix and, per level, the exact route's."""
+    g = field.grid
+    fc = field.shaped - field.values.mean()
+    levels = list(_moment_levels(fc, g, lad.radii, kind))
+    exact = coeffs_mod._ExactMoments(fc, g)
+    return fc, levels, [exact.level(level, kind) for level in levels]
+
+
+def _fraction_square_sum(grid, fc, mask, row, kind, level):
+    """The residual square sum at one center in exact rational arithmetic:
+    against the level's float competitors, or, for nu0 and nu1, against the
+    exact window mean and least-squares slopes."""
+    center = np.array(np.unravel_index(row, grid.shape))
+    offs = np.argwhere(mask)
+    vals = [Fraction(v) for v in fc.reshape(-1)[flat_index(grid, center + offs)].tolist()]
+    u = [[Fraction(x) for x in col] for col in masked_offsets(grid, mask).T.tolist()]
+    if kind in ("nu0", "nu1"):
+        A = sum(vals) / len(vals)
+        B = [sum(ui * (v - A) for ui, v in zip(u_i, vals)) / sum(ui * ui for ui in u_i)
+             for u_i in u] if kind == "nu1" else []
+    else:
+        A = Fraction(float(level.A.reshape(-1)[row]))
+        B = [Fraction(float(b.reshape(-1)[row])) for b in level.B or ()]
+    total = Fraction(0)
+    for k, v in enumerate(vals):
+        res = v - A - sum((B_i * u_i[k] for B_i, u_i in zip(B, u)), Fraction(0))
+        total += res * res
+    return total
+
+
+@pytest.mark.parametrize("dim, n, period", [(1, 1024, 1.0), (2, 32, 1.0), (1, 256, 0.3)])
+def test_exact_route_matches_fraction_residuals(dim, n, period):
+    # a period of 0.3 makes u = j h round, which the bound must cover too
+    g = make_grid(dim, n, period)
+    lad = make_ladder(g)
+    rng = np.random.default_rng(17)
+    for spec in default_specs(g):
+        field = corpus_generate(spec)
+        for kind in KINDS:
+            fc, levels, exact = _exact_levels(field, lad, kind)
+            for level, ex in zip(levels, exact):
+                assert ex is not None
+                nu, rejected = coeffs_mod._certify(ex, np.abs(fc).max())
+                for row in rng.choice(g.n_points, size=2, replace=False).tolist():
+                    want = _fraction_square_sum(g, fc, level.mask, row, kind, level)
+                    err = abs(ex.q.reshape(-1)[row] - want)
+                    assert err <= ex.delta.reshape(-1)[row], (spec.family, kind, level.r)
+                    if not rejected[row]:
+                        true_nu = np.sqrt(float(want) / level.count) / level.r
+                        assert abs(nu[row] - true_nu) <= 1e-13 * max(1.0, true_nu)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1024), (2, 32)])
+def test_exact_route_matches_direct_accumulation(dim, n, monkeypatch):
+    # with _EXACT_COST = 0 every level that rejects an entry takes the exact
+    # route; each entry it certifies must agree with the direct sum
+    g = make_grid(dim, n, 1.0)
+    lad = make_ladder(g)
+    for spec in default_specs(g):
+        field = corpus_generate(spec)
+        for kind in KINDS:
+            direct = _direct_matrix(field, lad, kind, monkeypatch)
+            with monkeypatch.context() as m:
+                m.setattr(coeffs_mod, "_EXACT_COST", 0)
+                mat = coefficient_matrix(field, lad, kind)
+            assert "exact" in mat.routes or sum(mat.fallback_counts) == 0
+            err = np.abs(mat.values - direct)
+            assert np.all(err <= 1e-12 * np.maximum(1.0, direct)), (spec.family, kind)
+
+
+def test_exact_route_keeps_blocks_at_roundoff(monkeypatch):
+    # the blocks of test_exact_blocks_fall_back_to_roundoff, now certified
+    # by the exact route: q cancels to double-double roundoff, so a constant
+    # (nu0, nu0_tilde) or affine (nu1) block stays at roundoff
+    g = make_grid(1, 1024, 1.0)
+    x = np.arange(1024) * g.spacing
+    noise = np.random.default_rng(5).standard_normal(1024)
+    block = (x >= 0.25) & (x < 0.75)
+    lad = make_ladder(g)
+    inner = [c for c in range(1024) if 0.5 - 0.2 <= x[c] <= 0.5 + 0.2]
+    monkeypatch.setattr(coeffs_mod, "_EXACT_COST", 0)
+    for kind, inside in (("nu0", 2.0), ("nu0_tilde", 2.0), ("nu1", 1.5 * x - 0.3)):
+        f = SampledField(grid=g, values=np.where(block, inside, noise))
+        mat = coefficient_matrix(f, lad, kind)
+        meta = matrix_metadata(mat)
+        for j, r in enumerate(lad.radii):
+            if r > 0.05:
+                continue  # the ball leaves the block
+            assert meta["routes"][j] == "exact"
+            for c in inner[::16]:
+                want = _window_op(kind, f, BallWindow(center=(c,), radius=float(r)))
+                assert want < 1e-12
+                assert mat.values[c, j] < 1e-12
+                assert abs(mat.values[c, j] - want) < 1e-12
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2048), (2, 64)])
+def test_float_route_levels_bit_for_bit(dim, n):
+    # every entry the float route certifies is its sqrt(q / count) / r, bit
+    # for bit: the exact route only touches the entries the float route
+    # rejects
+    g = make_grid(dim, n, 1.0)
+    lad = make_ladder(g)
+    field = corpus_generate(CorpusSpec(family="riesz_of_noise", grid=g, alpha=1.3, seed=5))
+    fc = field.shaped - field.values.mean()
+    for kind in ("nu0", "nu1", "nu1_bar"):
+        mat = coefficient_matrix(field, lad, kind)
+        assert "float" in mat.routes
+        for j, level in enumerate(_moment_levels(fc, g, lad.radii, kind)):
+            nu, rejected = coeffs_mod._certify(level, np.abs(fc).max())
+            want = np.sqrt(np.maximum(level.q, 0.0) / level.count).reshape(-1) / level.r
+            assert np.array_equal(nu, want)
+            assert np.array_equal(mat.values[~rejected, j], nu[~rejected])
+            if mat.routes[j] == "float":
+                assert mat.fallback_counts[j] == np.count_nonzero(rejected)
+
+
+def test_matrix_metadata_records_routes_and_margins():
+    g = make_grid(1, 2048, 1.0)
+    lad = make_ladder(g)
+    for family in ("smooth_bump", "riesz_of_noise"):
+        spec = CorpusSpec(family=family, grid=g, alpha=1.3, seed=5)
+        meta = matrix_metadata(coefficient_matrix(corpus_generate(spec), lad, "nu1"))
+        assert len(meta["routes"]) == len(meta["margins"]) == lad.levels
+        assert set(meta["routes"]) <= {"float", "exact"}
+        assert ("exact" in meta["routes"]) == (family == "smooth_bump")
+        for margin in meta["margins"]:
+            assert margin is None or margin >= 0.0
+        json.dumps(meta, allow_nan=False)
+    const = SampledField(grid=g, values=np.full(g.n_points, 3.0))
+    meta = matrix_metadata(coefficient_matrix(const, lad, "nu0"))
+    assert meta["routes"] == ["constant"] * lad.levels
+    assert meta["margins"] == [None] * lad.levels
