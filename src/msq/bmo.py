@@ -265,8 +265,9 @@ _EPS = float(np.finfo(float).eps)
 _FORM_FFT_C = 16.0
 # _FORM_SUM_C: the products v^2 W and v (K*v), their pairwise sums over a
 # cube of m^d <= 2^20 points, A - B, and the near part's at most 12
-# pairwise-summed rows of positive terms added in turn: gamma_40 (sum v^2 W
-# + sum |v (K*v)| + near) bounds them (Higham, Sec. 4.2).
+# pairwise-summed rows of positive terms, added by one correctly rounded
+# fsum: gamma_40 (sum v^2 W + sum |v (K*v)| + near) bounds them (Higham,
+# Sec. 4.2).
 _FORM_SUM_C = 40.0
 # _FORM_TAU: a cube's value sqrt(c sum) errs by about delta / (2 sum)
 # relative, and a cube is certified when that stays below tau.  The tests
@@ -333,18 +334,18 @@ def _first_difference_fft(values: np.ndarray, form, near_terms) -> tuple:
 
 
 def _stack_totals(v: np.ndarray, terms, order: str) -> np.ndarray:
-    """Difference sum of each cube of a (k, m, ..., m) stack, term by term
-    in table order.  Each cube's block is summed on its own, in numpy's
-    pairwise order, so every total equals that of a one-cube stack."""
+    """Difference sum of each cube of a (k, m, ..., m) stack.  Each offset
+    row's block of a cube is summed on its own, in numpy's pairwise order,
+    and a cube's row sums are added by one correctly rounded math.fsum, so
+    every total equals that of a one-cube stack."""
     k = len(v)
-    total = np.zeros(k)
     if order == "first_difference":
-        for w, plus, x in terms:
-            total += 2.0 * w * ((v[plus] - v[x]) ** 2).reshape(k, -1).sum(axis=1)
+        rows = [2.0 * w * ((v[plus] - v[x]) ** 2).reshape(k, -1).sum(axis=1)
+                for w, plus, x in terms]
     else:
-        for w, x, plus, minus in terms:
-            total += 2.0 * w * ((2.0 * v[x] - v[plus] - v[minus]) ** 2).reshape(k, -1).sum(axis=1)
-    return total
+        rows = [2.0 * w * ((2.0 * v[x] - v[plus] - v[minus]) ** 2).reshape(k, -1).sum(axis=1)
+                for w, x, plus, minus in terms]
+    return np.array([math.fsum(cube) for cube in np.reshape(rows, (-1, k)).T.tolist()])
 
 
 def _strichartz(field, alpha, cubes, order: str, alpha_hi: float) -> StrichartzReport:

@@ -25,7 +25,7 @@ from . import coeffs as coeffs_mod
 from . import corpus as corpus_mod
 from . import geometry as geometry_mod
 from . import spectral as spectral_mod
-from .field import NumericError, make_grid, table_columns, window_rows
+from .field import NumericError, lattice_centers, make_grid, table_columns, window_rows
 
 FORMAT_VERSION = "1"
 
@@ -55,15 +55,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    corpus_mod.atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _effective_config(args, keys) -> dict:
@@ -163,11 +156,8 @@ def _cmd_coeffs(args):
     field, _ = corpus_mod.load_field(args.field)
     ladder = _ladder_for(field.grid, args)
     matrix = coeffs_mod.coefficient_matrix(field, ladder, args.kind)
-    import io
-
-    buf = io.StringIO()
-    coeffs_mod.write_matrix_csv(matrix, buf)
-    _atomic_write(args.out, buf.getvalue())
+    table = table_columns(lattice_centers(field.grid), ladder.radii, matrix.values)
+    _write_rows_csv(args.out, *_window_table(["radius", "value"], *table))
     meta_path = args.meta if args.meta else args.out + ".json"
     payload = {
         "config": _effective_config(args, ["field", "kind", "top_radius", "levels", "out"]),
@@ -180,13 +170,16 @@ def _cmd_coeffs(args):
 def _write_rows_csv(path: str, names, columns) -> None:
     """Header, then one line per row of the parallel 1-d column arrays:
     integer columns (center indices, k) in decimal, every other column as
-    its shortest round-trip float, formatted 4096 rows at a time."""
-    lines = [",".join(names)]
-    for lo in range(0, len(columns[0]), 4096):
-        cells = [map(str if col.dtype.kind in "iu" else repr, col[lo:lo + 4096].tolist())
-                 for col in columns]
-        lines.extend(map(",".join, zip(*cells)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    its shortest round-trip float, formatted and written 4096 rows at a
+    time, so that a long table is never held as text at once."""
+    def chunks():
+        yield ",".join(names) + "\n"
+        for lo in range(0, len(columns[0]), 4096):
+            cells = [map(str if col.dtype.kind in "iu" else repr, col[lo:lo + 4096].tolist())
+                     for col in columns]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    corpus_mod.atomic_write(path, chunks())
 
 
 def _window_table(names, centers, sizes, *values):
@@ -250,11 +243,8 @@ def _cmd_strichartz(args):
     cubes = bmo_mod.make_cube_family(field.grid, sides=sides, stride=args.stride)
     strichartz = bmo_mod.strichartz_first if args.order == "first" else bmo_mod.strichartz_second
     report = strichartz(field, args.alpha, cubes)
-    # the JSON leaves out the per-side fallback counts (the coeffs metadata
-    # file, in contrast, keeps the per-level ones)
-    metadata = {k: v for k, v in report.metadata.items() if k != "fallback_counts"}
     _write_report(args, ["field", "alpha", "order", "sides", "stride"],
-                  metadata, {"B": report.B},
+                  report.metadata, {"B": report.B},
                   "per_cube", ["side", "value"], (report.centers, report.sizes, report.values))
     return EXIT_OK
 

@@ -40,7 +40,6 @@ from .field import (
     annulus_mask,
     ball_mask,
     flat_index,
-    lattice_centers,
     masked_offsets,
     mollify,
     offset_components,
@@ -61,7 +60,6 @@ __all__ = [
     "residual_for_constant",
     "residual_for_affine",
     "coefficient_matrix",
-    "write_matrix_csv",
     "matrix_metadata",
 ]
 
@@ -693,17 +691,6 @@ def _direct_square_sums(grid, fc, A, B, mask, rows) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def write_matrix_csv(matrix: CoefficientMatrix, fh) -> None:
-    """Flat CSV, one row per (center, radius), center-major ordering."""
-    grid = matrix.grid
-    cols = [f"center_index_{k}" for k in range(grid.dim)] + ["radius", "value"]
-    fh.write(",".join(cols) + "\n")
-    radii = [f",{float(r)!r}," for r in matrix.ladder.radii]
-    for ci, row in zip(lattice_centers(grid), matrix.values):
-        prefix = ",".join(map(str, ci.tolist()))
-        fh.write("".join(f"{prefix}{r}{v!r}\n" for r, v in zip(radii, row.tolist())))
 
 
 def matrix_metadata(matrix: CoefficientMatrix) -> dict:

@@ -19,6 +19,7 @@ per line in row-major order using shortest round-trip decimals.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "FieldValueError",
     "generate",
     "expected_regularity",
+    "atomic_write",
     "save_field",
     "load_field",
     "riesz_kernel_difference",
@@ -197,8 +199,20 @@ def expected_regularity(spec: CorpusSpec) -> RegularityTag:
 # persistence
 
 
+def atomic_write(path, chunks) -> None:
+    """Write the strings of chunks, in order, to a .tmp sibling of path and
+    move it over path, so that a write cut short never leaves a truncated
+    target.  The one writer of every file msq writes."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.writelines(chunks)
+    os.replace(tmp, path)
+
+
 def save_field(field: SampledField, path, extra: dict = None) -> None:
-    """Write the header line and one shortest-round-trip value per line."""
+    """Write the header line and one shortest-round-trip value per line,
+    atomically."""
     grid = field.grid
     items = {
         "dim": grid.dim,
@@ -211,8 +225,7 @@ def save_field(field: SampledField, path, extra: dict = None) -> None:
     header = f"{FORMAT_MAGIC} v{FORMAT_VERSION} " + " ".join(
         f"{k}={v}" for k, v in items.items()
     )
-    with open(path, "w") as fh:
-        fh.write("\n".join([header, *map(repr, field.values.tolist())]) + "\n")
+    atomic_write(path, ["\n".join([header, *map(repr, field.values.tolist())]) + "\n"])
 
 
 def load_field(path):

@@ -386,16 +386,16 @@ def test_non_finite_window_size_rejected(rough_field_1d, size):
 
 def _one_cube_value(f, cube, alpha, order):
     """A cube's normalized difference sum as one cube alone is summed: each
-    offset's block by np.sum, accumulated in Python floats in table order."""
+    offset's block by np.sum, the block sums added by math.fsum."""
     g = f.grid
     d, h, m = g.dim, g.spacing, cube.points_per_axis(g)
     v = f.shaped[np.ix_(*[(np.arange(m) + c - m // 2) % g.n_per_axis for c in cube.center])]
-    total = 0.0
+    rows = []
     for w, *reads in bmo_mod._difference_terms(m, d, h, d + 2.0 * alpha, order):
         a = [v[None][r] for r in reads]
         diff = a[0] - a[1] if len(a) == 2 else 2.0 * a[0] - a[1] - a[2]
-        total += 2.0 * w * float(np.sum(diff ** 2))
-    return math.sqrt(h ** (2 * d) * total / cube.side ** d)
+        rows.append(2.0 * w * float(np.sum(diff ** 2)))
+    return math.sqrt(h ** (2 * d) * math.fsum(rows) / cube.side ** d)
 
 
 @pytest.mark.parametrize("stack_points", [None, 100])
@@ -479,6 +479,30 @@ def test_first_difference_form_error_within_its_bound(dim, n, points):
                     exact = _exact_first_total(v, h, expo)
                     assert abs(Fraction(t) - exact) <= Fraction(bound) / 4, (spec, m)
                     assert (bound == 0.0) == (exact == 0) == (v.max() == v.min())
+
+
+def test_direct_totals_within_eps_of_the_exact_sum():
+    # the direct route (the fallback and oracle of the FFT form) adds each
+    # cube's offset-row sums by one fsum: on two m=64 cubes of a rough
+    # 2-d n=128 field, with 8,064 first-difference and 1,984
+    # second-difference rows, every total lies within 1e-15 relative of the
+    # correctly rounded sum of all its float terms (accumulating the rows
+    # one after another erred by up to 4.9e-15)
+    g = make_grid(2, 128, 1.0)
+    h, m = g.spacing, 64
+    f = generate(CorpusSpec(family="riesz_of_noise", grid=g, alpha=0.8, seed=11))
+    stack = _cube_stack(f, [(32, 32), (96, 32)], m)
+    for order in ("first_difference", "second_difference"):
+        terms = list(bmo_mod._difference_terms(m, 2, h, 3.0, order))
+        totals = bmo_mod._stack_totals(stack, terms, order).tolist()
+        for v, total in zip(stack, totals):
+            def point_terms():
+                for w, *reads in terms:
+                    a = [v[None][r] for r in reads]
+                    diff = a[0] - a[1] if len(a) == 2 else 2.0 * a[0] - a[1] - a[2]
+                    yield from (2.0 * w * diff ** 2).ravel().tolist()
+            exact = math.fsum(point_terms())
+            assert abs(total - exact) <= 1e-15 * exact, order
 
 
 def test_strichartz_first_constant_cubes_exactly_zero():

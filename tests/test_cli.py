@@ -62,6 +62,7 @@ def test_coeffs_csv_shape_and_determinism(bump_file, tmp_path):
     assert run(args) == EXIT_OK
     first = out.read_bytes()
     lines = first.decode().strip().split("\n")
+    assert lines[0] == "center_index_0,radius,value"
     assert len(lines) - 1 == 256 * 3
     assert run(args) == EXIT_OK
     assert out.read_bytes() == first
@@ -278,6 +279,10 @@ def test_strichartz_command(bump_file, tmp_path):
                 "first", "--stride", "64", "--out-json", str(out)]) == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["B"] > 0
+    # the per-side fallback counts are kept, as the coeffs metadata keeps
+    # the per-level ones
+    counts = payload["metadata"]["fallback_counts"]
+    assert sorted(map(float, counts)) == sorted({c[-2] for c in payload["per_cube"]})
     rc = run(["strichartz", "--field", str(bump_file), "--alpha", "0.5", "--order",
               "third", "--out-json", str(out)])
     assert rc == EXIT_USAGE
@@ -440,10 +445,17 @@ def test_unknown_config_key_usage_error(tmp_path):
 
 
 def test_no_tmp_files_left_behind(bump_file, tmp_path):
+    # the coeffs CSV and the field files of generate and fracderiv go
+    # through the same atomic write
     out = tmp_path / "m.csv"
     assert run(["coeffs", "--field", str(bump_file), "--kind", "nu0", "--out", str(out)]) == EXIT_OK
+    assert run(["generate", "--family", "cusp", "--gamma", "0.5", "--n", "64",
+                "--out", str(tmp_path / "c.fld")]) == EXIT_OK
+    assert run(["fracderiv", "--field", str(bump_file), "--alpha", "0.5",
+                "--out", str(tmp_path / "d.fld")]) == EXIT_OK
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert leftovers == []
+    assert {"m.csv", "m.csv.json", "c.fld", "d.fld"} <= set(os.listdir(tmp_path))
 
 
 @pytest.mark.parametrize("command", [

@@ -1,4 +1,3 @@
-import io
 import json
 from fractions import Fraction
 
@@ -18,7 +17,6 @@ from msq.coeffs import (
     nu_tilde,
     residual_for_affine,
     residual_for_constant,
-    write_matrix_csv,
 )
 from msq.corpus import CorpusSpec
 from msq.corpus import generate as corpus_generate
@@ -246,14 +244,18 @@ def test_annulus_populated_at_every_ladder_radius():
             assert int(annulus_mask(g, float(r)).sum()) >= 2 * dim
 
 
-def test_matrix_csv_shape():
+def test_matrix_csv_shape(tmp_path):
+    # the matrix CSV as `msq coeffs` writes it: one row per (center, radius)
+    from msq.cli import EXIT_OK, main
+    from msq.corpus import save_field
+
     g = make_grid(1, 32, 1.0)
-    f = sample(g, lambda x: np.cos(2 * np.pi * x))
+    fld = tmp_path / "cos.fld"
+    save_field(sample(g, lambda x: np.cos(2 * np.pi * x)), fld)
     lad = make_ladder(g)
-    mat = coefficient_matrix(f, lad, "nu0")
-    buf = io.StringIO()
-    write_matrix_csv(mat, buf)
-    lines = buf.getvalue().strip().split("\n")
+    out = tmp_path / "m.csv"
+    assert main(["coeffs", "--field", str(fld), "--kind", "nu0", "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().strip().split("\n")
     assert lines[0] == "center_index_0,radius,value"
     assert len(lines) - 1 == 32 * lad.levels
 

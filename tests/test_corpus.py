@@ -111,6 +111,20 @@ def test_field_file_round_trip_2d(tmp_path):
     assert got.grid == g
 
 
+def test_failed_save_field_keeps_the_existing_file(tmp_path):
+    # the write goes to a .tmp sibling first; when that fails (here the
+    # sibling is a directory), save_field raises OSError and the existing
+    # target keeps its bytes
+    g = make_grid(1, 8, 1.0)
+    p = tmp_path / "f.fld"
+    save_field(SampledField(grid=g, values=np.arange(8.0)), p)
+    before = p.read_bytes()
+    (tmp_path / "f.fld.tmp").mkdir()
+    with pytest.raises(OSError):
+        save_field(SampledField(grid=g, values=-np.arange(8.0)), p)
+    assert p.read_bytes() == before
+
+
 def test_field_file_errors(tmp_path):
     good = tmp_path / "good.fld"
     g = make_grid(1, 8, 1.0)
