@@ -14,6 +14,8 @@ import argparse
 import json
 import sys
 
+from msq.cli import positive_int
+from msq.corpus import atomic_write
 from msq.experiments import (
     ALPHA_GRID,
     comparability_ratios,
@@ -27,7 +29,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dim", type=int, default=1, choices=(1, 2))
     ap.add_argument("--n", type=int, default=1024)
-    ap.add_argument("--stride", type=int, default=1)
+    ap.add_argument("--stride", type=positive_int, default=1)
     ap.add_argument("--alphas", default=",".join(str(a) for a in ALPHA_GRID))
     ap.add_argument("--noise-alphas", default="0.5,1.3")
     ap.add_argument("--out", default=None, help="optional JSON output path")
@@ -59,9 +61,7 @@ def main(argv=None):
             ],
             "band": band,
         }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        atomic_write(args.out, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
         print(f"wrote {args.out}")
     return 0
 

@@ -13,7 +13,7 @@ import json
 import sys
 
 from msq.coeffs import make_ladder
-from msq.corpus import CorpusSpec, generate, roughness_exponent
+from msq.corpus import CorpusSpec, atomic_write, generate, roughness_exponent
 from msq.field import make_grid
 
 
@@ -43,9 +43,8 @@ def main(argv=None):
         print(f"{'weierstrass':<14}{beta_w:>8}{slope:>10.4f}{abs(slope - beta_w) / beta_w:>10.3f}")
 
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"n": args.n, "rows": rows}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        payload = {"n": args.n, "rows": rows}
+        atomic_write(args.out, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
         print(f"wrote {args.out}")
     return 0
 

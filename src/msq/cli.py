@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import traceback
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
     """argparse type of the center strides: an integer >= 1."""
     try:
         value = int(text)
@@ -94,7 +95,7 @@ def _config_tokens(args, command_parser) -> list:
     for key, raw in _load_config_file(args.config).items():
         if not hasattr(args, key):
             raise UsageError(f"config key {key!r} is not a flag of {args.command}")
-        flag = "--" + key.replace("_", "-")
+        flag = _flag(key)
         if isinstance(command_parser.get_default(key), bool):
             if raw.lower() in ("1", "true", "yes"):
                 tokens.append(flag)
@@ -103,10 +104,14 @@ def _config_tokens(args, command_parser) -> list:
     return tokens
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _require(args, names) -> None:
     for name in names:
         if getattr(args, name) is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required")
+            raise UsageError(f"{_flag(name)} is required")
 
 
 def _float_list(text: str, flag: str):
@@ -135,7 +140,6 @@ def _ladder_for(grid, args):
 
 
 def _cmd_generate(args):
-    _require(args, ["family", "n", "out"])
     spec = corpus_mod.CorpusSpec(
         family=args.family,
         grid=make_grid(args.dim, args.n, args.period),
@@ -152,7 +156,6 @@ def _cmd_generate(args):
 
 
 def _cmd_coeffs(args):
-    _require(args, ["field", "kind", "out"])
     field, _ = corpus_mod.load_field(args.field)
     ladder = _ladder_for(field.grid, args)
     matrix = coeffs_mod.coefficient_matrix(field, ladder, args.kind)
@@ -201,14 +204,17 @@ def _write_report(args, keys, metadata, scalars, label, names, table) -> None:
                                 label + "_columns": columns, "metadata": metadata})
 
 
+def _check_alpha(alpha: float, top: int = 2) -> None:
+    if not (0.0 < alpha < top):
+        raise UsageError(f"--alpha must lie in (0, {top})")
+
+
 def _cmd_sqfn(args):
-    _require(args, ["field", "kind", "alpha", "out_json"])
-    if not (0.0 < args.alpha < 2.0):
-        raise UsageError("--alpha must lie in (0, 2)")
+    _check_alpha(args.alpha)
+    tops = _float_list(args.tops, "tops") if args.tops else None
     field, _ = corpus_mod.load_field(args.field)
     ladder = _ladder_for(field.grid, args)
     matrix = coeffs_mod.coefficient_matrix(field, ladder, args.kind)
-    tops = _float_list(args.tops, "tops") if args.tops else None
     report = carleson_mod.carleson_constant(matrix, args.alpha, tops=tops, stride=args.stride)
     _write_report(args, ["field", "kind", "alpha", "top_radius", "levels", "stride", "tops"],
                   report.metadata, {"constant": report.constant},
@@ -218,14 +224,12 @@ def _cmd_sqfn(args):
 
 
 def _cmd_bmo(args):
-    _require(args, ["field", "out_json"])
+    if args.radii and (args.top_radius is not None or args.levels is not None):
+        raise UsageError("--radii replaces the ladder; give it without --top-radius "
+                         "and --levels")
+    radii = _float_list(args.radii, "radii") if args.radii else None
     field, _ = corpus_mod.load_field(args.field)
-    if args.radii:
-        if args.top_radius is not None or args.levels is not None:
-            raise UsageError("--radii replaces the ladder; give it without --top-radius "
-                             "and --levels")
-        radii = _float_list(args.radii, "radii")
-    else:
+    if radii is None:
         radii = [float(r) for r in _ladder_for(field.grid, args).radii]
     windows = bmo_mod.make_ball_family(field.grid, radii, stride=args.stride)
     report = bmo_mod.bmo_norm(field, windows)
@@ -237,9 +241,9 @@ def _cmd_bmo(args):
 
 
 def _cmd_strichartz(args):
-    _require(args, ["field", "alpha", "order", "out_json"])
-    field, _ = corpus_mod.load_field(args.field)
+    _check_alpha(args.alpha, 1 if args.order == "first" else 2)
     sides = _float_list(args.sides, "sides") if args.sides else None
+    field, _ = corpus_mod.load_field(args.field)
     cubes = bmo_mod.make_cube_family(field.grid, sides=sides, stride=args.stride)
     strichartz = bmo_mod.strichartz_first if args.order == "first" else bmo_mod.strichartz_second
     report = strichartz(field, args.alpha, cubes)
@@ -250,10 +254,8 @@ def _cmd_strichartz(args):
 
 
 def _cmd_fracderiv(args):
-    _require(args, ["field", "alpha", "out"])
+    _check_alpha(args.alpha)
     field, meta = corpus_mod.load_field(args.field)
-    if not (0.0 < args.alpha < 2.0):
-        raise UsageError("--alpha must lie in (0, 2)")
     out = spectral_mod.fractional_derivative(field, args.alpha)
     extra = {"derived_from": os.path.basename(args.field), "derivative_order": repr(args.alpha)}
     if "family" in meta:
@@ -263,7 +265,6 @@ def _cmd_fracderiv(args):
 
 
 def _cmd_compare(args):
-    _require(args, ["field", "alphas", "out"])
     alphas = _float_list(args.alphas, "alphas")
     if not alphas or any(not (0.0 < a < 2.0) for a in alphas):
         raise UsageError("--alphas must be a nonempty list inside (0, 2)")
@@ -276,8 +277,17 @@ def _cmd_compare(args):
     return EXIT_OK
 
 
+# The flags only one mode of beta reads: given to the other mode, they
+# would do nothing.
+_GRAPH_FLAGS = ("field", "top_radius", "levels")
+_CLOUD_FLAGS = ("cloud", "ambient_dim", "center", "radius", "k")
+
+
 def _cmd_beta(args):
-    _require(args, ["out"])
+    for name in _CLOUD_FLAGS if args.graph else _GRAPH_FLAGS:
+        if getattr(args, name) is not None:
+            raise UsageError(f"--graph does not take {_flag(name)}" if args.graph
+                             else f"{_flag(name)} needs --graph")
     if args.graph:
         _require(args, ["field"])
         field, _ = corpus_mod.load_field(args.field)
@@ -298,15 +308,14 @@ def _cmd_beta(args):
         return EXIT_OK
 
     _require(args, ["cloud", "radius", "k"])
+    center = _float_list(args.center, "center") if args.center else None
+    if center is not None and not np.all(np.isfinite(center)):
+        raise UsageError(f"--center {args.center} is not finite")
     cloud, weighted = geometry_mod.load_cloud(args.cloud, ambient_dim=args.ambient_dim)
-    if args.center:
-        center = _float_list(args.center, "center")
-        if len(center) != cloud.ambient_dim:
-            raise UsageError("--center rank does not match the cloud")
-        if not np.all(np.isfinite(center)):
-            raise UsageError(f"--center {args.center} is not finite")
-    else:
+    if center is None:
         center = list(cloud.points.mean(axis=0))
+    elif len(center) != cloud.ambient_dim:
+        raise UsageError("--center rank does not match the cloud")
     beta, _ = geometry_mod.beta2k(cloud, np.asarray(center), args.radius, args.k)
     cols = [f"center_{k}" for k in range(cloud.ambient_dim)] + ["radius", "k", "beta"]
     row = list(center) + [args.radius, args.k, beta]
@@ -324,97 +333,78 @@ def _cmd_beta(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: every flag's settings once, every subcommand's flags and required
+# flags once
+
+
+# argparse settings by dest.  A flag not listed takes a string; every flag
+# defaults to None (--graph to False) unless a default is given.
+_FLAGS = {
+    "config": {"help": "flat key=value config file"},
+    "top_radius": {"type": float},
+    "levels": {"type": int},
+    "family": {"choices": corpus_mod.FAMILIES},
+    "dim": {"type": int, "default": 1},
+    "n": {"type": int},
+    "period": {"type": float, "default": 1.0},
+    "gamma": {"type": float},
+    "beta_w": {"type": float},
+    "alpha": {"type": float},
+    "seed": {"type": int},
+    "frequency": {"type": int},
+    "kind": {"choices": coeffs_mod.KINDS},
+    "order": {"choices": ("first", "second")},
+    "stride": {"type": positive_int, "default": 1},
+    "ambient_dim": {"type": int},
+    "radius": {"type": float},
+    "k": {"type": int},
+    "graph": {"action": "store_true"},
+}
+
+
+class _Subcommand(NamedTuple):
+    run: Callable
+    description: str
+    flags: str  # in help order, after --config
+    required: str  # checked in this order before run
+    defaults: dict = None  # this subcommand's own flag defaults
+
+
+_LADDER = "field top_radius levels"  # a field file and its scale ladder
+_SUBCOMMANDS = {
+    "generate": _Subcommand(_cmd_generate, "generate a corpus field file",
+                            "family dim n period gamma beta_w levels alpha seed frequency out",
+                            "family n out"),
+    "coeffs": _Subcommand(_cmd_coeffs, "coefficient matrix to CSV",
+                          f"{_LADDER} kind out meta", "field kind out"),
+    "sqfn": _Subcommand(_cmd_sqfn, "square-function Carleson report",
+                        f"{_LADDER} kind alpha stride tops out_json out_csv",
+                        "field kind alpha out_json"),
+    "bmo": _Subcommand(_cmd_bmo, "mean-oscillation report",
+                       f"{_LADDER} radii stride out_json out_csv", "field out_json"),
+    # without --stride, cube centers lie n/8 apart (bmo.make_cube_family)
+    "strichartz": _Subcommand(_cmd_strichartz, "difference-functional report",
+                              "field alpha order sides stride out_json out_csv",
+                              "field alpha order out_json", {"stride": None}),
+    "fracderiv": _Subcommand(_cmd_fracderiv, "fractional derivative field",
+                             "field alpha out", "field alpha out"),
+    "compare": _Subcommand(_cmd_compare, "square-function vs BMO comparability",
+                           f"{_LADDER} alphas stride out", "field alphas out"),
+    "beta": _Subcommand(_cmd_beta, "plane-approximation numbers",
+                        f"{_LADDER} cloud ambient_dim center radius k graph stride out", "out"),
+}
 
 
 def _build_parser():
     """The top-level parser and the subcommand parsers keyed by name."""
     parser = _Parser(prog="msq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, description, ladder=False):
-        p = sub.add_parser(name, description=description)
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        if ladder:  # a field file and its scale ladder
-            p.add_argument("--field", default=None)
-            p.add_argument("--top-radius", dest="top_radius", type=float, default=None)
-            p.add_argument("--levels", type=int, default=None)
-        return p
-
-    p = command("generate", "generate a corpus field file")
-    p.add_argument("--family", default=None, choices=corpus_mod.FAMILIES)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--period", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--beta-w", dest="beta_w", type=float, default=None)
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--frequency", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-    p = command("coeffs", "coefficient matrix to CSV", ladder=True)
-    p.add_argument("--kind", default=None, choices=coeffs_mod.KINDS)
-    p.add_argument("--out", default=None)
-    p.add_argument("--meta", default=None)
-
-    p = command("sqfn", "square-function Carleson report", ladder=True)
-    p.add_argument("--kind", default=None, choices=coeffs_mod.KINDS)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--stride", type=_positive_int, default=1)
-    p.add_argument("--tops", default=None)
-    p.add_argument("--out-json", dest="out_json", default=None)
-    p.add_argument("--out-csv", dest="out_csv", default=None)
-
-    p = command("bmo", "mean-oscillation report", ladder=True)
-    p.add_argument("--radii", default=None)
-    p.add_argument("--stride", type=_positive_int, default=1)
-    p.add_argument("--out-json", dest="out_json", default=None)
-    p.add_argument("--out-csv", dest="out_csv", default=None)
-
-    p = command("strichartz", "difference-functional report")
-    p.add_argument("--field", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--order", default=None, choices=("first", "second"))
-    p.add_argument("--sides", default=None)
-    p.add_argument("--stride", type=_positive_int, default=None)
-    p.add_argument("--out-json", dest="out_json", default=None)
-    p.add_argument("--out-csv", dest="out_csv", default=None)
-
-    p = command("fracderiv", "fractional derivative field")
-    p.add_argument("--field", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--out", default=None)
-
-    p = command("compare", "square-function vs BMO comparability", ladder=True)
-    p.add_argument("--alphas", default=None)
-    p.add_argument("--stride", type=_positive_int, default=1)
-    p.add_argument("--out", default=None)
-
-    p = command("beta", "plane-approximation numbers", ladder=True)
-    p.add_argument("--cloud", default=None)
-    p.add_argument("--ambient-dim", dest="ambient_dim", type=int, default=None)
-    p.add_argument("--center", default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--graph", action="store_true", default=False)
-    p.add_argument("--stride", type=_positive_int, default=1)
-    p.add_argument("--out", default=None)
-
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, description=spec.description)
+        for dest in ["config"] + spec.flags.split():
+            p.add_argument(_flag(dest), **_FLAGS.get(dest, {}))
+        p.set_defaults(**spec.defaults or {})
     return parser, sub.choices
-
-
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "coeffs": _cmd_coeffs,
-    "sqfn": _cmd_sqfn,
-    "bmo": _cmd_bmo,
-    "strichartz": _cmd_strichartz,
-    "fracderiv": _cmd_fracderiv,
-    "compare": _cmd_compare,
-    "beta": _cmd_beta,
-}
 
 
 # Error classes and their exit codes, tried in order: the first row that
@@ -440,7 +430,9 @@ def main(argv=None) -> int:
             if args.config:
                 tokens = _config_tokens(args, commands[args.command])
                 args = parser.parse_args(argv[:1] + tokens + argv[1:])
-            return _COMMANDS[args.command](args)
+            spec = _SUBCOMMANDS[args.command]
+            _require(args, spec.required.split())
+            return spec.run(args)
     except Exception as exc:
         text = str(exc)
         if isinstance(exc, OverflowError):  # a Python float op's (errno, text)

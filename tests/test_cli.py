@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msq.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from msq.corpus import load_field
+from msq.coeffs import KINDS
+from msq.corpus import FAMILIES, load_field
 
 
 def run(args):
@@ -436,6 +437,143 @@ def test_non_positive_stride_usage_error(bump_file, tmp_path, capsys, stride):
     assert not os.path.exists(out)
 
 
+# Each subcommand's flags in help order, with its defaults other than None.
+_PARSER_FLAGS = {
+    "generate": ("config family dim n period gamma beta_w levels alpha seed frequency out",
+                 {"dim": 1, "period": 1.0}),
+    "coeffs": ("config field top_radius levels kind out meta", {}),
+    "sqfn": ("config field top_radius levels kind alpha stride tops out_json out_csv",
+             {"stride": 1}),
+    "bmo": ("config field top_radius levels radii stride out_json out_csv", {"stride": 1}),
+    "strichartz": ("config field alpha order sides stride out_json out_csv", {}),
+    "fracderiv": ("config field alpha out", {}),
+    "compare": ("config field top_radius levels alphas stride out", {"stride": 1}),
+    "beta": ("config field top_radius levels cloud ambient_dim center radius k graph stride out",
+             {"graph": False, "stride": 1}),
+}
+# Each flag's argparse type and choices, the same in every subcommand; a
+# flag not listed is a string with no choices.
+_FLAG_TYPES = {
+    **dict.fromkeys("dim n levels seed frequency ambient_dim k".split(), ("int", None)),
+    **dict.fromkeys("period gamma beta_w top_radius alpha radius".split(), ("float", None)),
+    "stride": ("positive_int", None),
+    "family": (None, FAMILIES),
+    "kind": (None, KINDS),
+    "order": (None, ("first", "second")),
+}
+# Each subcommand's required flags in the order they are checked, with a
+# value for each; "{missing}" stands for an input file that does not exist.
+_REQUIRED = {
+    "generate": [("family", "smooth_bump"), ("n", "16"), ("out", "{out}")],
+    "coeffs": [("field", "{missing}"), ("kind", "nu0"), ("out", "{out}")],
+    "sqfn": [("field", "{missing}"), ("kind", "nu0"), ("alpha", "0.5"), ("out_json", "{out}")],
+    "bmo": [("field", "{missing}"), ("out_json", "{out}")],
+    "strichartz": [("field", "{missing}"), ("alpha", "0.5"), ("order", "first"),
+                   ("out_json", "{out}")],
+    "fracderiv": [("field", "{missing}"), ("alpha", "0.5"), ("out", "{out}")],
+    "compare": [("field", "{missing}"), ("alphas", "0.5"), ("out", "{out}")],
+    "beta-graph": [("graph", None), ("out", "{out}"), ("field", "{missing}")],
+    "beta-cloud": [("out", "{out}"), ("cloud", "{missing}"), ("radius", "1.0"), ("k", "1")],
+}
+
+
+def test_parser_flags_defaults_and_types():
+    from msq.cli import _build_parser
+
+    _, commands = _build_parser()
+    assert list(commands) == list(_PARSER_FLAGS)
+    for name, (flags, defaults) in _PARSER_FLAGS.items():
+        actions = [a for a in commands[name]._actions if a.dest != "help"]
+        assert [a.dest for a in actions] == flags.split(), name
+        assert [a.option_strings for a in actions] == [
+            ["--" + dest.replace("_", "-")] for dest in flags.split()], name
+        assert {a.dest: a.default for a in actions if a.default is not None} == defaults, name
+        for a in actions:
+            got = (getattr(a.type, "__name__", None), a.choices and tuple(a.choices))
+            assert got == _FLAG_TYPES.get(a.dest, (None, None)), (name, a.dest)
+
+
+@pytest.mark.parametrize("command", list(_REQUIRED))
+def test_required_flags_checked_in_order(tmp_path, capsys, command):
+    # each prefix of the required flags names the next one; all of them
+    # given, the run gets past the check (a missing input file: exit 3)
+    required = _REQUIRED[command]
+    argv = [command.split("-")[0]]
+    for dest, value in required:
+        if value is not None:
+            assert run(argv) == EXIT_USAGE
+            flag = "--" + dest.replace("_", "-")
+            assert capsys.readouterr().err == f"msq: error: usage: {flag} is required\n"
+        argv.append("--" + dest.replace("_", "-"))
+        if value is not None:
+            argv.append(value.format(missing=tmp_path / "absent", out=tmp_path / "out"))
+    want = EXIT_OK if command == "generate" else EXIT_DATA
+    assert run(argv) == want, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sqfn", "--field", "{missing}", "--kind", "nu0", "--alpha", "2", "--out-json"],
+     "--alpha must lie in (0, 2)"),
+    (["strichartz", "--field", "{missing}", "--alpha", "1", "--order", "first", "--out-json"],
+     "--alpha must lie in (0, 1)"),
+    (["strichartz", "--field", "{missing}", "--alpha", "2", "--order", "second", "--out-json"],
+     "--alpha must lie in (0, 2)"),
+    (["fracderiv", "--field", "{missing}", "--alpha", "3", "--out"],
+     "--alpha must lie in (0, 2)"),
+    (["compare", "--field", "{missing}", "--alphas", "0.5,3", "--out"],
+     "--alphas must be a nonempty list inside (0, 2)"),
+    (["bmo", "--field", "{missing}", "--radii", "0.1", "--levels", "2", "--out-json"],
+     "--radii replaces the ladder; give it without --top-radius and --levels"),
+    (["sqfn", "--field", "{missing}", "--kind", "nu0", "--alpha", "0.5", "--tops", "0.25,",
+      "--out-json"], "--tops has an empty entry in '0.25,'"),
+    (["strichartz", "--field", "{missing}", "--alpha", "0.5", "--order", "first", "--sides",
+      "x", "--out-json"], "--sides wants a comma-separated float list"),
+    (["beta", "--graph", "--field", "{missing}", "--k", "1", "--out"],
+     "--graph does not take --k"),
+    (["beta", "--cloud", "{missing}", "--center", "nan,0", "--radius", "1.0", "--k", "1",
+      "--out"], "--center nan,0 is not finite"),
+], ids=["sqfn-alpha", "strichartz-first-alpha", "strichartz-second-alpha", "fracderiv-alpha",
+        "compare-alphas", "bmo-radii-levels", "sqfn-tops", "strichartz-sides", "beta-graph-k",
+        "beta-cloud-center"])
+def test_flags_checked_before_the_input_file(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    argv = [a.format(missing=tmp_path / "absent") for a in argv] + [str(out)]
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"msq: error: usage: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--graph", "--cloud", "{cloud}"], "--graph does not take --cloud"),
+    (["--graph", "--ambient-dim", "2"], "--graph does not take --ambient-dim"),
+    (["--graph", "--center", "0.5"], "--graph does not take --center"),
+    (["--graph", "--radius", "-1"], "--graph does not take --radius"),
+    (["--graph", "--k", "5"], "--graph does not take --k"),
+    (["--cloud", "{cloud}", "--radius", "5.0", "--k", "1", "--field", "{field}"],
+     "--field needs --graph"),
+    (["--cloud", "{cloud}", "--radius", "5.0", "--k", "1", "--top-radius", "0.25"],
+     "--top-radius needs --graph"),
+    (["--cloud", "{cloud}", "--radius", "5.0", "--k", "1", "--levels", "2"],
+     "--levels needs --graph"),
+], ids=["graph-cloud", "graph-ambient-dim", "graph-center", "graph-radius", "graph-k",
+        "cloud-field", "cloud-top-radius", "cloud-levels"])
+def test_beta_rejects_the_other_modes_flags(cusp_file, tmp_path, capsys, extra, message):
+    cloud, out = tmp_path / "pts.txt", tmp_path / "b.csv"
+    cloud.write_text("0.0 0.0\n1.0 1.0\n2.0 0.5\n")
+    if "--graph" in extra:
+        extra += ["--field", "{field}"]
+    argv = ["beta"] + [a.format(cloud=cloud, field=cusp_file) for a in extra]
+    assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"msq: error: usage: {message}\n"
+    assert not out.exists()
+    # a --config file's value is a flag given too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k=5\n")
+    argv = ["beta", "--graph", "--field", str(cusp_file), "--config", str(cfg)]
+    assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_unknown_config_key_usage_error(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("nonsense=1\n")
@@ -703,9 +841,10 @@ _FUZZ_FLAGS = {
     "strichartz": ["alpha", "order", "sides", "stride"],
     "fracderiv": ["alpha"],
     "compare": ["top_radius", "levels", "alphas", "stride"],
-    "beta": ["top_radius", "levels", "ambient_dim", "center", "radius", "k", "graph", "stride"],
+    "beta": ["graph", "top_radius", "levels", "ambient_dim", "center", "radius", "k", "stride"],
 }
-# A valid value of each required flag, drawn more often than the others.
+# A valid value of each required flag, drawn more often than the others
+# (for beta, of the cloud mode only).
 _FUZZ_VALID = {
     "generate": {"family": "cusp", "n": "16", "gamma": "0.5"},
     "coeffs": {"kind": "nu1"},
@@ -738,7 +877,7 @@ def _fuzz_command(draw, files):
     for name in _FUZZ_FLAGS[command]:
         if draw(st.sampled_from(("keep", "keep", "keep", "fuzz"))) == "fuzz":
             flags[name] = draw(st.sampled_from(_FUZZ_VALUES[name]))
-        elif name in valid:
+        elif name in valid and flags.get("graph") != "1":
             flags[name] = valid[name]
     kind = "cloud" if command == "beta" and flags.get("graph") != "1" else "field"
     if command != "generate":
