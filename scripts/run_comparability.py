@@ -11,10 +11,11 @@ Example:
 """
 
 import argparse
+import functools
 import json
 import sys
 
-from msq.cli import positive_int
+from msq.cli import float_list, positive_int
 from msq.corpus import atomic_write
 from msq.experiments import (
     ALPHA_GRID,
@@ -30,16 +31,16 @@ def main(argv=None):
     ap.add_argument("--dim", type=int, default=1, choices=(1, 2))
     ap.add_argument("--n", type=int, default=1024)
     ap.add_argument("--stride", type=positive_int, default=1)
-    ap.add_argument("--alphas", default=",".join(str(a) for a in ALPHA_GRID))
-    ap.add_argument("--noise-alphas", default="0.5,1.3")
+    alphas = functools.partial(float_list, lo=0.0, hi=2.0)
+    ap.add_argument("--alphas", type=alphas, default=list(ALPHA_GRID))
+    ap.add_argument("--noise-alphas", type=alphas, default=[0.5, 1.3])
     ap.add_argument("--out", default=None, help="optional JSON output path")
     args = ap.parse_args(argv)
 
     grid = make_grid(args.dim, args.n, 1.0)
-    alphas = tuple(float(t) for t in args.alphas.split(","))
-    noise = tuple(float(t) for t in args.noise_alphas.split(","))
     ratios = comparability_ratios(
-        default_specs(grid, noise_alphas=noise), alphas=alphas, stride=args.stride
+        default_specs(grid, noise_alphas=args.noise_alphas), alphas=args.alphas,
+        stride=args.stride,
     )
     band = two_sided_band(ratios)
 

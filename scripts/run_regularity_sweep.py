@@ -9,9 +9,11 @@ Example:
 """
 
 import argparse
+import functools
 import json
 import sys
 
+from msq.cli import float_list
 from msq.coeffs import make_ladder
 from msq.corpus import CorpusSpec, atomic_write, generate, roughness_exponent
 from msq.field import make_grid
@@ -20,8 +22,10 @@ from msq.field import make_grid
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=8192)
-    ap.add_argument("--gammas", default="0.3,0.5,0.7")
-    ap.add_argument("--betas", default="0.3,0.5")
+    ap.add_argument("--gammas", type=functools.partial(float_list, lo=0.0, hi=1.0, hi_closed=True),
+                    default=[0.3, 0.5, 0.7])
+    ap.add_argument("--betas", type=functools.partial(float_list, lo=0.0, hi=1.0),
+                    default=[0.3, 0.5])
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
 
@@ -29,12 +33,12 @@ def main(argv=None):
     ladder = make_ladder(grid, top_radius=1.0 / 8.0)
     rows = []
     print(f"{'family':<14}{'target':>8}{'slope':>10}{'rel err':>10}")
-    for gamma in (float(t) for t in args.gammas.split(",")):
+    for gamma in args.gammas:
         f = generate(CorpusSpec(family="cusp", grid=grid, gamma=gamma))
         slope = roughness_exponent(f, ladder, center=(args.n // 2,))
         rows.append({"family": "cusp", "target": gamma, "slope": slope})
         print(f"{'cusp':<14}{gamma:>8}{slope:>10.4f}{abs(slope - gamma) / gamma:>10.3f}")
-    for beta_w in (float(t) for t in args.betas.split(",")):
+    for beta_w in args.betas:
         f = generate(
             CorpusSpec(family="weierstrass", grid=grid, beta_w=beta_w, levels=8)
         )

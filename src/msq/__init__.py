@@ -4,7 +4,8 @@ Modules: field (grids, windows, mollifiers), spectral (fractional
 calculus), coeffs (local approximation coefficients), carleson
 (square-function aggregation), bmo (oscillation and difference
 functionals), geometry (plane numbers for point clouds), corpus
-(synthetic fields and persistence), cli (batch front end).
+(synthetic fields and persistence), experiments (comparability ratios
+and bands), cli (batch front end).
 """
 
 from .field import (
@@ -44,7 +45,6 @@ from .carleson import (
 )
 from .bmo import (
     CubeSpec,
-    GrowthProfile,
     OscillationReport,
     StrichartzReport,
     bmo_norm,
@@ -53,7 +53,6 @@ from .bmo import (
     make_cube_family,
     strichartz_first,
     strichartz_second,
-    tempered_growth,
 )
 from .geometry import PlaneFit, PointCloud, beta2k, graph_beta_vs_nu1
 from .corpus import (

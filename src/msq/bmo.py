@@ -1,4 +1,4 @@
-"""Mean oscillation, Hölder seminorms, difference functionals, growth checks.
+"""Mean oscillation, Hölder seminorms and difference functionals.
 
 The BMO norm is the L1 mean oscillation, maximized over a declared finite
 family of balls; like every supremum here it is reported as a lower bound
@@ -20,10 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .field import (
     BallWindow, Grid, SampledField, WindowFamily, ball_mask, flat_index, lattice_centers,
@@ -34,15 +32,12 @@ __all__ = [
     "OscillationReport",
     "StrichartzReport",
     "CubeSpec",
-    "GrowthProfile",
-    "TemperedGrowthReport",
     "make_ball_family",
     "make_cube_family",
     "bmo_norm",
     "holder_seminorm",
     "strichartz_first",
     "strichartz_second",
-    "tempered_growth",
 ]
 
 
@@ -110,27 +105,6 @@ class StrichartzReport:
     def per_cube(self) -> list:
         """Rows (center tuple, side, value)."""
         return list(window_rows(self.centers, self.sizes, self.values))
-
-
-@dataclass(frozen=True)
-class GrowthProfile:
-    """Analytic function on R^dim with a declared growth bound.
-
-    |fn(x)| <= bound_const * (1 + |x|)^growth_exponent is taken on trust;
-    the tail bound below is computed from it in closed form.
-    """
-
-    fn: Callable
-    growth_exponent: float
-    bound_const: float = 1.0
-    dim: int = 1
-
-
-@dataclass(frozen=True)
-class TemperedGrowthReport:
-    truncated: float
-    tail_bound: float
-    verdict: str  # "finite" or "divergent tail"
 
 
 def make_ball_family(grid: Grid, radii, stride: int = 1) -> WindowFamily:
@@ -413,41 +387,3 @@ def strichartz_second(field: SampledField, alpha: float, cubes) -> StrichartzRep
     """Symmetric second differences with both x+y and x-y inside the cube."""
     return _strichartz(field, alpha, cubes, "second_difference", 2.0)
 
-
-def tempered_growth(profile: GrowthProfile, epsilon: float, cutoff: float) -> TemperedGrowthReport:
-    """Quadrature of |f(x)| / (1 + |x|^(d+eps)) over |x| <= cutoff, plus an
-    analytic bound for the discarded tail from the declared growth."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    d = profile.dim
-    fn = profile.fn
-    if d == 1:
-        truncated, _ = integrate.quad(
-            lambda t: abs(fn(t)) / (1.0 + abs(t) ** (1.0 + epsilon)),
-            -cutoff,
-            cutoff,
-            limit=400,
-            points=[0.0],
-        )
-    elif d == 2:
-        def integrand(rho, theta):
-            x = rho * math.cos(theta)
-            y = rho * math.sin(theta)
-            return abs(fn(x, y)) / (1.0 + rho ** (2.0 + epsilon)) * rho
-
-        truncated, _ = integrate.dblquad(integrand, 0.0, 2.0 * math.pi, 0.0, cutoff)
-    else:
-        raise ValueError("growth profiles support dim 1 or 2 only")
-
-    gamma = profile.growth_exponent
-    if gamma >= epsilon:
-        return TemperedGrowthReport(
-            truncated=float(truncated), tail_bound=math.inf, verdict="divergent tail"
-        )
-    surface = 2.0 if d == 1 else 2.0 * math.pi
-    tail = profile.bound_const * surface * (1.0 + cutoff) ** (gamma - epsilon) / (epsilon - gamma)
-    return TemperedGrowthReport(
-        truncated=float(truncated), tail_bound=float(tail), verdict="finite"
-    )

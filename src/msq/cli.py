@@ -56,6 +56,22 @@ def positive_int(text: str) -> int:
     return value
 
 
+def float_list(text: str, lo: float = None, hi: float = None, hi_closed: bool = False) -> list:
+    """argparse type of a comma-separated float list; with bounds, every
+    entry must lie in (lo, hi), or in (lo, hi] when hi_closed."""
+    tokens = text.split(",")
+    if "" in tokens:
+        raise argparse.ArgumentTypeError(f"has an empty entry in {text!r}")
+    try:
+        values = [float(tok) for tok in tokens]
+    except ValueError:
+        raise argparse.ArgumentTypeError("wants a comma-separated float list") from None
+    if lo is not None and not all(lo < v < hi or (hi_closed and v == hi) for v in values):
+        raise argparse.ArgumentTypeError(f"must be a nonempty list inside ({lo:g}, {hi:g}"
+                                         + ("]" if hi_closed else ")"))
+    return values
+
+
 def _write_json(path: str, payload: dict) -> None:
     corpus_mod.atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
@@ -114,14 +130,11 @@ def _require(args, names) -> None:
             raise UsageError(f"{_flag(name)} is required")
 
 
-def _float_list(text: str, flag: str):
-    tokens = text.split(",")
-    if "" in tokens:
-        raise UsageError(f"--{flag} has an empty entry in {text!r}")
+def _float_list(text: str, flag: str, *bounds):
     try:
-        return [float(tok) for tok in tokens]
-    except ValueError as exc:
-        raise UsageError(f"--{flag} wants a comma-separated float list") from exc
+        return float_list(text, *bounds)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"--{flag} {exc}") from None
 
 
 def _ladder_for(grid, args):
@@ -265,9 +278,7 @@ def _cmd_fracderiv(args):
 
 
 def _cmd_compare(args):
-    alphas = _float_list(args.alphas, "alphas")
-    if not alphas or any(not (0.0 < a < 2.0) for a in alphas):
-        raise UsageError("--alphas must be a nonempty list inside (0, 2)")
+    alphas = _float_list(args.alphas, "alphas", 0.0, 2.0)
     field, _ = corpus_mod.load_field(args.field)
     ladder = _ladder_for(field.grid, args)
     records = [dataclasses.asdict(carleson_mod.comparability_experiment(
@@ -279,7 +290,7 @@ def _cmd_compare(args):
 
 # The flags only one mode of beta reads: given to the other mode, they
 # would do nothing.
-_GRAPH_FLAGS = ("field", "top_radius", "levels")
+_GRAPH_FLAGS = ("field", "top_radius", "levels", "stride")
 _CLOUD_FLAGS = ("cloud", "ambient_dim", "center", "radius", "k")
 
 
@@ -290,6 +301,7 @@ def _cmd_beta(args):
                              else f"{_flag(name)} needs --graph")
     if args.graph:
         _require(args, ["field"])
+        args.stride = args.stride or 1
         field, _ = corpus_mod.load_field(args.field)
         ladder = _ladder_for(field.grid, args)
         rep = geometry_mod.graph_beta_vs_nu1(field, ladder, stride=args.stride)
@@ -391,7 +403,8 @@ _SUBCOMMANDS = {
     "compare": _Subcommand(_cmd_compare, "square-function vs BMO comparability",
                            f"{_LADDER} alphas stride out", "field alphas out"),
     "beta": _Subcommand(_cmd_beta, "plane-approximation numbers",
-                        f"{_LADDER} cloud ambient_dim center radius k graph stride out", "out"),
+                        f"{_LADDER} cloud ambient_dim center radius k graph stride out", "out",
+                        {"stride": None}),
 }
 
 
@@ -446,8 +459,4 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
     sys.exit(main())

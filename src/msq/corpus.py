@@ -23,7 +23,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .coeffs import ScaleLadder, coefficient_matrix
 from .field import (
@@ -304,7 +303,7 @@ def riesz_kernel_difference(field: SampledField, alpha: float, periods: int = 64
         raise ValueError("kernel form needs alpha in (0, dim) = (0, 1)")
     n, h = grid.n_per_axis, grid.spacing
     b = field.values - field.values.mean()
-    c_norm = 2.0 ** (-alpha) * math.pi ** (-0.5) * gamma_fn((1.0 - alpha) / 2.0) / gamma_fn(alpha / 2.0)
+    c_norm = 2.0 ** (-alpha) * math.pi ** (-0.5) * math.gamma((1.0 - alpha) / 2.0) / math.gamma(alpha / 2.0)
 
     half = periods // 2
     j = np.arange(-half * n, half * n + 1)

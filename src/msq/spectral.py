@@ -22,7 +22,6 @@ is measured by calibrate_pv_constant on a sinusoid.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import zeta
 
 from .field import Grid, SampledField, axis_offsets, coordinates, radial
 
@@ -106,6 +105,8 @@ def dalpha_energy(field: SampledField, alpha: float) -> float:
 
 
 def _pv_1d(field: SampledField, alpha: float, center: int) -> float:
+    # Imported here: loading scipy.special takes about 0.3 s, and only this oracle needs it.
+    from scipy.special import zeta
     grid = field.grid
     n, h, L = grid.n_per_axis, grid.spacing, grid.period
     f = field.values

@@ -8,14 +8,12 @@ import pytest
 from msq import bmo as bmo_mod
 from msq.bmo import (
     CubeSpec,
-    GrowthProfile,
     bmo_norm,
     holder_seminorm,
     make_ball_family,
     make_cube_family,
     strichartz_first,
     strichartz_second,
-    tempered_growth,
 )
 from msq.coeffs import make_ladder
 from msq.corpus import CorpusSpec, generate
@@ -595,24 +593,3 @@ def test_difference_functionals_track_derivative_norm():
             ratio = strichartz_second(f, alpha, cubes).B / nrm
             assert 1.0 / 8.0 < ratio < 8.0
 
-
-def test_tempered_growth_constant_function():
-    prof = GrowthProfile(fn=lambda t: 1.0, growth_exponent=0.0)
-    rep = tempered_growth(prof, epsilon=1.0, cutoff=1e3)
-    assert rep.verdict == "finite"
-    assert rep.truncated == pytest.approx(math.pi - 2.0 / 1e3, abs=1e-6)
-    assert rep.tail_bound < 2e-3
-
-
-def test_tempered_growth_exponent_comparison():
-    grow = GrowthProfile(fn=lambda t: abs(t) ** 1.5, growth_exponent=1.5)
-    assert tempered_growth(grow, epsilon=1.0, cutoff=50.0).verdict == "divergent tail"
-    ok = GrowthProfile(fn=lambda t: abs(t) ** 0.5, growth_exponent=0.5)
-    assert tempered_growth(ok, epsilon=1.0, cutoff=50.0).verdict == "finite"
-
-
-def test_tempered_growth_2d():
-    prof = GrowthProfile(fn=lambda x, y: 1.0, growth_exponent=0.0, dim=2)
-    rep = tempered_growth(prof, epsilon=0.5, cutoff=30.0)
-    assert rep.verdict == "finite"
-    assert rep.truncated > 0

@@ -449,7 +449,7 @@ _PARSER_FLAGS = {
     "fracderiv": ("config field alpha out", {}),
     "compare": ("config field top_radius levels alphas stride out", {"stride": 1}),
     "beta": ("config field top_radius levels cloud ambient_dim center radius k graph stride out",
-             {"graph": False, "stride": 1}),
+             {"graph": False}),
 }
 # Each flag's argparse type and choices, the same in every subcommand; a
 # flag not listed is a string with no choices.
@@ -555,8 +555,10 @@ def test_flags_checked_before_the_input_file(tmp_path, capsys, argv, message):
      "--top-radius needs --graph"),
     (["--cloud", "{cloud}", "--radius", "5.0", "--k", "1", "--levels", "2"],
      "--levels needs --graph"),
+    (["--cloud", "{cloud}", "--radius", "5.0", "--k", "1", "--stride", "7"],
+     "--stride needs --graph"),
 ], ids=["graph-cloud", "graph-ambient-dim", "graph-center", "graph-radius", "graph-k",
-        "cloud-field", "cloud-top-radius", "cloud-levels"])
+        "cloud-field", "cloud-top-radius", "cloud-levels", "cloud-stride"])
 def test_beta_rejects_the_other_modes_flags(cusp_file, tmp_path, capsys, extra, message):
     cloud, out = tmp_path / "pts.txt", tmp_path / "b.csv"
     cloud.write_text("0.0 0.0\n1.0 1.0\n2.0 0.5\n")
@@ -572,6 +574,25 @@ def test_beta_rejects_the_other_modes_flags(cusp_file, tmp_path, capsys, extra, 
     argv = ["beta", "--graph", "--field", str(cusp_file), "--config", str(cfg)]
     assert run(argv + ["--out", str(out)]) == EXIT_USAGE
     assert not out.exists()
+
+
+def test_beta_stride_is_graph_mode_only(bump_file, tmp_path, capsys):
+    # the graph mode reads --stride and records 1 when it is not given; the
+    # cloud mode rejects it, also from a --config file
+    out, cfg = tmp_path / "g.csv", tmp_path / "run.cfg"
+    graph = ["beta", "--graph", "--field", str(bump_file), "--levels", "2", "--out", str(out)]
+    for extra, want in (([], 1), (["--stride", "32"], 32), (["--config", str(cfg)], 4)):
+        cfg.write_text("stride=4\n")
+        assert run(graph + extra) == EXIT_OK
+        assert json.loads((tmp_path / "g.csv.json").read_text())["config"]["stride"] == want
+    cloud = tmp_path / "pts.txt"
+    cloud.write_text("0.0 0.0\n1.0 1.0\n2.0 0.5\n")
+    cfg.write_text("stride=7\n")
+    argv = ["beta", "--cloud", str(cloud), "--radius", "5.0", "--k", "1", "--config", str(cfg),
+            "--out", str(tmp_path / "b.csv")]
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "msq: error: usage: --stride needs --graph\n"
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_unknown_config_key_usage_error(tmp_path):
