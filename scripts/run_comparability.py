@@ -12,11 +12,9 @@ Example:
 
 import argparse
 import functools
-import json
 import sys
 
-from msq.cli import float_list, positive_int
-from msq.corpus import atomic_write
+from msq.cli import float_list, positive_int, write_json
 from msq.experiments import (
     ALPHA_GRID,
     comparability_ratios,
@@ -62,7 +60,7 @@ def main(argv=None):
             ],
             "band": band,
         }
-        atomic_write(args.out, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+        write_json(args.out, payload)
         print(f"wrote {args.out}")
     return 0
 

@@ -10,12 +10,11 @@ Example:
 
 import argparse
 import functools
-import json
 import sys
 
-from msq.cli import float_list
+from msq.cli import float_list, write_json
 from msq.coeffs import make_ladder
-from msq.corpus import CorpusSpec, atomic_write, generate, roughness_exponent
+from msq.corpus import CorpusSpec, generate, roughness_exponent
 from msq.field import make_grid
 
 
@@ -48,7 +47,7 @@ def main(argv=None):
 
     if args.out:
         payload = {"n": args.n, "rows": rows}
-        atomic_write(args.out, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+        write_json(args.out, payload)
         print(f"wrote {args.out}")
     return 0
 

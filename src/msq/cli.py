@@ -26,7 +26,7 @@ from . import coeffs as coeffs_mod
 from . import corpus as corpus_mod
 from . import geometry as geometry_mod
 from . import spectral as spectral_mod
-from .field import NumericError, lattice_centers, make_grid, table_columns, window_rows
+from .field import NumericError, lattice_centers, make_grid, table_columns
 
 FORMAT_VERSION = "1"
 
@@ -72,8 +72,82 @@ def float_list(text: str, lo: float = None, hi: float = None, hi_closed: bool = 
     return values
 
 
-def _write_json(path: str, payload: dict) -> None:
-    corpus_mod.atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+# ---------------------------------------------------------------------------
+# output tables: the cells of a window table, formatted once for the CSV
+# and the JSON writer
+
+
+def _column_cells(column: np.ndarray) -> list:
+    """The cells of a 1-d column as text, the repr of each value (str for
+    ints), with each distinct value formatted once.  Floats are told apart
+    by their bit pattern, so -0.0 and 0.0 keep their own text."""
+    key = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
+    distinct, inverse = np.unique(key, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(column.dtype).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
+def _table_cells(columns):
+    """Yield the cells of the parallel 1-d column arrays 4096 rows at a
+    time: for each chunk, the list of every column's cells."""
+    for lo in range(0, len(columns[0]), 4096):
+        yield [_column_cells(column[lo:lo + 4096]) for column in columns]
+
+
+class _Table(list):
+    """A window table's cells, one _table_cells chunk per entry, for a
+    report's table in write_json."""
+
+
+def _write_rows_csv(path: str, names, cells) -> None:
+    """Header, then one line per row of a table's cells (_table_cells),
+    comma-separated: integer columns (center indices, k) in decimal, every
+    other column as its shortest round-trip float.  Written a chunk at a
+    time, so that a streamed table is never held as text at once."""
+    def chunks():
+        yield ",".join(names) + "\n"
+        for chunk in cells:
+            yield "\n".join(map(",".join, zip(*chunk))) + "\n"
+
+    corpus_mod.atomic_write(path, chunks())
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write payload, a dict with str keys, as json.dumps(payload, indent=2,
+    sort_keys=True) plus a newline, byte for byte.  A _Table value is
+    written as its list of rows from its cells; every other value is
+    json.dumps(value, indent=2, sort_keys=True), indented one level, and
+    encoded before the file is opened, so that a value json cannot encode
+    leaves no file behind."""
+    # json escapes newlines inside strings, so each newline starts a line
+    encoded = {key: payload[key] if isinstance(payload[key], _Table)
+               else json.dumps(payload[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+               for key in sorted(payload)}
+
+    def chunks():
+        sep = "{"
+        for key, value in encoded.items():
+            yield f"{sep}\n  {json.dumps(key)}: "
+            yield from _json_rows(value) if isinstance(value, _Table) else [value]
+            sep = ","
+        yield "\n}\n" if encoded else "{}\n"
+
+    corpus_mod.atomic_write(path, chunks())
+
+
+_JSON_ROW = "[\n      {}\n    ]".format  # a row list at depth 2
+
+
+def _json_rows(table: _Table):
+    """The table's rows as json.dumps writes a list of number lists at depth
+    1.  The cells are number reprs, so "nan" and "inf" occur in them only as
+    non-finite floats, which json spells NaN, Infinity and -Infinity."""
+    sep = "["
+    for chunk in table:
+        text = ",\n    ".join(map(_JSON_ROW, map(",\n      ".join, zip(*chunk))))
+        yield f"{sep}\n    " + text.replace("nan", "NaN").replace("inf", "Infinity")
+        sep = ","
+    yield "[]" if sep == "[" else "\n  ]"
 
 
 def _effective_config(args, keys) -> dict:
@@ -179,42 +253,28 @@ def _cmd_coeffs(args):
         "config": _effective_config(args, ["field", "kind", "top_radius", "levels", "out"]),
         "metadata": coeffs_mod.matrix_metadata(matrix),
     }
-    _write_json(meta_path, payload)
+    write_json(meta_path, payload)
     return EXIT_OK
 
 
-def _write_rows_csv(path: str, names, columns) -> None:
-    """Header, then one line per row of the parallel 1-d column arrays:
-    integer columns (center indices, k) in decimal, every other column as
-    its shortest round-trip float, formatted and written 4096 rows at a
-    time, so that a long table is never held as text at once."""
-    def chunks():
-        yield ",".join(names) + "\n"
-        for lo in range(0, len(columns[0]), 4096):
-            cells = [map(str if col.dtype.kind in "iu" else repr, col[lo:lo + 4096].tolist())
-                     for col in columns]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
-
-    corpus_mod.atomic_write(path, chunks())
-
-
 def _window_table(names, centers, sizes, *values):
-    """The column names center_index_k then names, and the parallel window
-    arrays (centers, sizes, values...) as CSV columns."""
+    """The column names center_index_k then names, and the cells
+    (_table_cells) of the parallel window arrays (centers, sizes, values...)."""
     names = [f"center_index_{k}" for k in range(centers.shape[1])] + names
-    return names, [*centers.T, sizes, *values]
+    return names, _table_cells([*centers.T, sizes, *values])
 
 
 def _write_report(args, keys, metadata, scalars, label, names, table) -> None:
     """A window report: its table, the parallel window arrays (centers,
     sizes, values...), to --out-csv when given, and the config, scalars,
-    rows (under label) and metadata to --out-json."""
+    rows (under label) and metadata to --out-json.  The table's cells are
+    formatted once for both files."""
     columns, cells = _window_table(names, *table)
+    cells = _Table(cells)
     if args.out_csv:
         _write_rows_csv(args.out_csv, columns, cells)
-    rows = [list(center) + rest for center, *rest in window_rows(*table)]
-    _write_json(args.out_json, {"config": _effective_config(args, keys), **scalars, label: rows,
-                                label + "_columns": columns, "metadata": metadata})
+    write_json(args.out_json, {"config": _effective_config(args, keys), **scalars, label: cells,
+                               label + "_columns": columns, "metadata": metadata})
 
 
 def _check_alpha(alpha: float, top: int = 2) -> None:
@@ -284,7 +344,7 @@ def _cmd_compare(args):
     records = [dataclasses.asdict(carleson_mod.comparability_experiment(
         field, a, ladder=ladder, stride=args.stride)) for a in alphas]
     config = _effective_config(args, ["field", "alphas", "top_radius", "levels", "stride"])
-    _write_json(args.out, {"config": config, "records": records})
+    write_json(args.out, {"config": config, "records": records})
     return EXIT_OK
 
 
@@ -316,7 +376,7 @@ def _cmd_beta(args):
             "max_nu1_over_beta": rep.max_nu1_over_beta,
             "insufficient_cells": rep.insufficient_cells,
         }
-        _write_json(args.out + ".json", meta)
+        write_json(args.out + ".json", meta)
         return EXIT_OK
 
     _require(args, ["cloud", "radius", "k"])
@@ -331,7 +391,7 @@ def _cmd_beta(args):
     beta, _ = geometry_mod.beta2k(cloud, np.asarray(center), args.radius, args.k)
     cols = [f"center_{k}" for k in range(cloud.ambient_dim)] + ["radius", "k", "beta"]
     row = list(center) + [args.radius, args.k, beta]
-    _write_rows_csv(args.out, cols, [np.array([v]) for v in row])
+    _write_rows_csv(args.out, cols, _table_cells([np.array([v]) for v in row]))
     meta = {
         "config": _effective_config(
             args, ["cloud", "ambient_dim", "center", "radius", "k"]
@@ -340,7 +400,7 @@ def _cmd_beta(args):
         "n_points": int(cloud.points.shape[0]),
         "beta": beta,
     }
-    _write_json(args.out + ".json", meta)
+    write_json(args.out + ".json", meta)
     return EXIT_OK
 
 

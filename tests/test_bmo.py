@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -479,6 +480,37 @@ def test_first_difference_form_error_within_its_bound(dim, n, points):
                     assert (bound == 0.0) == (exact == 0) == (v.max() == v.min())
 
 
+def _exact_sums(blocks):
+    """The correctly rounded sum of each row of the (k, n_j) float blocks
+    put side by side.  Each entry x splits exactly into hi, x with its low
+    26 fraction bits cleared, and lo = x - hi.  Over the entries whose
+    exponent field is e, hi is a multiple of 2^(e-1049) below 2^(e-1022)
+    and lo a multiple of 2^(e-1075) below 2^(e-1049), so the per-exponent
+    float sums of np.bincount are exact while a row has fewer than 2^26
+    entries and none overflows; math.fsum adds them and rounds once."""
+    blocks, bins = iter(blocks), 0.0
+    while batch := list(itertools.islice(blocks, 8)):
+        x = np.concatenate(batch, axis=1)
+        bits = x.view(np.int64)
+        hi = (bits & -2**26).view(np.float64)
+        exponent = (bits >> 52) & 2047
+        bins = bins + np.array([[np.bincount(e, weights=part, minlength=2048)
+                                 for part in (row_hi, row_lo)]
+                                for e, row_hi, row_lo in zip(exponent, hi, x - hi)])
+    return [math.fsum(row.ravel().tolist()) for row in bins]
+
+
+def test_exact_sums_reference():
+    # the reference sum of the test below against math.fsum, on signed
+    # entries over the whole exponent range, subnormals and signed zeros
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, 6000)) * 10.0 ** rng.integers(-320, 300, (2, 6000))
+    x[0, :6] = [5e-324, -5e-324, 0.0, -0.0, 1e308, -1e308]
+    x[1] = np.abs(x[1])
+    blocks = np.split(x, [1, 7, 2500], axis=1)
+    assert _exact_sums(blocks) == [math.fsum(row) for row in x.tolist()]
+
+
 def test_direct_totals_within_eps_of_the_exact_sum():
     # the direct route (the fallback and oracle of the FFT form) adds each
     # cube's offset-row sums by one fsum: on two m=64 cubes of a rough
@@ -493,13 +525,16 @@ def test_direct_totals_within_eps_of_the_exact_sum():
     for order in ("first_difference", "second_difference"):
         terms = list(bmo_mod._difference_terms(m, 2, h, 3.0, order))
         totals = bmo_mod._stack_totals(stack, terms, order).tolist()
-        for v, total in zip(stack, totals):
-            def point_terms():
-                for w, *reads in terms:
-                    a = [v[None][r] for r in reads]
-                    diff = a[0] - a[1] if len(a) == 2 else 2.0 * a[0] - a[1] - a[2]
-                    yield from (2.0 * w * diff ** 2).ravel().tolist()
-            exact = math.fsum(point_terms())
+
+        def point_terms():  # (cube, point) terms, one offset row at a time
+            for w, *reads in terms:
+                a = [stack[r] for r in reads]
+                diff = a[0] - a[1] if len(a) == 2 else 2.0 * a[0] - a[1] - a[2]
+                diff *= diff
+                diff *= 2.0 * w  # 2.0 * w * diff ** 2, in place
+                yield diff.reshape(len(stack), -1)
+
+        for total, exact in zip(totals, _exact_sums(point_terms())):
             assert abs(total - exact) <= 1e-15 * exact, order
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from msq import cli as cli_mod
 from msq.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from msq.coeffs import KINDS
 from msq.corpus import FAMILIES, load_field
@@ -615,6 +616,47 @@ def test_no_tmp_files_left_behind(bump_file, tmp_path):
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert leftovers == []
     assert {"m.csv", "m.csv.json", "c.fld", "d.fld"} <= set(os.listdir(tmp_path))
+
+
+def test_table_writers_byte_layout(tmp_path):
+    # a window table of 5,000 rows crosses the 4096-row chunk boundary; its
+    # centers and sizes repeat, and its values hold signed zeros, non-finite
+    # floats, tiny, huge and subnormal values, repeated and distinct
+    rng = np.random.default_rng(8)
+    rows = 5000
+    centers = np.stack([np.arange(rows) // 3 % 128, np.arange(rows) % 7], axis=1)
+    sizes = np.array([0.5, 0.25, 0.1, 1e-05, 3.0])[np.arange(rows) % 5]
+    specials = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-05, 1e16, 5e-324])
+    values = rng.standard_normal(rows)
+    values[rng.integers(0, rows, 1500)] = rng.choice(specials, 1500)
+    values[4090:4102] = np.nextafter(specials.repeat(2)[:12], 1.0)  # neighbours, at the boundary
+    names, cells = cli_mod._window_table(["size", "value"], centers, sizes, values)
+    table = cli_mod._Table(cells)
+    listed = [[*c, s, v] for c, s, v in zip(centers.tolist(), sizes.tolist(), values.tolist())]
+
+    csv_path = tmp_path / "t.csv"
+    cli_mod._write_rows_csv(str(csv_path), names, table)
+    lines = [",".join([*map(str, row[:2]), *map(repr, row[2:])]) for row in listed]
+    assert csv_path.read_text() == "\n".join([",".join(names), *lines]) + "\n"
+
+    common = {"per_window_columns": names, "norm": 0.25, "metadata": {
+        "b": {"z": [1, 2.5, None], "a": "x\ny"}, "empty_list": [], "empty_dict": {},
+        "nan": float("nan"), "list": [{"k": -0.0}]}}
+    json_path = tmp_path / "t.json"
+    for payload, as_lists in [
+        ({**common, "per_window": table, "empty": cli_mod._Table()},
+         {**common, "per_window": listed, "empty": []}),
+        ({"rows": []}, {"rows": []}),
+        ({}, {}),
+    ]:
+        cli_mod.write_json(str(json_path), payload)
+        assert json_path.read_text() == json.dumps(as_lists, indent=2, sort_keys=True) + "\n"
+
+
+def test_write_json_unencodable_payload_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        cli_mod.write_json(str(tmp_path / "t.json"), {"a": [1.0], "b": np.float32(1.0)})
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command", [
