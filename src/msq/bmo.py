@@ -27,6 +27,7 @@ from .field import (
     BallWindow, Grid, SampledField, WindowFamily, ball_mask, flat_index, lattice_centers,
     offset_distance, offset_reads, offset_sums, window_argmax, window_family, window_rows,
 )
+from .spectral import check_alpha
 
 __all__ = [
     "OscillationReport",
@@ -62,30 +63,24 @@ class CubeSpec:
     center: tuple
     side: float
 
+    # The rules a cube passes, in the order they are checked; as BallWindow.RULES.
+    RULES = (
+        (lambda g, k, c, s: k != g.dim,
+         lambda g, c, s: "cube center rank does not match grid dim"),
+        (lambda g, k, c, s: ~np.isfinite(s),
+         lambda g, c, s: f"cube side {s} is not finite"),
+        (lambda g, k, c, s: s > g.period / 2.0 + 1e-12 * g.period,
+         lambda g, c, s: f"cube side {s} exceeds period/2 (aliasing)"),
+        (lambda g, k, c, s: s < 4.0 * g.spacing - 1e-12 * g.spacing,
+         lambda g, c, s: f"cube side {s} below 4h"),
+        (lambda g, k, c, s: np.abs(s / g.spacing - 2 * np.round(s / g.spacing / 2)) > 1e-9,
+         lambda g, c, s: "cube side must be an even multiple of the spacing"),
+    )
+
     def validate(self, grid: Grid) -> None:
-        if len(self.center) != grid.dim:
-            raise ValueError("cube center rank does not match grid dim")
-        if not math.isfinite(self.side):
-            raise ValueError(f"cube side {self.side} is not finite")
-        if self.side > grid.period / 2.0 + 1e-12 * grid.period:
-            raise ValueError(f"cube side {self.side} exceeds period/2 (aliasing)")
-        if self.side < 4.0 * grid.spacing - 1e-12 * grid.spacing:
-            raise ValueError(f"cube side {self.side} below 4h")
-        m = self.side / grid.spacing
-        if abs(m - round(m)) > 1e-9 or int(round(m)) % 2 != 0:
-            raise ValueError("cube side must be an even multiple of the spacing")
+        window_family(grid, [self], CubeSpec)
 
     size = property(lambda self: self.side)
-
-    @staticmethod
-    def rows_valid(grid: Grid, centers: np.ndarray, sides: np.ndarray) -> bool:
-        """validate of every row at once: (m, dim) int centers, (m,) sides."""
-        if not np.all(np.isfinite(sides)):
-            return False
-        h, m = grid.spacing, np.round(sides / grid.spacing)
-        return not np.any((sides > grid.period / 2.0 + 1e-12 * grid.period)
-                          | (sides < 4.0 * h - 1e-12 * h)
-                          | (np.abs(sides / h - m) > 1e-9) | (m % 2 != 0))
 
     def points_per_axis(self, grid: Grid) -> int:
         return int(round(self.side / grid.spacing))
@@ -156,8 +151,7 @@ def holder_seminorm(field: SampledField, alpha: float, stride: int = 1) -> float
     with y = x + o for every nonzero integer offset o with |o| h <=
     period/4; the result is a lower bound of the continuum seminorm.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha, 1.0, closed=True)
     grid = field.grid
     dist = offset_distance(grid)
     tested = (dist > 0) & (dist <= grid.period / 4.0)
@@ -323,8 +317,7 @@ def _stack_totals(v: np.ndarray, terms, order: str) -> np.ndarray:
 
 
 def _strichartz(field, alpha, cubes, order: str, alpha_hi: float) -> StrichartzReport:
-    if not (0.0 < alpha < alpha_hi):
-        raise ValueError(f"alpha must lie in (0, {alpha_hi}), got {alpha}")
+    check_alpha(alpha, alpha_hi)
     if cubes is None or len(cubes) == 0:
         raise ValueError("empty cube family")
     grid = field.grid

@@ -24,7 +24,7 @@ from .field import (
     SampledField, ball_mask, flat_index, lattice_centers, periodic_roll, table_columns,
     window_argmax, window_rows,
 )
-from .spectral import fractional_derivative
+from .spectral import check_alpha, fractional_derivative
 
 __all__ = [
     "CarlesonReport",
@@ -87,8 +87,7 @@ def _weighted_levels(matrix: CoefficientMatrix, alpha: float) -> np.ndarray:
 
 def square_function_integral(matrix: CoefficientMatrix, alpha: float, z, R: float) -> float:
     """Dyadic Riemann sum of the double integral over B_R(z) x (0, R]."""
-    if not (0.0 < alpha < 2.0):
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    check_alpha(alpha)
     grid = matrix.grid
     level = _ladder_level_of(matrix.ladder, R)
     summand = _weighted_levels(matrix, alpha)[:, level:].sum(axis=1)
@@ -126,8 +125,7 @@ def carleson_constant(
     The reported constant is the maximum of the normalized integrals and is
     a lower bound of the true supremum over all centers and radii.
     """
-    if not (0.0 < alpha < 2.0):
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    check_alpha(alpha)
     grid = matrix.grid
     if centers is None:
         centers, center_stride = lattice_centers(grid, stride), stride
@@ -135,12 +133,7 @@ def carleson_constant(
         centers, center_stride = np.atleast_2d(np.asarray(centers, dtype=int)), None
     if centers.size == 0:
         raise ValueError("empty center family")
-    if tops is None:
-        tops = [float(r) for r in matrix.ladder.radii]
-    else:
-        tops = [float(R) for R in tops]
-        for R in tops:
-            _ladder_level_of(matrix.ladder, R)
+    tops = [float(R) for R in (matrix.ladder.radii if tops is None else tops)]
     if len(tops) == 0:
         raise ValueError("empty top-radius family")
 
@@ -172,8 +165,7 @@ def carleson_constant(
 
 def full_domain_square_integral(matrix: CoefficientMatrix, alpha: float) -> float:
     """Unrestricted dyadic sum over all centers and every ladder scale."""
-    if not (0.0 < alpha < 2.0):
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    check_alpha(alpha)
     h = matrix.grid.spacing
     return float(h ** matrix.grid.dim * _weighted_levels(matrix, alpha).sum())
 
@@ -186,8 +178,7 @@ def comparability_experiment(
 ) -> ComparisonRecord:
     """Carleson constant of the order-matched coefficient vs the squared
     BMO norm of the fractional derivative, plus their ratio."""
-    if not (0.0 < alpha < 2.0):
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    check_alpha(alpha)
     grid = field.grid
     if ladder is None:
         ladder = make_ladder(grid)

@@ -180,11 +180,8 @@ class CoefficientMatrix:
 
 
 def _window_geometry(field: SampledField, window: BallWindow):
-    window.validate(field.grid)
     mask = ball_mask(field.grid, window.radius)
-    vals = window_values(field, window, mask=mask)
-    u = masked_offsets(field.grid, mask)
-    return vals, u
+    return window_values(field, window, mask=mask), masked_offsets(field.grid, mask)
 
 
 def nu0(field: SampledField, window: BallWindow) -> float:
@@ -312,11 +309,8 @@ def coefficient_matrix(field: SampledField, ladder: ScaleLadder, kind: str) -> C
     if kind not in KINDS:
         raise ValueError(f"unknown coefficient kind {kind!r}")
     grid = field.grid
+    make_ladder(grid, ladder.top_radius, ladder.levels)  # the ladder must fit this grid
     radii = ladder.radii
-    if radii[0] > grid.period / 4.0 + 1e-12 * grid.period:
-        raise ValueError("ladder top radius exceeds period/4 for this grid")
-    if radii[-1] < 4.0 * grid.spacing - 1e-12 * grid.spacing:
-        raise ValueError("ladder bottom radius below the 4h floor for this grid")
 
     # Every kind is invariant under adding a constant; centering first.
     fc = field.shaped - field.values.mean()

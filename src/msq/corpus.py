@@ -201,12 +201,18 @@ def expected_regularity(spec: CorpusSpec) -> RegularityTag:
 def atomic_write(path, chunks) -> None:
     """Write the strings of chunks, in order, to a .tmp sibling of path and
     move it over path, so that a write cut short never leaves a truncated
-    target.  The one writer of every file msq writes."""
+    target: on failure the .tmp file goes and the target keeps its bytes.
+    The one writer of every file msq writes."""
     path = os.fspath(path)
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_field(field: SampledField, path, extra: dict = None) -> None:

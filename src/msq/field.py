@@ -108,31 +108,27 @@ class BallWindow:
     center: tuple
     radius: float
 
+    # The rules a ball passes, in the order they are checked: (test, message).
+    # test(grid, ranks, centers, radii) flags the failing rows of (m,) center
+    # ranks, (m, dim) int centers and (m,) radii; message(grid, center, radius)
+    # is the error of one failing row.
+    RULES = (
+        (lambda g, k, c, r: k != g.dim,
+         lambda g, c, r: "window center rank does not match grid dim"),
+        (lambda g, k, c, r: np.any((c < 0) | (c >= g.n_per_axis), axis=1),
+         lambda g, c, r: f"window center index {c} out of range"),
+        (lambda g, k, c, r: ~np.isfinite(r),
+         lambda g, c, r: f"window radius {r} is not finite"),
+        (lambda g, k, c, r: r < g.spacing,
+         lambda g, c, r: f"window radius {r} below grid spacing {g.spacing}"),
+        (lambda g, k, c, r: r > g.period / 4,
+         lambda g, c, r: f"window radius {r} exceeds period/4 = {g.period / 4}"),
+    )
+
     def validate(self, grid: Grid) -> None:
-        if len(self.center) != grid.dim:
-            raise ValueError("window center rank does not match grid dim")
-        for c in self.center:
-            if not (0 <= int(c) < grid.n_per_axis):
-                raise ValueError(f"window center index {self.center} out of range")
-        if not np.isfinite(self.radius):
-            raise ValueError(f"window radius {self.radius} is not finite")
-        if self.radius < grid.spacing:
-            raise ValueError(
-                f"window radius {self.radius} below grid spacing {grid.spacing}"
-            )
-        if self.radius > grid.period / 4:
-            raise ValueError(
-                f"window radius {self.radius} exceeds period/4 = {grid.period / 4}"
-            )
+        window_family(grid, [self], BallWindow)
 
     size = property(lambda self: self.radius)
-
-    @staticmethod
-    def rows_valid(grid: Grid, centers: np.ndarray, radii: np.ndarray) -> bool:
-        """validate of every row at once: (m, dim) int centers, (m,) radii."""
-        return bool(np.all((centers >= 0) & (centers < grid.n_per_axis))
-                    and np.all(np.isfinite(radii))
-                    and not np.any((radii < grid.spacing) | (radii > grid.period / 4)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,20 +399,26 @@ def offset_sums(grid: Grid, a: np.ndarray, points: np.ndarray, offsets, center,
 
 def window_family(grid: Grid, windows, kind) -> WindowFamily:
     """A WindowFamily, or a sequence of kind windows (BallWindow or
-    CubeSpec), as a WindowFamily that kind.rows_valid accepts.  Otherwise
-    kind windows are validated in input order: the first invalid one raises."""
+    CubeSpec), as a WindowFamily whose every row passes kind.RULES.
+    Otherwise the first failing row in input order raises the message of
+    its first failing rule."""
     if isinstance(windows, WindowFamily):
         centers, sizes = windows.centers, windows.sizes
-        valid = centers.shape[1:] == (grid.dim,)
+        ranks = np.full(len(sizes), np.shape(centers)[-1])
     else:
         centers, sizes = [w.center for w in windows], np.array([float(w.size) for w in windows])
-        valid = all(len(c) == grid.dim for c in centers)
-    if valid:
-        family = WindowFamily(np.asarray(centers, dtype=int).reshape(-1, grid.dim), sizes)
-        valid = kind.rows_valid(grid, family.centers, sizes)
-    if not valid:
-        for c, size in zip(centers, sizes.tolist()):
-            kind(tuple(np.asarray(c).tolist()), size).validate(grid)
+        ranks = np.array([len(c) for c in centers], dtype=int)
+    if np.any(ranks != grid.dim):  # held as the origin; the rank rule rejects the row
+        centers = [c if k == grid.dim else (0,) * grid.dim for c, k in zip(centers, ranks.tolist())]
+    family = WindowFamily(np.asarray(centers, dtype=int).reshape(-1, grid.dim), sizes)
+    # the rules after a size's finiteness rule compute on NaN and inf too, silently
+    with np.errstate(all="ignore"):
+        failing = np.array([test(grid, ranks, family.centers, sizes) for test, _ in kind.RULES])
+    rows = np.flatnonzero(failing.any(axis=0))
+    if rows.size:
+        i = int(rows[0])
+        message = kind.RULES[int(np.argmax(failing[:, i]))][1]
+        raise ValueError(message(grid, tuple(family.centers[i].tolist()), float(sizes[i])))
     return family
 
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .coeffs import ScaleLadder, coefficient_matrix
 from .corpus import FieldLengthError, FieldValueError
-from . import field as field_mod
 from .field import (
     NumericError, SampledField, flat_index, lattice_centers, offset_components, ordered_sum,
 )
@@ -248,6 +247,13 @@ def load_cloud(path, ambient_dim: int = None):
         raise FieldValueError(f"{path}: {exc}") from exc
 
 
+# _BLOCK_CLOUDS: centers per stacked beta2k call of the graph bridge; a
+# stack's betas equal its per-cloud calls (==), so it sets only the time.
+# `msq beta --graph` on 2-d n=128 smooth_bump took 4.5-4.7 s with 40 clouds
+# a call, 5.9-6.6 s with 10 (2**15 lifted values), on a 2-core x86 host.
+_BLOCK_CLOUDS = 40
+
+
 def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1) -> GraphBridgeReport:
     """Pair graph-cloud plane numbers with the affine coefficients.
 
@@ -275,14 +281,14 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
     nub = coefficient_matrix(field, ladder, "nu1").values[flat_index(grid, centers)]
 
     # The offsets of the widest candidate ball, in the row-major order of
-    # the chart rolled to the center.  Blocks of centers, each about
-    # _BLOCK_VALUES lifted values, go to beta2k as one stacked cloud, which
-    # selects every radius's ball from it.  A center's rows are read from
-    # the flat indices tiled twice per axis, so c + step needs no wrap.
+    # the chart rolled to the center.  Blocks of _BLOCK_CLOUDS centers go to
+    # beta2k as one stacked cloud, which selects every radius's ball from
+    # it.  A center's rows are read from the flat indices tiled twice per
+    # axis, so c + step needs no wrap.
     top = radii.max()
     widest = udist_sq < top * top
     steps = np.argwhere(widest)
-    per_block = min(max(1, field_mod._BLOCK_VALUES // len(steps)), len(centers))
+    per_block = min(_BLOCK_CLOUDS, len(centers))
     wide = (2 * grid.n_per_axis,) * dim
     tiled = np.tile(np.arange(grid.n_points).reshape(grid.shape), (2,) * dim).reshape(-1)
     shift = np.ravel_multi_index(tuple(steps.T), wide)

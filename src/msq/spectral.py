@@ -11,12 +11,15 @@ quadrature of the principal-value integral
     p.v. integral of (f(x) - f(y)) / |x - y|^(d + alpha) dy
 
 for the periodic extension of the field.  The kernel is folded onto one
-period as a lattice sum (Hurwitz zeta in 1-d), the odd part of the
-singularity is cancelled by symmetric differencing, and the remaining
+period as a lattice sum (Hurwitz zeta in 1-d), and the odd part of the
+singularity is cancelled by symmetric differencing.  In 1-d the remaining
 |u|^(1-alpha) endpoint behaviour is handled by product integration with
-exact moments, so the quadrature error is O(h^2) uniformly in alpha.  The
-constant relating this operator to the multiplier is never hard-coded; it
-is measured by calibrate_pv_constant on a sinusoid.
+exact moments, so the error is O(h^2) uniformly in alpha.  The 2-d sum
+has no such correction and errs like h^(2-alpha) relative, plus about
+1e-2 from its isotropic lattice-tail estimate (9.3e-2 at n=32, alpha =
+1.3; see tests/test_spectral.py).  The constant relating this operator to
+the multiplier is never hard-coded; it is measured by
+calibrate_pv_constant on a sinusoid.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "dalpha_energy",
     "fractional_laplacian_pv",
     "calibrate_pv_constant",
+    "check_alpha",
 ]
 
 
@@ -47,16 +51,17 @@ def _apply_multiplier(field: SampledField, mult: np.ndarray) -> SampledField:
     return SampledField(grid=field.grid, values=out.reshape(-1))
 
 
-def _check_alpha(alpha: float) -> float:
+def check_alpha(alpha: float, hi: float = 2.0, closed: bool = False) -> float:
+    """alpha as a float, which must lie in (0, hi), or in (0, hi] when closed."""
     alpha = float(alpha)
-    if not (0.0 < alpha < 2.0):
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    if not (0.0 < alpha < hi or (closed and alpha == hi)):
+        raise ValueError(f"alpha must lie in (0, {hi:g}{']' if closed else ')'}, got {alpha}")
     return alpha
 
 
 def fractional_derivative(field: SampledField, alpha: float) -> SampledField:
     """Apply the multiplier (2 pi |k| / L)^alpha, zero mode projected out."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     xi = _freq_magnitude(field.grid)
     mult = (2.0 * np.pi * xi) ** alpha
     mult.reshape(-1)[0] = 0.0
@@ -65,7 +70,7 @@ def fractional_derivative(field: SampledField, alpha: float) -> SampledField:
 
 def riesz_potential(field: SampledField, alpha: float) -> SampledField:
     """Apply the inverse multiplier (2 pi |k| / L)^(-alpha) on nonzero modes."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     xi = _freq_magnitude(field.grid)
     mult = np.zeros_like(xi)
     nz = xi > 0
@@ -184,7 +189,7 @@ def fractional_laplacian_pv(field: SampledField, alpha: float, center) -> float:
     fractional derivative by the dimension- and alpha-dependent kernel
     constant measured by calibrate_pv_constant.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if field.grid.dim == 1:
         c = int(center[0]) if isinstance(center, (tuple, list, np.ndarray)) else int(center)
         return _pv_1d(field, alpha, c)
@@ -200,7 +205,7 @@ def calibrate_pv_constant(grid: Grid, alpha: float, frequency: int = 1) -> float
     p.v. quadrature to the multiplier value (2 pi k / L)^alpha at a maximum
     of the field is the constant.  It should transfer across frequencies.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     omega = 2.0 * np.pi * frequency / grid.period
     vals = np.cos(omega * coordinates(grid)[0])
     f = SampledField(grid=grid, values=vals.reshape(-1))

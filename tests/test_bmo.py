@@ -163,6 +163,54 @@ def test_strichartz_first_invalid_cube_raises_its_error(rough_field_1d):
             strichartz_second(rough_field_1d, 1.3, family)
 
 
+def test_cube_family_first_failing_row_wins(rough_field_1d):
+    # rows breaking different rules: the first failing row in input order
+    # raises its own first failing rule, for a family and a list alike
+    g = rough_field_1d.grid  # n = 256, h = 1/256
+    h = g.spacing
+    bad = [  # each row also breaks the rules after its first
+        (math.inf, "cube side inf is not finite"),
+        (0.6 + h / 3, f"cube side {0.6 + h / 3} exceeds period/2 (aliasing)"),
+        (3 * h, f"cube side {3 * h} below 4h"),
+        (5 * h, "cube side must be an even multiple of the spacing"),
+    ]
+    for k, (side, message) in enumerate(bad):
+        sides = [0.25] + [s for s, _ in bad[k:]] + [0.25]
+        cubes = [CubeSpec(center=(3 * i,), side=s) for i, s in enumerate(sides)]
+        family = make_cube_family(g, sides=sides, stride=256)
+        for windows in (cubes, family):
+            with pytest.raises(ValueError) as exc:
+                strichartz_first(rough_field_1d, 0.5, windows)
+            assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            CubeSpec(center=(0,), side=side).validate(g)
+        assert str(exc.value) == message
+    cubes = [CubeSpec(center=(0,), side=0.25), CubeSpec(center=(0, 0), side=math.nan)]
+    with pytest.raises(ValueError, match="^cube center rank does not match grid dim$"):
+        strichartz_second(rough_field_1d, 1.3, cubes)
+
+
+@pytest.mark.parametrize("call, alpha, message", [
+    ("first", 1.0, "alpha must lie in (0, 1), got 1.0"),
+    ("first", 0.0, "alpha must lie in (0, 1), got 0.0"),
+    ("second", 2, "alpha must lie in (0, 2), got 2.0"),
+    ("second", math.nan, "alpha must lie in (0, 2), got nan"),
+    ("holder", 1.5, "alpha must lie in (0, 1], got 1.5"),
+    ("holder", -0.5, "alpha must lie in (0, 1], got -0.5"),
+])
+def test_alpha_out_of_range(rough_field_1d, call, alpha, message):
+    f = rough_field_1d
+    cubes = make_cube_family(f.grid)
+    run = {"first": lambda a: strichartz_first(f, a, cubes),
+           "second": lambda a: strichartz_second(f, a, cubes),
+           "holder": lambda a: holder_seminorm(f, a, stride=64)}[call]
+    with pytest.raises(ValueError) as exc:
+        run(alpha)
+    assert str(exc.value) == message
+    if call == "holder":  # the closed end is accepted
+        assert holder_seminorm(f, 1.0, stride=64) > 0.0
+
+
 def test_cube_family_default_sides():
     # period/2 down to 4h; a tiny period must not loop forever
     for period in (1.0, 1e-13):

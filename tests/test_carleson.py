@@ -120,6 +120,22 @@ def test_empty_families_rejected(rough_field_1d):
         carleson_constant(m, 0.5, tops=[])
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 2.0, 2, math.nan])
+def test_alpha_out_of_range(rough_field_1d, alpha):
+    # every entry point checks alpha against (0, 2) before any work
+    f = rough_field_1d
+    lad = make_ladder(f.grid)
+    m = _zero_matrix(f.grid, lad)
+    message = f"alpha must lie in (0, 2), got {float(alpha)}"
+    for call in (lambda: carleson_constant(m, alpha),
+                 lambda: comparability_experiment(f, alpha),
+                 lambda: square_function_integral(m, alpha, (0,), float(lad.radii[0])),
+                 lambda: full_domain_square_integral(m, alpha)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_matching_order_split():
     assert matching_order(0.99) == 0
     assert matching_order(1.0) == 1

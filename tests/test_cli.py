@@ -596,6 +596,28 @@ def test_beta_stride_is_graph_mode_only(bump_file, tmp_path, capsys):
     assert not (tmp_path / "b.csv").exists()
 
 
+def test_config_file_sets_a_switch(bump_file, tmp_path):
+    # a true-ish value of a store_true flag in the config file sets it:
+    # graph=true runs beta in graph mode, as --graph does
+    cfg, by_cfg, by_flag = tmp_path / "c.cfg", tmp_path / "cfg.csv", tmp_path / "flag.csv"
+    cfg.write_text("graph=true\nlevels=2\n")
+    assert run(["beta", "--config", str(cfg), "--field", str(bump_file),
+                "--out", str(by_cfg)]) == EXIT_OK
+    assert run(["beta", "--graph", "--levels", "2", "--field", str(bump_file),
+                "--out", str(by_flag)]) == EXIT_OK
+    assert by_cfg.read_bytes() == by_flag.read_bytes()
+    assert json.loads((tmp_path / "cfg.csv.json").read_text())["config"]["graph"] is True
+
+
+def test_unreadable_config_file_usage_error(bump_file, tmp_path, capsys):
+    missing, out = tmp_path / "absent.cfg", tmp_path / "o.csv"
+    rc = run(["beta", "--config", str(missing), "--field", str(bump_file), "--out", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"msq: error: usage: cannot read config file {missing}: ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_unknown_config_key_usage_error(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("nonsense=1\n")

@@ -500,3 +500,17 @@ def test_matrix_metadata_records_routes_and_margins():
     meta = matrix_metadata(coefficient_matrix(const, lad, "nu0"))
     assert meta["routes"] == ["constant"] * lad.levels
     assert meta["margins"] == [None] * lad.levels
+
+
+def test_coefficient_matrix_rejects_a_ladder_made_for_another_grid():
+    # the ladder is checked against the field's grid by make_ladder's rule
+    g = make_grid(1, 64, 1.0)
+    f = corpus_generate(CorpusSpec(family="smooth_bump", grid=g))
+    deep = make_ladder(make_grid(1, 256, 1.0))  # 5 levels; 3 fit above 4h here
+    with pytest.raises(ValueError, match=r"^5 levels would drop below the 4h floor \(max 3\)$"):
+        coefficient_matrix(f, deep, "nu0")
+    wide = make_ladder(make_grid(1, 64, 2.0))  # top radius 0.5 > period/4 here
+    with pytest.raises(ValueError, match="^ladder top radius exceeds period/4$"):
+        coefficient_matrix(f, wide, "nu1")
+    fits = make_ladder(make_grid(1, 128, 1.0), levels=3)
+    assert coefficient_matrix(f, fits, "nu0").values.shape == (64, 3)

@@ -125,6 +125,24 @@ def test_failed_save_field_keeps_the_existing_file(tmp_path):
     assert p.read_bytes() == before
 
 
+def test_atomic_write_cut_short_leaves_no_tmp_file(tmp_path):
+    # a chunk iterator that fails after its first chunk: the .tmp sibling is
+    # deleted, the error propagates and the target keeps its old bytes
+    from msq.corpus import atomic_write
+
+    p = tmp_path / "t.csv"
+    atomic_write(p, ["old\n"])
+
+    def chunks():
+        yield "a,b\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        atomic_write(p, chunks())
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["t.csv"]
+    assert p.read_text() == "old\n"
+
+
 def test_field_file_errors(tmp_path):
     good = tmp_path / "good.fld"
     g = make_grid(1, 8, 1.0)

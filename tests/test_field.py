@@ -24,6 +24,7 @@ from msq.field import (
     periodic_roll,
     sample,
 )
+from msq.field import WindowFamily, window_family
 
 
 def test_make_grid_spacing():
@@ -119,6 +120,44 @@ def test_window_validation():
         BallWindow(center=(0,), radius=0.5 / 64).validate(g)
     with pytest.raises(ValueError, match="period/4"):
         BallWindow(center=(0,), radius=0.3).validate(g)
+
+
+def _raised(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+def test_window_family_first_failing_row_wins():
+    # every row meets every rule as arrays; the first failing row in input
+    # order raises the message of its first failing rule, for a family, a
+    # list and a single window alike
+    g = make_grid(2, 16, 1.0)
+    ok = ((1, 1), 0.125)
+    bad = [  # each row also breaks the rules after its first
+        ((3, 99), math.nan, "window center index (3, 99) out of range"),
+        ((0, -1), math.inf, "window center index (0, -1) out of range"),
+        ((0, 0), math.nan, "window radius nan is not finite"),
+        ((2, 2), 0.01, "window radius 0.01 below grid spacing 0.0625"),
+        ((2, 2), 0.3, "window radius 0.3 exceeds period/4 = 0.25"),
+    ]
+    for k, (center, radius, message) in enumerate(bad):
+        rows = [ok] + [(c, r) for c, r, _ in bad[k:]] + [ok]
+        family = WindowFamily(np.array([c for c, _ in rows]), np.array([r for _, r in rows]))
+        windows = [BallWindow(center=c, radius=r) for c, r in rows]
+        assert _raised(lambda: window_family(g, family, BallWindow)) == message
+        assert _raised(lambda: window_family(g, windows, BallWindow)) == message
+        assert _raised(lambda: BallWindow(center=center, radius=radius).validate(g)) == message
+    # a center of the wrong rank raises where it falls in input order
+    rank = "window center rank does not match grid dim"
+    windows = [BallWindow(center=(1, 1), radius=0.125), BallWindow(center=(1,), radius=0.3),
+               BallWindow(center=(1, 1), radius=0.3)]
+    assert _raised(lambda: window_family(g, windows, BallWindow)) == rank
+    assert _raised(lambda: window_family(g, windows[::-1], BallWindow)) == bad[-1][2]
+    family = WindowFamily(np.zeros((3, 3), dtype=int), np.full(3, math.nan))
+    assert _raised(lambda: window_family(g, family, BallWindow)) == rank
+    valid = window_family(g, [BallWindow(center=c, radius=r) for c, r in [ok, ok]], BallWindow)
+    assert valid.centers.tolist() == [[1, 1], [1, 1]] and valid.sizes.tolist() == [0.125, 0.125]
 
 
 def test_ball_membership_strict():

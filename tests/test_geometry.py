@@ -171,6 +171,25 @@ def test_graph_bridge_2d_smooth_field():
     assert 0.0 < rep.max_nu1_over_beta < 8.0
 
 
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 32)])
+def test_graph_bridge_blocks_give_equal_betas(dim, n, monkeypatch):
+    # a stacked cloud's betas equal its per-cloud calls, so the number of
+    # clouds per beta2k call changes no beta (==, NaN cells alike); the 1-d
+    # field has 76 cells of too few points
+    import msq.geometry as geometry_mod
+
+    g = make_grid(dim, n, 1.0)
+    f = generate(CorpusSpec(family="smooth_bump", grid=g))
+    lad = make_ladder(g)
+    betas = []
+    for clouds in (1, 40, g.n_points):
+        monkeypatch.setattr(geometry_mod, "_BLOCK_CLOUDS", clouds)
+        betas.append(graph_beta_vs_nu1(f, lad).beta)
+    assert np.isnan(betas[0]).sum() == (76 if dim == 1 else 0)
+    for beta in betas[1:]:
+        assert np.array_equal(beta, betas[0], equal_nan=True)
+
+
 def test_graph_bridge_scaling_keeps_joint_vanishing():
     # the affine coefficient scales linearly, the plane number does not;
     # both vanish together on affine data regardless of amplitude

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,36 @@ def test_pv_calibration_transfers_across_frequencies():
         c1 = calibrate_pv_constant(g, alpha, frequency=1)
         c2 = calibrate_pv_constant(g, alpha, frequency=2)
         assert abs(c2 / c1 - 1.0) < 1e-3
+
+
+def _pv_closed_form(d, alpha):
+    """1 / C(d, alpha) with C = 2^alpha Gamma((d + alpha) / 2) / (pi^(d/2)
+    |Gamma(-alpha/2)|): the p.v. integral of (f(x) - f(y)) / |x - y|^(d + alpha)
+    is (-Laplacian)^(alpha/2) f / C."""
+    c = 2.0**alpha * math.gamma((d + alpha) / 2) / (math.pi ** (d / 2) * abs(math.gamma(-alpha / 2)))
+    return 1.0 / c
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.3])
+def test_pv_constant_matches_closed_form_1d(alpha):
+    # O(h^2) in 1-d: relative error 5.7e-5 (alpha 0.3) and 4.0e-5 (alpha
+    # 1.3) at n=64, four times smaller per doubling of n
+    want = _pv_closed_form(1, alpha)
+    err = [abs(calibrate_pv_constant(make_grid(1, n, 1.0), alpha) / want - 1.0) for n in (64, 128)]
+    assert err[0] < 1e-4
+    assert err[1] < err[0] / 3.5
+
+
+def test_pv_constant_2d_error_at_its_documented_size():
+    # the 2-d lattice sum errs by O(h^(2 - alpha)) relative, plus about 1e-2
+    # from the isotropic estimate of the lattice tail, which does not fall
+    # with h: 8.9e-3 (alpha 0.3) and 9.3e-2 (alpha 1.3) at n=32
+    for alpha, bound in ((0.3, 1.2e-2), (1.3, 0.1)):
+        want = _pv_closed_form(2, alpha)
+        err = [abs(calibrate_pv_constant(make_grid(2, n, 1.0), alpha) / want - 1.0)
+               for n in (32, 64)]
+        assert max(err) < bound
+    assert err[1] < err[0] / 2.0**0.6  # alpha 1.3: like h^0.7
 
 
 def test_holder_seminorm_controlled_by_derivative_norm():
