@@ -19,6 +19,7 @@ from msq.experiments import (
     ALPHA_GRID,
     comparability_ratios,
     default_specs,
+    eligible_pairs,
     two_sided_band,
 )
 from msq.field import make_grid
@@ -36,10 +37,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     grid = make_grid(args.dim, args.n, 1.0)
-    ratios = comparability_ratios(
-        default_specs(grid, noise_alphas=args.noise_alphas), alphas=args.alphas,
-        stride=args.stride,
-    )
+    specs = default_specs(grid, noise_alphas=args.noise_alphas)
+    try:
+        eligible_pairs(specs, args.alphas)
+    except ValueError as exc:  # a repeated alpha or noise alpha
+        ap.error(str(exc))
+    ratios = comparability_ratios(specs, alphas=args.alphas, stride=args.stride)
     band = two_sided_band(ratios)
 
     print(f"dim={args.dim} n={args.n} stride={args.stride}")

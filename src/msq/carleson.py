@@ -32,6 +32,7 @@ __all__ = [
     "square_function_integral",
     "carleson_constant",
     "comparability_experiment",
+    "comparability_records",
     "full_domain_square_integral",
     "matching_order",
 ]
@@ -170,20 +171,39 @@ def full_domain_square_integral(matrix: CoefficientMatrix, alpha: float) -> floa
     return float(h ** matrix.grid.dim * _weighted_levels(matrix, alpha).sum())
 
 
+def _matched_kind(alpha: float) -> str:
+    return "nu0" if matching_order(alpha) == 0 else "nu1"
+
+
 def comparability_experiment(
     field: SampledField,
     alpha: float,
     ladder: ScaleLadder = None,
     stride: int = 1,
+    matrix: CoefficientMatrix = None,
 ) -> ComparisonRecord:
     """Carleson constant of the order-matched coefficient vs the squared
-    BMO norm of the fractional derivative, plus their ratio."""
+    BMO norm of the fractional derivative, plus their ratio.
+
+    ``matrix``, if given, must be ``coefficient_matrix(field, ladder,
+    kind)`` for the kind alpha's order picks; its kind, grid and ladder
+    radii are checked, its values are not.  Without it the matrix is
+    built here.
+    """
     check_alpha(alpha)
     grid = field.grid
     if ladder is None:
         ladder = make_ladder(grid)
-    kind = "nu0" if matching_order(alpha) == 0 else "nu1"
-    matrix = coefficient_matrix(field, ladder, kind)
+    kind = _matched_kind(alpha)
+    if matrix is None:
+        matrix = coefficient_matrix(field, ladder, kind)
+    elif matrix.kind != kind:
+        raise ValueError(f"alpha {alpha} pairs with a {kind} matrix, got {matrix.kind}")
+    elif matrix.grid != grid:
+        raise ValueError(f"matrix grid {matrix.grid} is not the field's grid {grid}")
+    elif not np.array_equal(matrix.ladder.radii, ladder.radii):
+        raise ValueError(f"matrix ladder radii {matrix.ladder.radii.tolist()} are not "
+                         f"the ladder's {ladder.radii.tolist()}")
     report = carleson_constant(matrix, alpha, stride=stride)
 
     deriv = fractional_derivative(field, alpha)
@@ -202,3 +222,28 @@ def comparability_experiment(
         ratio=ratio,
         metadata=meta,
     )
+
+
+def comparability_records(
+    field: SampledField,
+    alphas,
+    ladder: ScaleLadder = None,
+    stride: int = 1,
+) -> list:
+    """``comparability_experiment`` for each alpha, in order.  The
+    coefficients do not depend on alpha, only their Carleson weights do,
+    so each kind's matrix is built at its first alpha, shared by the
+    later alphas of that kind and dropped after its last one."""
+    for a in alphas:
+        check_alpha(a)
+    if ladder is None:
+        ladder = make_ladder(field.grid)
+    kinds = [_matched_kind(a) for a in alphas]
+    matrices, records = {}, []
+    for i, (a, kind) in enumerate(zip(alphas, kinds)):
+        if kind not in matrices:
+            matrices[kind] = coefficient_matrix(field, ladder, kind)
+        records.append(comparability_experiment(field, a, ladder, stride, matrices[kind]))
+        if kind not in kinds[i + 1:]:
+            del matrices[kind]
+    return records

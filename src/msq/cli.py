@@ -341,8 +341,8 @@ def _cmd_compare(args):
     alphas = _float_list(args.alphas, "alphas", 0.0, 2.0)
     field, _ = corpus_mod.load_field(args.field)
     ladder = _ladder_for(field.grid, args)
-    records = [dataclasses.asdict(carleson_mod.comparability_experiment(
-        field, a, ladder=ladder, stride=args.stride)) for a in alphas]
+    records = [dataclasses.asdict(rec) for rec in carleson_mod.comparability_records(
+        field, alphas, ladder=ladder, stride=args.stride)]
     config = _effective_config(args, ["field", "alphas", "top_radius", "levels", "stride"])
     write_json(args.out, {"config": config, "records": records})
     return EXIT_OK

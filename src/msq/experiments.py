@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .carleson import comparability_experiment
+from .carleson import comparability_records
 from .coeffs import ScaleLadder
 from .corpus import CorpusSpec, expected_regularity, generate
 from .field import Grid, SampledField
@@ -20,6 +20,7 @@ __all__ = [
     "default_specs",
     "analytic_specs",
     "comparability_ratios",
+    "eligible_pairs",
     "two_sided_band",
 ]
 
@@ -74,28 +75,39 @@ def default_specs(grid: Grid, noise_alphas=(0.5, 1.3, 1.7)) -> list:
     return specs
 
 
+def eligible_pairs(specs, alphas=ALPHA_GRID) -> list:
+    """(spec, its eligible alphas) per spec: the alphas inside the family's
+    regularity band, so every tested field is an archetype of the space
+    being probed.  Raises ValueError when two pairs share a ratio key
+    (family, spec.alpha, alpha), as specs differing only in seed or gamma
+    do, since one ratio would overwrite the other."""
+    pairs, seen = [], set()
+    for spec in specs:
+        lo, hi = expected_regularity(spec).alpha_band
+        eligible = [a for a in alphas if lo < a <= hi]
+        for a in eligible:
+            key = (spec.family, spec.alpha, a)
+            if key in seen:
+                raise ValueError(f"two (spec, alpha) pairs share the ratio key {key}")
+            seen.add(key)
+        pairs.append((spec, eligible))
+    return pairs
+
+
 def comparability_ratios(
     specs,
     alphas=ALPHA_GRID,
     ladder: ScaleLadder = None,
     stride: int = 1,
 ) -> dict:
-    """Ratio carleson_sq / bmo_norm_sq per eligible (CorpusSpec, alpha) pair.
-
-    A pair is eligible when the family's regularity band contains alpha, so
-    every tested field is an archetype of the space being probed.
-    """
+    """Ratio carleson_sq / bmo_norm_sq per eligible (CorpusSpec, alpha)
+    pair (see ``eligible_pairs``), keyed (family, spec.alpha, alpha).
+    Each field is generated once and its alphas share its matrices."""
     ratios = {}
-    for spec in specs:
-        f = generate(spec)
-        tag = expected_regularity(spec)
-        lo, hi = tag.alpha_band
-        for a in alphas:
-            if not (lo < a <= hi):
-                continue
-            rec = comparability_experiment(f, a, ladder=ladder, stride=stride)
-            key = (spec.family, spec.alpha, a)
-            ratios[key] = rec.ratio
+    for spec, eligible in eligible_pairs(specs, alphas):
+        records = comparability_records(generate(spec), eligible, ladder=ladder, stride=stride)
+        for a, rec in zip(eligible, records):
+            ratios[(spec.family, spec.alpha, a)] = rec.ratio
     return ratios
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from msq.carleson import (
     carleson_constant,
     comparability_experiment,
+    comparability_records,
     full_domain_square_integral,
     matching_order,
     square_function_integral,
@@ -220,3 +222,49 @@ def test_full_domain_integral_vs_energy(rough_field_1d):
     lhs = full_domain_square_integral(m, 0.5)
     rhs = dalpha_energy(rough_field_1d, 0.5)
     assert 0.0 < lhs <= 2.0 * rhs
+
+
+@pytest.mark.parametrize("wrong, message", [
+    (lambda f, lad: coefficient_matrix(f, lad, "nu1"), "pairs with a nu0 matrix, got nu1"),
+    (lambda f, lad: coefficient_matrix(f, lad, "nu0_bar"), "pairs with a nu0 matrix"),
+    (lambda f, lad: _zero_matrix(make_grid(1, 128, 2.0), lad), "is not the field's grid"),
+    (lambda f, lad: _zero_matrix(f.grid, make_ladder(f.grid, levels=3)), "ladder radii"),
+    (lambda f, lad: _zero_matrix(f.grid, make_ladder(f.grid, top_radius=0.125)),
+     "ladder radii"),
+], ids=["kind", "mollified-kind", "grid", "levels", "top-radius"])
+def test_comparability_rejects_a_mismatched_matrix(monkeypatch, wrong, message):
+    g = make_grid(1, 128, 1.0)
+    f = generate(CorpusSpec(family="smooth_bump", grid=g))
+    lad = make_ladder(g)
+    matrix = wrong(f, lad)
+    # the check comes before any work
+    monkeypatch.setattr("msq.carleson.coefficient_matrix", None)
+    monkeypatch.setattr("msq.carleson.carleson_constant", None)
+    with pytest.raises(ValueError, match=message):
+        comparability_experiment(f, 0.5, lad, stride=8, matrix=matrix)
+
+
+def test_comparability_records_share_one_matrix_per_kind(monkeypatch):
+    g = make_grid(1, 128, 1.0)
+    f = generate(CorpusSpec(family="smooth_bump", grid=g))
+    alphas = [0.5, 1.3, 0.3, 1.7, 0.8]
+    fresh = [dataclasses.asdict(comparability_experiment(f, a, stride=4)) for a in alphas]
+    kinds = []
+
+    def counted(field, ladder, kind):
+        kinds.append(kind)
+        return coefficient_matrix(field, ladder, kind)
+
+    monkeypatch.setattr("msq.carleson.coefficient_matrix", counted)
+    records = comparability_records(f, alphas, stride=4)
+    assert kinds == ["nu0", "nu1"]
+    assert [dataclasses.asdict(r) for r in records] == fresh
+    assert comparability_records(f, []) == []
+
+
+def test_comparability_records_check_every_alpha_first(monkeypatch):
+    g = make_grid(1, 64, 1.0)
+    f = sample(g, lambda x: x)
+    monkeypatch.setattr("msq.carleson.coefficient_matrix", None)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        comparability_records(f, [0.5, 2.0])

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msq import cli as cli_mod
+from msq.carleson import comparability_experiment
 from msq.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from msq.coeffs import KINDS
+from msq.coeffs import KINDS, coefficient_matrix, make_ladder
 from msq.corpus import FAMILIES, load_field
 
 
@@ -997,3 +999,22 @@ def test_fuzz_exit_contract(fuzz_files, tmp_path_factory, data):
     argv += [a.format(out=outdir / "out") for a in _OUT_FLAGS[argv[0]]]
     code, err, caught = _run_quietly(argv)
     _assert_contract(code, err, caught, outdir)
+
+
+def test_compare_builds_one_matrix_per_kind(bump_file, tmp_path, monkeypatch):
+    field, _ = load_field(bump_file)
+    alphas = [0.5, 1.0, 1.5]
+    fresh = [dataclasses.asdict(comparability_experiment(
+        field, a, ladder=make_ladder(field.grid), stride=8)) for a in alphas]
+    kinds, written = [], {}
+
+    def counted(field, ladder, kind):
+        kinds.append(kind)
+        return coefficient_matrix(field, ladder, kind)
+
+    monkeypatch.setattr("msq.carleson.coefficient_matrix", counted)
+    monkeypatch.setattr(cli_mod, "write_json", lambda path, payload: written.update(payload))
+    assert run(["compare", "--field", str(bump_file), "--alphas", "0.5,1.0,1.5",
+                "--stride", "8", "--out", str(tmp_path / "cmp.json")]) == EXIT_OK
+    assert kinds == ["nu0", "nu1"]
+    assert written["records"] == fresh

@@ -4,6 +4,9 @@ import runpy
 
 import pytest
 
+from msq.experiments import comparability_ratios, default_specs, two_sided_band
+from msq.field import make_grid
+
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
 
@@ -48,3 +51,28 @@ def test_regularity_sweep_writes_its_json(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["n"] == 256 and [row["family"] for row in payload["rows"]] == [
         "cusp", "weierstrass"]
+
+
+def test_comparability_writes_its_json(tmp_path, capsys):
+    out = tmp_path / "band.json"
+    args = ["--n", "256", "--noise-alphas", "0.5", "--out", str(out)]
+    assert _script_main("run_comparability.py")(args) == 0
+    first = out.read_bytes()
+    assert _script_main("run_comparability.py")(args) == 0
+    assert out.read_bytes() == first and os.listdir(tmp_path) == ["band.json"]
+    payload = json.loads(first)
+    ratios = comparability_ratios(default_specs(make_grid(1, 256, 1.0), noise_alphas=[0.5]))
+    assert {(r["family"], r["family_order"], r["alpha"]): r["ratio"]
+            for r in payload["ratios"]} == ratios
+    assert payload["band"] == two_sided_band(ratios)
+    assert f"over {len(ratios)} pairs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [("noise-alphas", "0.5,0.5"), ("alphas", "0.3,0.3")])
+def test_comparability_shared_ratio_key_usage_error(capsys, flag, value):
+    # a repeated order would overwrite one ratio with another
+    with pytest.raises(SystemExit) as exc:
+        _script_main("run_comparability.py")(["--n", "256", f"--{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "share the ratio key" in err
