@@ -17,7 +17,6 @@ second-difference cube, is summed directly over the whole offset table.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -167,34 +166,25 @@ def holder_seminorm(field: SampledField, alpha: float, stride: int = 1) -> float
     return best
 
 
-# The points each difference reads, as multiples k of the offset o: x + k o.
-_DIFFERENCE_STEPS = {"first_difference": (1, 0), "second_difference": (0, 1, -1)}
+# Per order: the points each difference reads, as multiples k of the
+# offset o (x + k o), and the difference of those reads.
+_ORDERS = {
+    "first_difference": ((1, 0), lambda plus, x: plus - x),
+    "second_difference": ((0, 1, -1), lambda x, plus, minus: 2.0 * x - plus - minus),
+}
 
 
-def _difference_terms(m: int, dim: int, h: float, expo: float, order: str, reach: int = None):
-    """Offset table of a difference sum over a stack of cubes of m points
-    per axis, shape (k, m, ..., m), yielded row by row.
-
-    One row per offset o whose first nonzero entry is positive (the
-    mirrored offset doubles in the sum): the weight |o h|^(-expo), then one
-    index tuple into the stack per point read, x + o and x for first
-    differences, x, x + o and x - o for second differences, with x running
-    over the points that keep every read point in the cube.  With reach
-    given, only the offsets with every |o_a| <= reach.
-    """
-    steps = _DIFFERENCE_STEPS[order]
+def _offset_table(m: int, dim: int, order: str) -> np.ndarray:
+    """The (r, dim) integer offsets of a difference sum over cubes of m
+    points per axis, in lexicographic order: every o whose first nonzero
+    entry is positive (the mirrored offset doubles in the sum) and whose
+    read points x + k o all lie in the cube for some x."""
+    steps = _ORDERS[order][0]
     full = (m - 1) // (max(steps) - min(steps))
-    reach = full if reach is None else min(reach, full)
-    for off in itertools.product(range(-reach, reach + 1), repeat=dim):
-        if next((o for o in off if o), 0) <= 0:
-            continue
-        lo = [max(-k * o for k in steps) for o in off]
-        hi = [m - max(k * o for k in steps) for o in off]
-        reads = tuple(
-            (slice(None),) + tuple(slice(a + k * o, b + k * o) for a, b, o in zip(lo, hi, off))
-            for k in steps
-        )
-        yield (math.hypot(*[o * h for o in off]) ** (-expo),) + reads
+    offsets = np.indices((2 * full + 1,) * dim).reshape(dim, -1).T - full
+    # in lexicographic order 0 is the middle row, and the rows after it are
+    # those whose first nonzero entry is positive
+    return offsets[len(offsets) // 2 + 1:]
 
 
 # _STACK_POINTS: grid values per cube stack.  2**20 values (8 MB) hold a
@@ -266,24 +256,24 @@ def _first_difference_form(m: int, d: int, h: float, expo: float):
     return Kf, W, math.sqrt(float(np.sum(K * K)))
 
 
-def _first_difference_fft(values: np.ndarray, form, near_terms) -> tuple:
+def _first_difference_fft(values: np.ndarray, form, near, h: float, expo: float) -> tuple:
     """First-difference sums of a (k, m, ..., m) stack, and the a-priori
     bound on each sum's rounding error.
 
-    The near offsets (near_terms, the offset table up to _NEAR_REACH) are
-    summed directly.  The far ones form one quadratic form per cube: with
-    v the cube's values minus their mean, the sum over ordered pairs
-    x != y of K(y - x) (v(y) - v(x))^2 is 2 (A - B), A = sum v^2 W and
-    B = sum v (K*v), and K*v is one zero-padded FFT convolution.  A
-    constant cube's sum and bound are exactly 0.  Each cube's transforms
-    and sums run on that cube alone, so its sum does not depend on the
-    stack.
+    The near offsets (near, the rows of the offset table up to
+    _NEAR_REACH) are summed directly.  The far ones form one quadratic
+    form per cube: with v the cube's values minus their mean, the sum over
+    ordered pairs x != y of K(y - x) (v(y) - v(x))^2 is 2 (A - B),
+    A = sum v^2 W and B = sum v (K*v), and K*v is one zero-padded FFT
+    convolution.  A constant cube's sum and bound are exactly 0.  Each
+    cube's transforms and sums run on that cube alone, so its sum does not
+    depend on the stack.
     """
     Kf, W, knorm = form
     k, d, m = len(values), values.ndim - 1, values.shape[1]
     padded, axes = (2 * m,) * d, tuple(range(1, d + 1))
     scale = _FORM_FFT_C * _EPS * d * math.log2(2 * m) * knorm
-    near = _stack_totals(values, near_terms, "first_difference")
+    near = _stack_totals(values, near, h, expo, "first_difference")
     totals, delta = np.empty(k), np.empty(k)
     step = max(1, _FFT_VALUES // (2 * m) ** d)
     for lo in range(0, k, step):
@@ -301,18 +291,24 @@ def _first_difference_fft(values: np.ndarray, form, near_terms) -> tuple:
     return totals, delta
 
 
-def _stack_totals(v: np.ndarray, terms, order: str) -> np.ndarray:
-    """Difference sum of each cube of a (k, m, ..., m) stack.  Each offset
-    row's block of a cube is summed on its own, in numpy's pairwise order,
-    and a cube's row sums are added by one correctly rounded math.fsum, so
-    every total equals that of a one-cube stack."""
-    k = len(v)
-    if order == "first_difference":
-        rows = [2.0 * w * ((v[plus] - v[x]) ** 2).reshape(k, -1).sum(axis=1)
-                for w, plus, x in terms]
-    else:
-        rows = [2.0 * w * ((2.0 * v[x] - v[plus] - v[minus]) ** 2).reshape(k, -1).sum(axis=1)
-                for w, x, plus, minus in terms]
+def _stack_totals(v: np.ndarray, offsets: np.ndarray, h: float, expo: float,
+                  order: str) -> np.ndarray:
+    """Difference sum of each cube of a (k, m, ..., m) stack over the rows
+    of an offset table.  Row o weighs |o h|^(-expo) and reads the points
+    x + k o, with x running over the points that keep every read point in
+    the cube.  Each row's block of a cube is summed on its own, in numpy's
+    pairwise order, and a cube's row sums are added by one correctly
+    rounded math.fsum, so every total equals that of a one-cube stack."""
+    steps, difference = _ORDERS[order]
+    k, m = len(v), v.shape[1]
+    rows = []
+    for off in offsets.tolist():
+        lo = [max(-s * o for s in steps) for o in off]
+        hi = [m - max(s * o for s in steps) for o in off]
+        w = math.hypot(*[o * h for o in off]) ** (-expo)
+        reads = (v[(slice(None), *[slice(a + s * o, b + s * o) for a, b, o in zip(lo, hi, off)])]
+                 for s in steps)
+        rows.append(2.0 * w * (difference(*reads) ** 2).reshape(k, -1).sum(axis=1))
     return np.array([math.fsum(cube) for cube in np.reshape(rows, (-1, k)).T.tolist()])
 
 
@@ -333,7 +329,11 @@ def _strichartz(field, alpha, cubes, order: str, alpha_hi: float) -> StrichartzR
     for m in np.unique(points).tolist():
         group = np.flatnonzero(points == m)
         step = max(1, _STACK_POINTS // m**d)
-        form = _first_difference_form(m, d, h, expo) if order == "first_difference" else None
+        offsets = _offset_table(m, d, order)
+        form = None
+        if order == "first_difference":
+            form = _first_difference_form(m, d, h, expo)
+            near = offsets[np.abs(offsets).max(axis=1) <= _NEAR_REACH]
         direct_count = 0
         for rows in (group[lo:lo + step] for lo in range(0, len(group), step)):
             # axis a of cube i: indices c[i, a] - m//2 + (0..m-1), wrapped
@@ -344,16 +344,12 @@ def _strichartz(field, alpha, cubes, order: str, alpha_hi: float) -> StrichartzR
             stack = field.shaped[axes]
             direct = np.arange(len(rows))
             if form is not None:
-                near = _difference_terms(m, d, h, expo, order, reach=_NEAR_REACH)
-                totals[rows], delta = _first_difference_fft(stack, form, near)
+                totals[rows], delta = _first_difference_fft(stack, form, near, h, expo)
                 # a sum the bound does not certify, NaN included, is
                 # summed directly
                 direct = np.flatnonzero(~(delta <= 2.0 * _FORM_TAU * totals[rows]))
             if direct.size:
-                # a generator made anew per stack: as a list, the 2-d table
-                # of m = 32 alone holds about 1 MB of Python objects
-                terms = _difference_terms(m, d, h, expo, order)
-                totals[rows[direct]] = _stack_totals(stack[direct], terms, order)
+                totals[rows[direct]] = _stack_totals(stack[direct], offsets, h, expo, order)
             direct_count += int(direct.size)
         fallback_counts[float(family.sizes[group[0]])] = direct_count
     # normalized in Python floats, so each value is the one-cube value to the bit

@@ -15,14 +15,15 @@ reports say so.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .bmo import bmo_norm, make_ball_family
 from .coeffs import CoefficientMatrix, ScaleLadder, coefficient_matrix, make_ladder, matrix_metadata
 from .field import (
-    SampledField, ball_mask, flat_index, lattice_centers, periodic_roll, table_columns,
-    window_argmax, window_rows,
+    BallWindow, SampledField, WindowFamily, ball_mask, flat_index, lattice_centers, periodic_roll,
+    table_columns, window_argmax, window_family, window_rows,
 )
 from .spectral import check_alpha, fractional_derivative
 
@@ -114,6 +115,11 @@ def _normalized_table(matrix: CoefficientMatrix, alpha: float, tops, center_subs
     return np.maximum(table, 0.0)
 
 
+# The rules of a ball's center alone, its rank and its range: the first
+# two of BallWindow.RULES, for window_family.
+_BALL_CENTER = SimpleNamespace(RULES=BallWindow.RULES[:2])
+
+
 def carleson_constant(
     matrix: CoefficientMatrix,
     alpha: float,
@@ -134,6 +140,8 @@ def carleson_constant(
         centers, center_stride = np.atleast_2d(np.asarray(centers, dtype=int)), None
     if centers.size == 0:
         raise ValueError("empty center family")
+    if center_stride is None:
+        window_family(grid, WindowFamily(centers, np.zeros(len(centers))), _BALL_CENTER)
     tops = [float(R) for R in (matrix.ladder.radii if tops is None else tops)]
     if len(tops) == 0:
         raise ValueError("empty top-radius family")

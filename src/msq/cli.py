@@ -509,7 +509,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         text = str(exc)
         if isinstance(exc, OverflowError):  # a Python float op's (errno, text)
-            where = traceback.extract_tb(exc.__traceback__)[-1].name
+            # the innermost named frame, not a comprehension or lambda
+            where = next(f.name for f in reversed(traceback.extract_tb(exc.__traceback__))
+                         if not f.name.startswith("<"))
             text = f"overflow in {where}: {exc.args[-1]}"
         for classes, code, label in _EXIT_CODES:
             if isinstance(exc, classes):

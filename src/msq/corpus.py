@@ -18,8 +18,11 @@ per line in row-major order using shortest round-trip decimals.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,9 +218,24 @@ def atomic_write(path, chunks) -> None:
         raise
 
 
+# A header token: key=value, where a value that holds whitespace or starts
+# with a double quote is written as a JSON string (which may hold spaces);
+# any other run of non-space characters is a token without "=".
+_HEADER_TOKEN = re.compile(r'([^\s=]*)=("(?:[^"\\]|\\.)*"|\S*)(?!\S)|\S+')
+
+
+def _header_value(v) -> str:
+    """A header value as written: JSON-quoted if it holds whitespace or
+    starts with a double quote, as is otherwise."""
+    text = repr(v) if isinstance(v, float) else str(v)
+    if text.startswith('"') or any(c.isspace() for c in text):
+        return json.dumps(text)
+    return text
+
+
 def save_field(field: SampledField, path, extra: dict = None) -> None:
     """Write the header line and one shortest-round-trip value per line,
-    atomically."""
+    atomically.  Every header value reads back unchanged."""
     grid = field.grid
     items = {
         "dim": grid.dim,
@@ -226,9 +244,9 @@ def save_field(field: SampledField, path, extra: dict = None) -> None:
     }
     if extra:
         for k, v in extra.items():
-            items[str(k)] = repr(v) if isinstance(v, float) else v
+            items[str(k)] = v
     header = f"{FORMAT_MAGIC} v{FORMAT_VERSION} " + " ".join(
-        f"{k}={v}" for k, v in items.items()
+        f"{k}={_header_value(v)}" for k, v in items.items()
     )
     atomic_write(path, ["\n".join([header, *map(repr, field.values.tolist())]) + "\n"])
 
@@ -239,16 +257,19 @@ def load_field(path):
     malformed text."""
     with open(path, errors="replace") as fh:
         header = fh.readline().rstrip("\n")
-        tokens = header.split()
+        tokens = header.split(maxsplit=2)
         if len(tokens) < 2 or tokens[0] != FORMAT_MAGIC:
             raise FieldHeaderError(f"{path}: malformed header (missing magic)")
         if tokens[1] != f"v{FORMAT_VERSION}":
             raise FieldHeaderError(f"{path}: unsupported format version {tokens[1]}")
         meta = {}
-        for tok in tokens[2:]:
-            if "=" not in tok:
-                raise FieldHeaderError(f"{path}: malformed header token {tok!r}")
-            key, val = tok.split("=", 1)
+        for tok in _HEADER_TOKEN.finditer(tokens[2] if len(tokens) > 2 else ""):
+            key, val = tok.group(1, 2)
+            if val is None:
+                raise FieldHeaderError(f"{path}: malformed header token {tok[0]!r}")
+            if val.startswith('"'):  # one that is not JSON was written before quoting
+                with contextlib.suppress(ValueError):
+                    val = json.loads(val)
             meta[key] = val
         try:
             dim = int(meta["dim"])

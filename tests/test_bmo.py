@@ -431,6 +431,55 @@ def test_non_finite_window_size_rejected(rough_field_1d, size):
                 bmo_norm(rough_field_1d, balls)
 
 
+_STEPS = {"first_difference": (1, 0), "second_difference": (0, 1, -1)}
+
+
+def _offset_terms(v, h, expo, order):
+    """Per row o of the offset table of a (k, m, ..., m) stack: the weight
+    |o h|^(-expo) and the blocks of the points x + j o for each step j,
+    with x over the points whose every read lies in the cube, found here
+    point by point."""
+    steps, m = _STEPS[order], v.shape[1]
+    for off in bmo_mod._offset_table(m, v.ndim - 1, order).tolist():
+        xs = [[x for x in range(m) if all(0 <= x + j * o < m for j in steps)] for o in off]
+        blocks = [v[(slice(None), *[slice(x[0] + j * o, x[-1] + 1 + j * o)
+                                    for x, o in zip(xs, off)])]
+                  for j in steps]
+        yield math.hypot(*[o * h for o in off]) ** (-expo), blocks
+
+
+@pytest.mark.parametrize("order", ["first_difference", "second_difference"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("m", [4, 6, 8, 16])
+def test_offset_table_matches_product_reference(m, dim, order):
+    # the rows and their order: every offset in lexicographic order whose
+    # first nonzero entry is positive and whose reads fit in the cube at
+    # some point x
+    steps = _STEPS[order]
+    fits = [a for a in range(-m, m + 1)
+            if any(all(0 <= x + j * a < m for j in steps) for x in range(m))]
+    reference = [o for o in itertools.product(range(-m, m + 1), repeat=dim)
+                 if next((a for a in o if a), 0) > 0 and all(a in fits for a in o)]
+    table = bmo_mod._offset_table(m, dim, order)
+    assert table.dtype.kind == "i" and table.shape == (len(reference), dim)
+    assert list(map(tuple, table.tolist())) == reference
+
+
+def test_offset_table_built_once_per_side_and_order(rough_field_2d, monkeypatch):
+    # a family of three sides cut into many stacks: each call builds one
+    # table per side
+    monkeypatch.setattr(bmo_mod, "_STACK_POINTS", 100)
+    built, table = [], bmo_mod._offset_table
+    monkeypatch.setattr(bmo_mod, "_offset_table", lambda *a: built.append(a) or table(*a))
+    g = rough_field_2d.grid
+    family = make_cube_family(g, sides=[4 * g.spacing, 6 * g.spacing, 8 * g.spacing], stride=4)
+    for functional, alpha, order in ((strichartz_first, 0.5, "first_difference"),
+                                     (strichartz_second, 1.3, "second_difference")):
+        built.clear()
+        functional(rough_field_2d, alpha, family)
+        assert built == [(m, 2, order) for m in (4, 6, 8)]
+
+
 def _one_cube_value(f, cube, alpha, order):
     """A cube's normalized difference sum as one cube alone is summed: each
     offset's block by np.sum, the block sums added by math.fsum."""
@@ -438,8 +487,7 @@ def _one_cube_value(f, cube, alpha, order):
     d, h, m = g.dim, g.spacing, cube.points_per_axis(g)
     v = f.shaped[np.ix_(*[(np.arange(m) + c - m // 2) % g.n_per_axis for c in cube.center])]
     rows = []
-    for w, *reads in bmo_mod._difference_terms(m, d, h, d + 2.0 * alpha, order):
-        a = [v[None][r] for r in reads]
+    for w, a in _offset_terms(v[None], h, d + 2.0 * alpha, order):
         diff = a[0] - a[1] if len(a) == 2 else 2.0 * a[0] - a[1] - a[2]
         rows.append(2.0 * w * float(np.sum(diff ** 2)))
     return math.sqrt(h ** (2 * d) * math.fsum(rows) / cube.side ** d)
@@ -494,8 +542,8 @@ def _exact_first_total(v, h, expo):
     values v."""
     m, d = v.shape[0], v.ndim
     total = Fraction(0)
-    for w, plus, x in bmo_mod._difference_terms(m, d, h, expo, "first_difference"):
-        pairs = zip(v[None][plus].ravel().tolist(), v[None][x].ravel().tolist())
+    for w, (plus, x) in _offset_terms(v[None], h, expo, "first_difference"):
+        pairs = zip(plus.ravel().tolist(), x.ravel().tolist())
         total += 2 * Fraction(w) * sum((Fraction(a) - Fraction(b)) ** 2 for a, b in pairs)
     return total
 
@@ -518,10 +566,10 @@ def test_first_difference_form_error_within_its_bound(dim, n, points):
             for m in points:
                 centers = make_cube_family(g, sides=[m * h], stride=n // 2).centers.tolist()
                 stack = _cube_stack(f, centers, m)
-                near = bmo_mod._difference_terms(m, dim, h, expo, "first_difference",
-                                                 reach=bmo_mod._NEAR_REACH)
+                offsets = bmo_mod._offset_table(m, dim, "first_difference")
+                near = offsets[np.abs(offsets).max(axis=1) <= bmo_mod._NEAR_REACH]
                 totals, delta = bmo_mod._first_difference_fft(
-                    stack, bmo_mod._first_difference_form(m, dim, h, expo), near)
+                    stack, bmo_mod._first_difference_form(m, dim, h, expo), near, h, expo)
                 for v, t, bound in zip(stack, totals.tolist(), delta.tolist()):
                     exact = _exact_first_total(v, h, expo)
                     assert abs(Fraction(t) - exact) <= Fraction(bound) / 4, (spec, m)
@@ -571,12 +619,11 @@ def test_direct_totals_within_eps_of_the_exact_sum():
     f = generate(CorpusSpec(family="riesz_of_noise", grid=g, alpha=0.8, seed=11))
     stack = _cube_stack(f, [(32, 32), (96, 32)], m)
     for order in ("first_difference", "second_difference"):
-        terms = list(bmo_mod._difference_terms(m, 2, h, 3.0, order))
-        totals = bmo_mod._stack_totals(stack, terms, order).tolist()
+        offsets = bmo_mod._offset_table(m, 2, order)
+        totals = bmo_mod._stack_totals(stack, offsets, h, 3.0, order).tolist()
 
         def point_terms():  # (cube, point) terms, one offset row at a time
-            for w, *reads in terms:
-                a = [stack[r] for r in reads]
+            for w, a in _offset_terms(stack, h, 3.0, order):
                 diff = a[0] - a[1] if len(a) == 2 else 2.0 * a[0] - a[1] - a[2]
                 diff *= diff
                 diff *= 2.0 * w  # 2.0 * w * diff ** 2, in place
@@ -602,8 +649,9 @@ def test_strichartz_first_constant_cubes_exactly_zero():
         stack = _cube_stack(f, [center], m)
         if stack.max() == stack.min():
             constant += 1
-            terms = bmo_mod._difference_terms(m, 2, h, 3.0, "first_difference")
-            assert value == 0.0 == bmo_mod._stack_totals(stack, terms, "first_difference")[0]
+            offsets = bmo_mod._offset_table(m, 2, "first_difference")
+            assert value == 0.0 == bmo_mod._stack_totals(stack, offsets, h, 3.0,
+                                                          "first_difference")[0]
     assert 0 < constant < len(family)
 
 
@@ -624,8 +672,8 @@ def test_strichartz_forced_fallback_is_the_direct_route(dim, n, monkeypatch):
         for center, side in zip(family.centers.tolist(), family.sizes.tolist()):
             m = int(round(side / h))
             stack = _cube_stack(f, [center], m)
-            terms = bmo_mod._difference_terms(m, dim, h, dim + 2.0 * alpha, order)
-            total = bmo_mod._stack_totals(stack, terms, order).tolist()[0]
+            offsets = bmo_mod._offset_table(m, dim, order)
+            total = bmo_mod._stack_totals(stack, offsets, h, dim + 2.0 * alpha, order).tolist()[0]
             expected.append(math.sqrt(h ** (2 * dim) * total / side ** dim))
             counts[side] = counts.get(side, 0) + int(order == "second_difference"
                                                      or stack.max() != stack.min())

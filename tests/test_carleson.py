@@ -122,6 +122,21 @@ def test_empty_families_rejected(rough_field_1d):
         carleson_constant(m, 0.5, tops=[])
 
 
+def test_given_centers_checked(rough_field_1d):
+    # a center out of range or of the wrong rank fails as a ball's center
+    # does, instead of wrapping or failing inside numpy
+    g = rough_field_1d.grid
+    m = coefficient_matrix(rough_field_1d, make_ladder(g, levels=2), "nu0")
+    n = g.n_per_axis
+    with pytest.raises(ValueError, match=rf"window center index \({n + 6},\) out of range"):
+        carleson_constant(m, 0.5, centers=[(0,), (n + 6,)])
+    with pytest.raises(ValueError, match=r"window center index \(-1,\) out of range"):
+        carleson_constant(m, 0.5, centers=[(-1,)])
+    with pytest.raises(ValueError, match="window center rank does not match grid dim"):
+        carleson_constant(m, 0.5, centers=[(3, 4)])
+    assert carleson_constant(m, 0.5, centers=[(n - 1,)]).metadata["n_centers"] == 1
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.5, 2.0, 2, math.nan])
 def test_alpha_out_of_range(rough_field_1d, alpha):
     # every entry point checks alpha against (0, 2) before any work

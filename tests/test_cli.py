@@ -790,6 +790,32 @@ def test_exit_code_by_fault(repro_dir, tmp_path, argv, code):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_overflow_message_names_a_function(repro_dir, tmp_path, order):
+    # the cube normalization h^(2d) overflows a Python float on the period
+    # 1e300 grid: the message names the innermost function, not a
+    # comprehension frame (Python 3.11 named it "<listcomp>")
+    argv = ["strichartz", "--field", str(repro_dir / "const2.fld"), "--alpha", "0.5",
+            "--order", order, "--out-json", str(tmp_path / "out")]
+    code, err, caught = _run_quietly(argv)
+    assert code == EXIT_NUMERIC
+    assert err == "msq: error: numeric: overflow in _strichartz: Numerical result out of range\n"
+    _assert_contract(code, err, caught, tmp_path)
+
+
+def test_header_values_with_whitespace_round_trip(tmp_path):
+    # a field file whose name holds a space: fracderiv records it in the
+    # header of its output, and the next command reads that output
+    src, out = tmp_path / "my field.fld", tmp_path / "my deriv.fld"
+    assert main(["generate", "--family", "cusp", "--gamma", "0.5", "--n", "64",
+                 "--out", str(src)]) == EXIT_OK
+    assert main(["fracderiv", "--field", str(src), "--alpha", "0.7", "--out", str(out)]) == EXIT_OK
+    assert main(["fracderiv", "--field", str(out), "--alpha", "0.5",
+                 "--out", str(tmp_path / "again.fld")]) == EXIT_OK
+    assert load_field(out)[1]["derived_from"] == "my field.fld"
+    assert load_field(tmp_path / "again.fld")[1]["derived_from"] == "my deriv.fld"
+
+
 # Corruptions of a valid 1-d n=16 field file, each an edit of its header
 # line and its value lines: each must exit 3 wherever the file is read.
 _FIELD_CORRUPTIONS = {

@@ -100,6 +100,32 @@ def test_field_file_round_trip(tmp_path):
     assert meta["seed"] == "3"
 
 
+def test_field_header_values_read_back_unchanged(tmp_path):
+    # values with whitespace or a leading double quote are written as JSON
+    # strings; the others are written as they are, so such a header keeps
+    # its bytes
+    g = make_grid(1, 8, 1.0)
+    f = SampledField(grid=g, values=np.arange(8.0))
+    plain = {"name": "f.fld", "order": 0.7, "eq": "a=b", "quote": 'it\'s"x', "empty": ""}
+    spaced = {"name": "my field.fld", "tab": "a\tb\nc\r", "lead": '"q', "quoted": '"a b"',
+              "nbsp": "x\u00a0y", "escape": '\\ "'}
+    p = tmp_path / "h.fld"
+    for extra in (plain, spaced):
+        save_field(f, p, extra=extra)
+        got, meta = load_field(p)
+        assert np.array_equal(got.values, f.values)
+        assert {k: meta[k] for k in extra} == {k: repr(v) if isinstance(v, float) else v
+                                               for k, v in extra.items()}
+    save_field(f, p, extra=plain)
+    assert p.read_text().split("\n")[0] == (
+        "msq-field v1 dim=1 n_per_axis=8 period=1.0 name=f.fld order=0.7 eq=a=b "
+        "quote=it's\"x empty=")
+    # a value written raw before quoting, starting with a quote but not
+    # JSON, still reads as it is
+    p.write_text('msq-field v1 dim=1 n_per_axis=8 period=1.0 from="x.fld\n' + "1.0\n" * 8)
+    assert load_field(p)[1]["from"] == '"x.fld'
+
+
 def test_field_file_round_trip_2d(tmp_path):
     g = make_grid(2, 16, 2.0)
     rng = np.random.default_rng(5)
