@@ -18,8 +18,11 @@ rejects most entries, and on so small a grid every rejected level is
 shorter to sum directly than to take the exact route, so those entries are
 recomputed directly), the nu1 and nu1_bar matrices of the 2-d n=64 smooth
 bump (whose upper levels take the exact route), one sqfn run from a
---config file with a flag that overrides it, and 1-d and 2-d
-log_singularity fields with their fractional derivatives.
+--config file with a flag that overrides it, compare runs at stride 1
+whose BMO supremum comes from the windows bmo.bmo_sup's bound keeps (1-d
+n=2048 cusp, sinusoid and riesz_of_noise at three alphas, and the 2-d n=64
+smooth bump), and 1-d and 2-d log_singularity fields with their
+fractional derivatives.
 
 It checks that a change keeps the CLI outputs byte-identical.  The outputs
 embed the input paths, so run the old and the new code into the same
@@ -30,7 +33,7 @@ OUTDIR, with each checkout's ``src`` on the import path, and compare:
     diff old.txt new.txt
 
 A command that exits nonzero is named on stderr, and the script then
-exits 1.  The set writes 78 files and runs in about 5 s on a 2-core host.
+exits 1.  The set writes 85 files and runs in about 2 s on a 2-core host.
 """
 
 import hashlib
@@ -113,6 +116,17 @@ def commands(p):
         walks.append(["coeffs", "--field", bump2, "--kind", kind, "--out", p(f"bump2_{kind}.csv")])
     walks.append(["sqfn", "--config", p("sqfn.cfg"), "--field", fld, "--stride", "8",
                   "--out-json", p("sq_cfg.json")])
+    pruned = []  # compare runs whose bmo supremum takes bmo_sup's bound
+    for name, params in (("cusp", ["--gamma", "0.7"]), ("sinusoid", ["--frequency", "3"]),
+                         ("riesz_of_noise", ["--alpha", "1.3", "--seed", "5"])):
+        path = p(f"{name}2048.fld")
+        pruned += [
+            ["generate", "--family", name, *params, "--n", "2048", "--out", path],
+            ["compare", "--field", path, "--alphas", "0.3,0.8,1.3", "--stride", "1",
+             "--out", p(f"cmp_{name}2048.json")],
+        ]
+    pruned.append(["compare", "--field", bump2, "--alphas", "0.5,1.3", "--stride", "1",
+                   "--out", p("cmp_bump2_s1.json")])
     logs = []
     for dim, n in (("1", "256"), ("2", "64")):
         log = p(f"log{dim}d.fld")
@@ -120,7 +134,7 @@ def commands(p):
             ["generate", "--family", "log_singularity", "--dim", dim, "--n", n, "--out", log],
             ["fracderiv", "--field", log, "--alpha", "0.6", "--out", p(f"log{dim}d_d.fld")],
         ]
-    return criterion9 + reports2d + bridge2d + bridge_nan + strichartz + walks + logs
+    return criterion9 + reports2d + bridge2d + bridge_nan + strichartz + walks + pruned + logs
 
 
 def main(argv=None):

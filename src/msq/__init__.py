@@ -48,6 +48,7 @@ from .bmo import (
     OscillationReport,
     StrichartzReport,
     bmo_norm,
+    bmo_sup,
     holder_seminorm,
     make_ball_family,
     make_cube_family,

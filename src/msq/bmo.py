@@ -2,7 +2,11 @@
 
 The BMO norm is the L1 mean oscillation, maximized over a declared finite
 family of balls; like every supremum here it is reported as a lower bound
-of the continuum value.  The difference functionals take a family of
+of the continuum value.  bmo_norm evaluates every window; bmo_sup returns
+the same norm and argmax from only the windows that an upper bound on
+their values, the RMS deviation from the moment route of
+coefficient_matrix, cannot rule out, where the family is large enough for
+the bound to pay.  The difference functionals take a family of
 axis-aligned periodic cubes and aggregate first or second differences with
 the weight |y|^(-d-2*alpha) in the offset y (the offset form is the one
 implemented; reports note it).  The y = 0 diagonal is excluded, and the
@@ -22,9 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coeffs import _FFT_C, _level
 from .field import (
-    BallWindow, Grid, SampledField, WindowFamily, ball_mask, flat_index, lattice_centers,
-    offset_distance, offset_reads, offset_sums, window_argmax, window_family, window_rows,
+    INTEGRAL_CENTER, BallWindow, Grid, SampledField, WindowFamily, ball_mask, flat_index,
+    lattice_centers, offset_distance, offset_reads, offset_sums, window_argmax, window_family,
+    window_rows,
 )
 from .spectral import check_alpha
 
@@ -35,6 +41,7 @@ __all__ = [
     "make_ball_family",
     "make_cube_family",
     "bmo_norm",
+    "bmo_sup",
     "holder_seminorm",
     "strichartz_first",
     "strichartz_second",
@@ -66,6 +73,7 @@ class CubeSpec:
     RULES = (
         (lambda g, k, c, s: k != g.dim,
          lambda g, c, s: "cube center rank does not match grid dim"),
+        INTEGRAL_CENTER,
         (lambda g, k, c, s: ~np.isfinite(s),
          lambda g, c, s: f"cube side {s} is not finite"),
         (lambda g, k, c, s: s > g.period / 2.0 + 1e-12 * g.period,
@@ -141,6 +149,115 @@ def bmo_norm(field: SampledField, windows) -> OscillationReport:
     meta = {"oscillation": "L1 mean oscillation", "sup_lower_bound": True,
             "argmax": window_argmax(centers, radii, values)}
     return OscillationReport(centers, radii, values, norm=float(values.max()), metadata=meta)
+
+
+# _BOUND_COST: bmo_sup bounds its windows first only when the family's
+# direct terms, the point counts of its balls summed over the windows,
+# exceed this many per grid point; on fewer, the bound's transforms cost
+# more than they save.  Measured with one BLAS thread on a 2-core host,
+# default ladder, bmo_sup with the bound against bmo_norm, best of 5: 2-d
+# n=128 riesz_of_noise derivatives took 1.10-1.30 times as long at stride
+# 8 (66 terms per point), 0.61-0.91 at stride 4 (265) and 0.29-0.31 at
+# stride 2; 2-d n=64 cusp(0.7) 1.18-1.33 at stride 4 (64), 0.67-0.96 at
+# stride 2 (258) and 0.35-0.56 at stride 1 (1,031); 1-d n=2048 cusp(0.7)
+# 0.77-1.03 at 32-127 terms and 0.54-0.90 at 254-508.
+_BOUND_COST = 200
+
+
+def bmo_sup(field: SampledField, windows) -> tuple:
+    """(norm, argmax) of bmo_norm(field, windows), equal to its norm and
+    metadata["argmax"], from the windows that a bound cannot rule out.
+
+    By Cauchy-Schwarz a ball's mean |f - c| is at most its RMS deviation
+    from c, and the float moment route of coefficient_matrix gives that
+    deviation about the ball mean at every center, with a rounding bound
+    (coeffs._level).  _unruled_windows adds to it bmo_norm's own FFT-mean
+    error and the rounding of its sequential sums, so every window gets an
+    upper bound on the value bmo_norm would compute for it.  The window of
+    largest bound of each radius is evaluated directly, and the largest of
+    those values, less its own rounding and mean error, is a value that
+    bmo_norm reaches.  bmo_norm then runs once, in input order, on the
+    windows whose bound is not strictly below it: the first window that
+    attains the maximum is among them, so the norm and argmax are those
+    of the whole family, bit for bit, since each value is its anchor's
+    sequential sum whatever the other anchors are.  A radius that keeps a
+    quarter of its windows or more is evaluated whole, so that a lattice
+    family keeps the lattice read of field.offset_reads.
+    """
+    if windows is None or len(windows) == 0:
+        raise ValueError("empty window family")
+    family = window_family(field.grid, windows, BallWindow)
+    keep = _unruled_windows(field, family)
+    if keep is not None:
+        windows = WindowFamily(family.centers[keep], family.sizes[keep])
+    report = bmo_norm(field, windows)
+    return report.norm, report.metadata["argmax"]
+
+
+def _unruled_windows(field: SampledField, family: WindowFamily):
+    """The (m,) mask of the windows whose bound reaches the lower bound of
+    bmo_sup, or None where the bound does not run: a constant field, a
+    family of fewer than _BOUND_COST direct terms per grid point, or a
+    field large enough that bmo_norm's transforms could overflow."""
+    grid = field.grid
+    n_points = grid.n_points
+    radii, inverse = np.unique(family.sizes, return_inverse=True)
+    masks = np.stack([ball_mask(grid, r) for r in radii.tolist()])
+    counts = masks.reshape(len(radii), -1).sum(axis=1)
+    fc = field.shaped - field.values.mean()
+    # bmo_norm's transforms and sums stay below max|f| N^2 count
+    size = float(np.abs(field.values).max()) * n_points * n_points * float(counts.max())
+    if (counts[inverse].sum() < _BOUND_COST * n_points or fc.max() == fc.min()
+            or not size < 2.0**1000):
+        return None
+    with np.errstate(all="ignore"):
+        # In units of 2^k, with max|fc| < 2^k: a power of two scales every
+        # operation below and in bmo_norm exactly, the squares keep their
+        # precision on every field, and what underflow loses stays far
+        # below the eps terms of the bounds.
+        k = math.frexp(float(np.abs(fc).max()))[1]
+        fs, gs = np.ldexp(fc, -k), np.ldexp(field.shaped, -k)
+        axes = tuple(range(1, grid.dim + 1))
+        Fm = np.conj(np.fft.rfftn(masks.astype(float), axes=axes))
+        Ff = np.fft.rfftn(np.stack([fs, fs * fs]), axes=axes)
+        S1, S2 = (np.fft.irfftn(F * Fm, s=grid.shape, axes=axes) for F in Ff)
+        fft_scale = _FFT_C * _EPS * math.log2(n_points)
+        err1 = fft_scale * float(np.sqrt(np.sum(fs * fs)))
+        err2 = fft_scale * float(np.sqrt(np.sum((fs * fs) ** 2)))
+        # |bmo_norm's ball mean - the exact one|: its transforms' error,
+        # as in _level, and the division
+        peak = float(np.abs(gs).max())
+        mean_err = (fft_scale * float(np.sqrt(np.sum(gs * gs))) / np.sqrt(counts)
+                    + 2.0 * _EPS * peak)
+        bound, lower = np.empty(len(family)), -math.inf
+        for j, r in enumerate(radii.tolist()):
+            rows = np.flatnonzero(inverse == j)
+            count = int(counts[j])
+            level = _level(r, masks[j], count, (S1[j], S2[j], (), ()), None, err1, err2, _EPS)
+            at = flat_index(grid, family.centers[rows])
+            q = level.q.reshape(-1)[at] + level.delta.reshape(-1)[at]
+            # bmo_norm's value is its terms' sum, within (1 + gamma) of
+            # mean |f - its mean| <= RMS deviation from it <= the RMS
+            # deviation of fs (q + delta), plus fc's rounding (below eps
+            # of max|fs| < 1), plus its mean's error; gamma also covers
+            # the few roundings of this line and of the lower bound's
+            gamma = (count + 16) * _EPS
+            bound[rows] = (1.0 + gamma) * (np.sqrt(np.maximum(q, 0.0) / count) + _EPS
+                                           + mean_err[j])
+            # the window of largest bound, evaluated directly about its
+            # pairwise mean; bmo_norm's value differs from that by at most
+            # the two means' errors and both sums' rounding
+            best = family.centers[rows[np.argmax(bound[rows])]]
+            points = (best + np.argwhere(masks[j])) % grid.n_per_axis
+            vals = gs[tuple(points.T)]
+            top = float(np.abs(vals).max())
+            direct = float(np.abs(vals - vals.sum() / count).sum()) / count
+            reached = (1.0 - gamma) * (direct * (1.0 - 2.0 * gamma)
+                                       - (count + 2) * _EPS * top - mean_err[j])
+            lower = max(lower, float(reached))
+        keep = ~(bound < lower)  # a NaN bound keeps its window
+    whole = 4 * np.bincount(inverse, weights=keep) >= np.bincount(inverse)
+    return keep | whole[inverse]
 
 
 def holder_seminorm(field: SampledField, alpha: float, stride: int = 1) -> float:

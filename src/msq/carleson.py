@@ -19,10 +19,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bmo import bmo_norm, make_ball_family
+from .bmo import bmo_sup, make_ball_family
 from .coeffs import CoefficientMatrix, ScaleLadder, coefficient_matrix, make_ladder, matrix_metadata
 from .field import (
-    BallWindow, SampledField, WindowFamily, ball_mask, flat_index, lattice_centers, periodic_roll,
+    BallWindow, SampledField, ball_mask, flat_index, lattice_centers, periodic_roll,
     table_columns, window_argmax, window_family, window_rows,
 )
 from .spectral import check_alpha, fractional_derivative
@@ -93,8 +93,8 @@ def square_function_integral(matrix: CoefficientMatrix, alpha: float, z, R: floa
     grid = matrix.grid
     level = _ladder_level_of(matrix.ladder, R)
     summand = _weighted_levels(matrix, alpha)[:, level:].sum(axis=1)
-    center = tuple(int(x) for x in (z if isinstance(z, (tuple, list, np.ndarray)) else (z,)))
-    members = periodic_roll(ball_mask(grid, R), center)
+    center, = _given_centers(grid, np.atleast_1d(z))
+    members = periodic_roll(ball_mask(grid, R), tuple(center.tolist()))
     h = grid.spacing
     return float(h ** grid.dim * summand.reshape(grid.shape)[members].sum())
 
@@ -115,9 +115,22 @@ def _normalized_table(matrix: CoefficientMatrix, alpha: float, tops, center_subs
     return np.maximum(table, 0.0)
 
 
-# The rules of a ball's center alone, its rank and its range: the first
-# two of BallWindow.RULES, for window_family.
-_BALL_CENTER = SimpleNamespace(RULES=BallWindow.RULES[:2])
+# The rules of a ball's center alone, its rank, integrality and range: the
+# first three of BallWindow.RULES, for window_family.
+_BALL_CENTER = SimpleNamespace(RULES=BallWindow.RULES[:3])
+
+
+def _given_centers(grid, centers) -> np.ndarray:
+    """A nonempty sequence of center index tuples, or one center given
+    flat, as an (m, dim) int array that passes _BALL_CENTER; otherwise the
+    first failing center raises its rule's message, a ragged list
+    included."""
+    rows = list(centers)
+    if len(rows) == 0:
+        raise ValueError("empty center family")
+    if all(np.ndim(c) == 0 for c in rows):
+        rows = [rows]
+    return window_family(grid, [BallWindow(c, 0.0) for c in rows], _BALL_CENTER).centers
 
 
 def carleson_constant(
@@ -137,11 +150,7 @@ def carleson_constant(
     if centers is None:
         centers, center_stride = lattice_centers(grid, stride), stride
     else:
-        centers, center_stride = np.atleast_2d(np.asarray(centers, dtype=int)), None
-    if centers.size == 0:
-        raise ValueError("empty center family")
-    if center_stride is None:
-        window_family(grid, WindowFamily(centers, np.zeros(len(centers))), _BALL_CENTER)
+        centers, center_stride = _given_centers(grid, centers), None
     tops = [float(R) for R in (matrix.ladder.radii if tops is None else tops)]
     if len(tops) == 0:
         raise ValueError("empty top-radius family")
@@ -215,13 +224,13 @@ def comparability_experiment(
     report = carleson_constant(matrix, alpha, stride=stride)
 
     deriv = fractional_derivative(field, alpha)
-    osc = bmo_norm(deriv, make_ball_family(grid, radii=ladder.radii, stride=stride))
-    bmo_sq = osc.norm ** 2
+    norm, argmax = bmo_sup(deriv, make_ball_family(grid, radii=ladder.radii, stride=stride))
+    bmo_sq = norm ** 2
     c_sq = report.constant
     ratio = None if bmo_sq == 0.0 else c_sq / bmo_sq
     meta = dict(report.metadata)
     meta.update({"bmo_window_radii": [float(r) for r in ladder.radii],
-                 "bmo_argmax": osc.metadata["argmax"]})
+                 "bmo_argmax": argmax})
     return ComparisonRecord(
         alpha=float(alpha),
         kind=kind,

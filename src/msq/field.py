@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "SampledField",
+    "INTEGRAL_CENTER",
     "BallWindow",
     "WindowFamily",
     "Mollifier",
@@ -101,6 +102,14 @@ class SampledField:
         return self.values.reshape(self.grid.shape)
 
 
+# The rule that a window's center is a grid index, shared by every window
+# kind: window_family converts the centers to int only after it passes.
+INTEGRAL_CENTER = (
+    lambda g, k, c, s: np.any(c != np.round(c), axis=1),
+    lambda g, c, s: f"window center index {c} is not an integer",
+)
+
+
 @dataclass(frozen=True)
 class BallWindow:
     """Periodic ball: grid-point center index tuple plus a radius."""
@@ -110,11 +119,12 @@ class BallWindow:
 
     # The rules a ball passes, in the order they are checked: (test, message).
     # test(grid, ranks, centers, radii) flags the failing rows of (m,) center
-    # ranks, (m, dim) int centers and (m,) radii; message(grid, center, radius)
-    # is the error of one failing row.
+    # ranks, (m, dim) centers as given (int or float) and (m,) radii;
+    # message(grid, center, radius) is the error of one failing row.
     RULES = (
         (lambda g, k, c, r: k != g.dim,
          lambda g, c, r: "window center rank does not match grid dim"),
+        INTEGRAL_CENTER,
         (lambda g, k, c, r: np.any((c < 0) | (c >= g.n_per_axis), axis=1),
          lambda g, c, r: f"window center index {c} out of range"),
         (lambda g, k, c, r: ~np.isfinite(r),
@@ -407,19 +417,22 @@ def window_family(grid: Grid, windows, kind) -> WindowFamily:
         ranks = np.full(len(sizes), np.shape(centers)[-1])
     else:
         centers, sizes = [w.center for w in windows], np.array([float(w.size) for w in windows])
-        ranks = np.array([len(c) for c in centers], dtype=int)
+        # a center that is not a sequence has no rank, and fails the rank rule
+        ranks = np.array([len(c) if np.ndim(c) == 1 else -1 for c in centers], dtype=int)
     if np.any(ranks != grid.dim):  # held as the origin; the rank rule rejects the row
         centers = [c if k == grid.dim else (0,) * grid.dim for c, k in zip(centers, ranks.tolist())]
-    family = WindowFamily(np.asarray(centers, dtype=int).reshape(-1, grid.dim), sizes)
+    points = np.asarray(centers).reshape(-1, grid.dim)
+    if points.dtype.kind not in "iu":  # checked by INTEGRAL_CENTER before the conversion
+        points = points.astype(float)
     # the rules after a size's finiteness rule compute on NaN and inf too, silently
     with np.errstate(all="ignore"):
-        failing = np.array([test(grid, ranks, family.centers, sizes) for test, _ in kind.RULES])
+        failing = np.array([test(grid, ranks, points, sizes) for test, _ in kind.RULES])
     rows = np.flatnonzero(failing.any(axis=0))
     if rows.size:
         i = int(rows[0])
         message = kind.RULES[int(np.argmax(failing[:, i]))][1]
-        raise ValueError(message(grid, tuple(family.centers[i].tolist()), float(sizes[i])))
-    return family
+        raise ValueError(message(grid, tuple(points[i].tolist()), float(sizes[i])))
+    return WindowFamily(points.astype(int, copy=False), sizes)
 
 
 def window_rows(centers: np.ndarray, sizes: np.ndarray, *values):

@@ -225,6 +225,92 @@ def test_bmo_empty_family_rejected(rough_field_1d):
         bmo_norm(rough_field_1d, [])
 
 
+def test_non_integer_center_rejected(rough_field_1d):
+    # a float center fails before the conversion to int, which truncated
+    # it to center 6
+    with pytest.raises(ValueError, match=r"^window center index \(6\.7,\) is not an integer$"):
+        bmo_norm(rough_field_1d, [BallWindow(center=(6.7,), radius=0.1)])
+    with pytest.raises(ValueError, match=r"^window center index \(6\.5,\) is not an integer$"):
+        strichartz_first(rough_field_1d, 0.5, [CubeSpec(center=(6.5,), side=0.25)])
+    # an integral float center is the grid point it names
+    rows = bmo_norm(rough_field_1d, [BallWindow(center=(6.0,), radius=0.1)]).per_window
+    assert rows == bmo_norm(rough_field_1d, [BallWindow(center=(6,), radius=0.1)]).per_window
+
+
+def _counting_bmo_norm(monkeypatch):
+    """Patch bmo.bmo_norm to record the windows of each call."""
+    seen = []
+
+    def counted(field, windows):
+        seen.append(windows)
+        return bmo_norm(field, windows)
+
+    monkeypatch.setattr(bmo_mod, "bmo_norm", counted)
+    return seen
+
+
+def _sup_of_norm(field, windows):
+    report = bmo_norm(field, windows)
+    return report.norm, report.metadata["argmax"]
+
+
+def test_bmo_sup_prunes_and_matches_bmo_norm(monkeypatch):
+    # the bound rules out most balls of a smooth field, and the supremum
+    # still comes out bit for bit, with its argmax
+    g = make_grid(1, 2048, 1.0)
+    f = generate(CorpusSpec(family="smooth_bump", grid=g))
+    family = make_ball_family(g, make_ladder(g).radii, stride=1)
+    seen = _counting_bmo_norm(monkeypatch)
+    assert bmo_mod.bmo_sup(f, family) == _sup_of_norm(f, family)
+    assert len(seen) == 1 and len(seen[0]) < len(family) // 10
+
+
+@pytest.mark.parametrize("values", [
+    lambda n, rng: np.full(n, 3.7),
+    lambda n, rng: 1e8 + 1e-6 * rng.standard_normal(n),
+], ids=["constant", "offset"])
+def test_bmo_sup_evaluates_every_window_where_the_bound_cannot_help(monkeypatch, values):
+    # a constant field has nothing to bound, and on a large offset
+    # bmo_norm's mean error swamps the noise, so no window is ruled out
+    g = make_grid(1, 2048, 1.0)
+    f = SampledField(grid=g, values=values(g.n_points, np.random.default_rng(3)))
+    family = make_ball_family(g, make_ladder(g).radii, stride=1)
+    seen = _counting_bmo_norm(monkeypatch)
+    assert bmo_mod.bmo_sup(f, family) == _sup_of_norm(f, family)
+    assert len(seen[0]) == len(family)
+
+
+def test_bmo_sup_cost_rule_skips_small_families(monkeypatch):
+    # below _BOUND_COST direct terms per grid point the family goes to
+    # bmo_norm as given
+    g = make_grid(2, 128, 1.0)
+    f = generate(CorpusSpec(family="riesz_of_noise", grid=g, alpha=1.3, seed=5))
+    family = make_ball_family(g, make_ladder(g).radii, stride=8)
+    seen = _counting_bmo_norm(monkeypatch)
+    assert bmo_mod.bmo_sup(f, family) == _sup_of_norm(f, family)
+    assert seen[0] is family
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_bmo_sup_far_from_unit_scale_under_raise_mode(scale):
+    # the bound runs with floating-point errors ignored and in units of a
+    # power of two, so the CLI's raise mode sees nothing new
+    g = make_grid(1, 2048, 1.0)
+    f = generate(CorpusSpec(family="riesz_of_noise", grid=g, alpha=0.5, seed=4))
+    f = SampledField(grid=g, values=scale * f.values)
+    family = make_ball_family(g, make_ladder(g).radii, stride=1)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        assert bmo_mod.bmo_sup(f, family) == _sup_of_norm(f, family)
+
+
+def test_bmo_sup_rejects_as_bmo_norm(rough_field_1d):
+    with pytest.raises(ValueError, match="empty window family"):
+        bmo_mod.bmo_sup(rough_field_1d, [])
+    bad = [BallWindow(center=(3,), radius=0.1), BallWindow(center=(5,), radius=0.3)]
+    with pytest.raises(ValueError, match="exceeds period/4"):
+        bmo_mod.bmo_sup(rough_field_1d, bad)
+
+
 def test_holder_constant_zero():
     g = make_grid(1, 128, 1.0)
     f = sample(g, lambda x: 1.0 + 0.0 * x)

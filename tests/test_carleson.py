@@ -137,6 +137,29 @@ def test_given_centers_checked(rough_field_1d):
     assert carleson_constant(m, 0.5, centers=[(n - 1,)]).metadata["n_centers"] == 1
 
 
+def test_given_centers_integer_and_ragged():
+    # a float center is no longer truncated, a ragged list meets the rank
+    # rule instead of numpy's shape error, and square_function_integral's
+    # center is checked too instead of wrapping
+    g = make_grid(1, 64, 1.0)
+    m = coefficient_matrix(generate(CorpusSpec(family="cusp", grid=g, gamma=0.5)),
+                           make_ladder(g), "nu0")
+    R = float(m.ladder.radii[0])
+    with pytest.raises(ValueError, match=r"^window center index \(6\.7,\) is not an integer$"):
+        carleson_constant(m, 0.5, centers=[(6.7,)])
+    for ragged in ([(1,), (2, 3)], [(1,), 2]):
+        with pytest.raises(ValueError, match="^window center rank does not match grid dim$"):
+            carleson_constant(m, 0.5, centers=ragged)
+    with pytest.raises(ValueError, match=r"^window center index \(70,\) out of range$"):
+        square_function_integral(m, 0.5, (70,), R)
+    with pytest.raises(ValueError, match=r"^window center index \(6\.5,\) is not an integer$"):
+        square_function_integral(m, 0.5, 6.5, R)
+    # a center given flat, as a scalar, a tuple or an integral float, is one center
+    assert (square_function_integral(m, 0.5, 6, R) == square_function_integral(m, 0.5, (6,), R)
+            == square_function_integral(m, 0.5, (6.0,), R))
+    assert carleson_constant(m, 0.5, centers=[6]).metadata["argmax"]["center"] == (6,)
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.5, 2.0, 2, math.nan])
 def test_alpha_out_of_range(rough_field_1d, alpha):
     # every entry point checks alpha against (0, 2) before any work

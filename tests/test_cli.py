@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import warnings
@@ -1044,3 +1045,26 @@ def test_compare_builds_one_matrix_per_kind(bump_file, tmp_path, monkeypatch):
                 "--stride", "8", "--out", str(tmp_path / "cmp.json")]) == EXIT_OK
     assert kinds == ["nu0", "nu1"]
     assert written["records"] == fresh
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e60, 1e-150])
+def test_compare_far_from_unit_scale_keeps_exit_code_and_bytes(tmp_path, capsys, monkeypatch,
+                                                              scale):
+    # with and without bmo_sup's bound, under the CLI's raise mode: at
+    # 1e150 the coefficient matrix overflows first (exit 4) either way, and
+    # at 1e60 and 1e-150 the bound prunes and the output is the same
+    from msq import bmo, corpus
+    from msq.field import SampledField, make_grid
+
+    field = corpus.generate(corpus.CorpusSpec(family="cusp", grid=make_grid(1, 2048, 1.0),
+                                              gamma=0.7))
+    path = tmp_path / "scaled.fld"
+    corpus.save_field(SampledField(grid=field.grid, values=scale * field.values), path)
+    results = []
+    for cost in (bmo._BOUND_COST, math.inf):
+        monkeypatch.setattr(bmo, "_BOUND_COST", cost)
+        out = tmp_path / f"cmp_{cost}.json"
+        code = run(["compare", "--field", str(path), "--alphas", "0.3,0.8,1.3", "--out", str(out)])
+        results.append((code, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
+    assert results[0] == results[1]
+    assert results[0][0] == (EXIT_NUMERIC if scale == 1e150 else EXIT_OK)

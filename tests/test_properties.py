@@ -1,8 +1,12 @@
 """Property-based checks of the structural invariants."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from msq import bmo as bmo_mod
+from msq.bmo import bmo_norm, bmo_sup, make_ball_family
 from msq.coeffs import coefficient_matrix, make_ladder, nu0, nu1, residual_for_constant
 from msq.field import BallWindow, Mollifier, SampledField, ball_mean, make_grid, mollify
 from msq.geometry import PointCloud, beta2k, plane_residual
@@ -105,3 +109,46 @@ def test_random_plane_never_beats_eigen_solution(pairs, angle):
     beta, fit = beta2k(cloud, np.zeros(2), r, k=1)
     basis = np.array([[np.cos(angle), np.sin(angle)]])
     assert plane_residual(cloud, np.zeros(2), r, fit.basepoint, basis) >= beta - 1e-12
+
+
+# bmo_sup against bmo_norm, with the cost rule off so that the bound runs
+# on every family: fields with exact ties (small integers), constants, a
+# large offset under small noise, and values far from unit scale
+_SUP_GRIDS = (make_grid(1, 64, 1.0), make_grid(2, 16, 1.0))
+
+
+def _sup_field(grid, ints, shape, scale):
+    noise = np.resize(np.asarray(ints, dtype=float), grid.n_points)
+    values = {"ties": noise, "constant": np.full(grid.n_points, 2.5),
+              "offset": 1e8 + 1e-6 * noise, "noise": np.sin(noise * 1.7) + noise}[shape]
+    return SampledField(grid=grid, values=scale * values)
+
+
+@st.composite
+def _sup_windows(draw, grid):
+    """A lattice family at a random stride, or an irregular BallWindow list
+    with repeats and radii out of order."""
+    h, n = grid.spacing, grid.n_per_axis
+    radii = st.sampled_from([h, 1.5 * h, 2 * h, 4 * h, 0.1, 0.2, 0.25])
+    if draw(st.booleans()):
+        sizes = draw(st.lists(radii, min_size=1, max_size=4))
+        return make_ball_family(grid, sizes, draw(st.integers(min_value=1, max_value=n)))
+    center = st.tuples(*[st.integers(min_value=0, max_value=n - 1)] * grid.dim)
+    windows = draw(st.lists(st.builds(BallWindow, center, radii), min_size=1, max_size=40))
+    return windows + draw(st.lists(st.sampled_from(windows), max_size=5))
+
+
+@given(st.data(), st.sampled_from(_SUP_GRIDS),
+       st.lists(st.integers(min_value=-3, max_value=3), min_size=8, max_size=64),
+       st.sampled_from(["ties", "constant", "offset", "noise"]),
+       st.sampled_from([1.0, 1e150, 1e-150]))
+@settings(max_examples=60, deadline=None)
+def test_bmo_sup_equals_bmo_norm(data, grid, ints, shape, scale):
+    field = _sup_field(grid, ints, shape, scale)
+    windows = data.draw(_sup_windows(grid))
+    with mock.patch.object(bmo_mod, "_BOUND_COST", 0), \
+            np.errstate(over="raise", divide="raise", invalid="raise"):
+        norm, argmax = bmo_sup(field, windows)
+        report = bmo_norm(field, windows)
+    assert norm == report.norm
+    assert argmax == report.metadata["argmax"]
