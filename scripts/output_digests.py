@@ -7,7 +7,11 @@ in OUTDIR, sorted by name, as ``sha256sum`` does.  The set: the
 criterion-9 commands of the acceptance suite, the reports-2d and bridge-2d
 benchmark commands, a 1-d beta --graph run whose default ladder leaves
 cells with too few lifted points (beta nan), a 2-d one at stride 4 on a
-period-0.25 grid with four such cells, 1-d and 2-d strichartz in
+period-0.25 grid with four such cells, 2-d beta --graph on the cusp at
+stride 3 (484 centers, of which the 145 whose widest ball the field holds
+constant skip beta2k), on a plateau field (3 + the smooth bump) and on a
+constant field, coeffs --kind nu1 and beta --graph on a 1-d cusp field scaled by
+1e80 (whose fc^4 overflows), 1-d and 2-d strichartz in
 both orders with CSV output, 1-d and 2-d bmo with CSV output at strides 1,
 2 and 3 (lattice offset reads) and at stride n (one center per radius, a
 single-column sum), 1-d bmo over radii given out of order with one
@@ -33,14 +37,18 @@ OUTDIR, with each checkout's ``src`` on the import path, and compare:
     diff old.txt new.txt
 
 A command that exits nonzero is named on stderr, and the script then
-exits 1.  The set writes 85 files and runs in about 2 s on a 2-core host.
+exits 1.  The set writes 98 files and runs in about 2 s on a 2-core host.
 """
 
 import hashlib
 import os
 import sys
 
+import numpy as np
+
 from msq.cli import main as msq_main
+from msq.corpus import CorpusSpec, generate, save_field
+from msq.field import SampledField, make_grid
 
 
 def commands(p):
@@ -88,6 +96,15 @@ def commands(p):
          "--out", bumpq],
         ["beta", "--graph", "--field", bumpq, "--stride", "4", "--out", p("beta_2d_nan.csv")],
     ]
+    # centers whose widest ball the field holds constant skip beta2k; a
+    # field far above unit scale
+    bridge_flat = [
+        ["beta", "--graph", "--field", cusp2, "--stride", "3", "--out", p("beta_cusp2_s3.csv")],
+        ["beta", "--graph", "--field", p("plateau.fld"), "--out", p("beta_plateau.csv")],
+        ["beta", "--graph", "--field", p("constant.fld"), "--out", p("beta_constant.csv")],
+        ["coeffs", "--field", p("cusp_1e80.fld"), "--kind", "nu1", "--out", p("cusp_1e80_nu1.csv")],
+        ["beta", "--graph", "--field", p("cusp_1e80.fld"), "--out", p("beta_cusp_1e80.csv")],
+    ]
     cusp1 = p("cusp1.fld")
     strichartz = [["generate", "--family", "cusp", "--gamma", "0.8", "--n", "256", "--out", cusp1]]
     for tag, field in (("1d", cusp1), ("2d", cusp2)):
@@ -134,7 +151,8 @@ def commands(p):
             ["generate", "--family", "log_singularity", "--dim", dim, "--n", n, "--out", log],
             ["fracderiv", "--field", log, "--alpha", "0.6", "--out", p(f"log{dim}d_d.fld")],
         ]
-    return criterion9 + reports2d + bridge2d + bridge_nan + strichartz + walks + pruned + logs
+    return (criterion9 + reports2d + bridge2d + bridge_nan + bridge_flat + strichartz + walks
+            + pruned + logs)
 
 
 def main(argv=None):
@@ -148,6 +166,13 @@ def main(argv=None):
         fh.writelines(f"{0.1 * i!r} {0.01 * i * i!r}\n" for i in range(64))
     with open(os.path.join(outdir, "sqfn.cfg"), "w") as fh:
         fh.write("kind=nu1\nalpha=0.7\nstride=4\n")  # --stride 8 overrides
+    grid2, grid1 = make_grid(2, 32, 1.0), make_grid(1, 256, 1.0)
+    bump = generate(CorpusSpec(family="smooth_bump", grid=grid2)).values
+    cusp = generate(CorpusSpec(family="cusp", grid=grid1, gamma=0.7)).values
+    for name, grid, values in (("plateau", grid2, 3.0 + bump),
+                               ("constant", grid2, np.full(grid2.n_points, 0.7)),
+                               ("cusp_1e80", grid1, 1e80 * cusp)):
+        save_field(SampledField(grid=grid, values=values), os.path.join(outdir, f"{name}.fld"))
     failed = 0
     for args in commands(lambda name: os.path.join(outdir, name)):
         rc = msq_main(args)

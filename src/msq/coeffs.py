@@ -421,10 +421,14 @@ def _moment_levels(fc: np.ndarray, grid: Grid, radii, kind: str):
     correlations of fc and fc^2 in float."""
     Ff = np.fft.fftn(fc)
     Ff2 = np.fft.fftn(fc * fc)
-    # normwise FFT error scales: eps log2(N) ||signal||_2, times ||filter||_2
+    # normwise FFT error scales: eps log2(N) ||signal||_2, times ||filter||_2,
+    # the norms taken in units of 2^k with max|fc| < 2^k, so that ||fc^2||_2
+    # is finite wherever fc^2 is: a power of two scales them exactly
     fft_scale = _FFT_C * _EPS * math.log2(grid.n_points)
-    norm_f = fft_scale * float(np.sqrt(np.sum(fc * fc)))
-    norm_f2 = fft_scale * float(np.sqrt(np.sum((fc * fc) ** 2)))
+    k = math.frexp(float(np.abs(fc).max()))[1]
+    fs2 = np.square(np.ldexp(fc, -k))
+    norm_f = fft_scale * float(np.ldexp(np.sqrt(np.sum(fs2)), k))
+    norm_f2 = fft_scale * float(np.ldexp(np.sqrt(np.sum(fs2 * fs2)), 2 * k))
     ucomps = offset_components(grid)
     annular = kind in ("nu0_tilde", "nu1_tilde")
     order_one = kind in ("nu1", "nu1_bar", "nu1_tilde")

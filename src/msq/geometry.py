@@ -8,10 +8,13 @@ the squared number is the sum of the D-k smallest eigenvalues divided by
 r^2 times the ball weight.  No iterative plane search is involved.
 beta2k takes one cloud or a stack of equal-sized clouds, and one radius or
 an array of them.  It selects every ball from one squared-distance pass,
-sums the moments over the points in point order and solves all the balls
-in one stacked eigh, so a stack gives each cloud the betas of its own
-call.  The graph bridge lifts blocks of centers and makes one call per
-block over the whole ladder.
+walks the radii from the largest down, reading the points in place until
+fewer than half of them lie in some ball, sums the moments over the points
+in point order and solves all the balls in one stacked eigh, so a stack
+gives each cloud the betas of its own call.  The graph bridge gives a
+center whose field is constant on its widest ball the betas of its flat
+disk, which are those of beta2k's arithmetic, lifts blocks of the other
+centers and makes one call per block over the whole ladder.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ class PointCloud:
         w = w.reshape(-1) if pts.ndim == 2 else w
         if w.shape != pts.shape[:-1]:
             raise ValueError("weights shape does not match the points")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0) or not np.all(w.sum(axis=-1) > 0):
+        # w > 0 on a nonempty cloud gives every cloud a positive weight
+        if w.shape[-1] == 0 or not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("weights must be finite and strictly positive")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
@@ -100,13 +104,17 @@ def beta2k(cloud: PointCloud, center, r, k: int):
     returns the (B, L) betas over L radii (shape (B,) for a scalar r).
 
     One arithmetic serves every form, so each beta equals (==) the call on
-    its cloud alone, with any radius, and with any points added outside
-    its ball: the coordinates are laid out (N, B), every moment is summed
-    over the points in point order (field.ordered_sum), where a point
-    outside the ball adds exact zeros, and the rows that no cloud selects
-    are dropped first.  The centered second moments of every ball go to
-    one stacked eigh.  Ties between eigenvalues are resolved by the
-    solver's ordering; beta itself depends only on eigenvalue sums.
+    its cloud alone, with any radius, in any order of the radii, and with
+    any points added outside its ball: the coordinates are laid out
+    (N, B), every moment is summed over the points in point order
+    (field.ordered_sum), where a point outside the ball adds exact zeros,
+    and only which of those points are read depends on the stack and the
+    radii.  The radii run from the largest down; a radius reads the rows
+    that the previous one read, in place, while at least half of them lie
+    in some ball of the radius, and otherwise only those rows, compressed.
+    The centered second moments of every ball go to one stacked eigh.
+    Ties between eigenvalues are resolved by the solver's ordering; beta
+    itself depends only on eigenvalue sums.
 
     Conditioning: beta ~ sqrt(lambda_min), and eigenvalues below
     64 eps lambda_max are set to zero, so on a nearly flat ball beta
@@ -121,30 +129,42 @@ def beta2k(cloud: PointCloud, center, r, k: int):
     radii = np.asarray(r, dtype=float)
     if radii.ndim > 1:
         raise ValueError("radii must be a scalar or a 1-d array")
+    if radii.size == 0:
+        raise ValueError("radii must hold at least one radius")
     if not np.all((0.0 < radii) & (radii < np.inf)):
         raise ValueError(f"radius must be positive and finite, got {r}")
     center = np.asarray(center, dtype=float).reshape(-1)
     if center.shape[0] != D:
         raise ValueError("center dimension does not match the cloud")
+    if not np.all(np.isfinite(center)):
+        raise ValueError("center coordinates must be finite")
     stacked = cloud.points.ndim == 3
     pts = cloud.points if stacked else cloud.points[None]
     data = np.ascontiguousarray(pts.transpose(2, 1, 0))  # (D, N, B)
     w = np.ascontiguousarray(cloud.weights.reshape(pts.shape[:2]).T)  # (N, B)
-    d2 = (data[0] - center[0]) ** 2
-    for a in range(1, D):
-        d2 += (data[a] - center[a]) ** 2
+    # One work array serves the squared distances and every radius, as
+    # (n, B) planes over the n current rows: the weights ws (0 outside each
+    # ball), which then hold the terms of one moment, ws * x, which becomes
+    # the centered c, and ws * c.
+    work = np.empty((1 + 2 * D,) + w.shape)
+    d2, diff = np.zeros(w.shape), work[0]
+    for a in range(D):
+        d2 += np.square(np.subtract(data[a], center[a], out=diff), out=diff)
+    nearest = d2.min(axis=1)  # a row lies in some ball of radius r iff nearest < r^2
     each = np.atleast_1d(radii)
     B = pts.shape[0]
     betas = np.full((each.size, B), np.nan)
     full, sizes, moments = [], [], []
-    # one work array serves every radius, as (n, B) planes over the n rows
-    # that some ball selects: the weights ws (0 outside each ball), ws * x,
-    # which becomes the centered c, x, which becomes ws * c, and the terms
-    # of one moment
-    top = each.max()
-    widest = int(np.count_nonzero((d2 < top * top).any(axis=1)))
-    work = np.empty((2 + 2 * D, widest, B))
-    for j, rj in enumerate(each.tolist()):
+    # The radii run from the largest down, so each radius's candidate rows
+    # are a subset of the current ones: those are read in place while at
+    # least half of them are candidates, and compressed to the candidates
+    # below that.
+    for j in np.argsort(-each, kind="stable").tolist():
+        rj = float(each[j])
+        cand = nearest < rj * rj
+        if 2 * np.count_nonzero(cand) < len(nearest):
+            data = data.compress(cand, axis=1)
+            w, d2, nearest = (a.compress(cand, axis=0) for a in (w, d2, nearest))
         sel = d2 < rj * rj
         ok = np.count_nonzero(sel, axis=0) >= k + 1
         if not stacked and radii.ndim == 0 and not ok[0]:
@@ -154,21 +174,19 @@ def beta2k(cloud: PointCloud, center, r, k: int):
             )
         if not ok.any():
             continue
-        rows = sel.any(axis=1)
-        part = work[:, : np.count_nonzero(rows)]
-        ws, wx, x, term = part[0], part[1 : D + 1], part[D + 1 : 2 * D + 1], part[2 * D + 1]
-        np.multiply(w.compress(rows, axis=0), sel.compress(rows, axis=0), out=ws)
-        np.compress(rows, data, axis=1, out=x)
-        np.multiply(ws, x, out=wx)
+        part = work[:, : len(nearest)]
+        ws, wx, wc = part[0], part[1 : D + 1], part[D + 1 :]
+        np.multiply(w, sel, out=ws)
+        np.multiply(ws, data, out=wx)
         total = ordered_sum(part[: D + 1])
         W = np.where(ok, total[0], 1.0)
         centroid = total[1:] / W
-        c = np.subtract(x, centroid[:, None], out=wx)
-        wc = np.multiply(ws, c, out=x)
+        c = np.subtract(data, centroid[:, None], out=wx)
+        np.multiply(ws, c, out=wc)
         ball = np.empty((B, D, D))
         for a in range(D):
             for b in range(a + 1):
-                ball[:, a, b] = ball[:, b, a] = ordered_sum(np.multiply(wc[a], c[b], out=term))
+                ball[:, a, b] = ball[:, b, a] = ordered_sum(np.multiply(wc[a], c[b], out=ws))
         full.append((j, ok))
         sizes.append(W)
         moments.append(ball)
@@ -247,6 +265,35 @@ def load_cloud(path, ambient_dim: int = None):
         raise FieldValueError(f"{path}: {exc}") from exc
 
 
+def _constant_balls(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Whether the periodic field values (shaped) equal (==) their own
+    value at every offset of a lattice ball, at each grid point.
+
+    offsets is the ball's (K, dim) array of integer offsets about 0.  Along
+    an axis the ball is a set of segments, one per position on the other
+    axes, each crossing the ball's slice through 0 normal to that axis, a
+    ball in one axis less.  So the values are constant on the ball iff no
+    two neighbours along such a segment differ, axis by axis from the last
+    down to the slice through 0 of the first: O(N) work per segment, from
+    one integer prefix sum per axis.
+    """
+    n, dim = values.shape[0], values.ndim
+    start = np.arange(n)
+    differ = np.zeros(values.shape, dtype=np.intp)
+    for a in reversed(range(dim)):
+        step = (np.roll(values, -1, axis=a) != values).astype(np.intp)
+        zero = np.zeros_like(np.take(step, [0], axis=a))
+        prefix = np.cumsum(np.concatenate([zero, step, step], axis=a), axis=a)
+        rest = [b for b in range(dim) if b != a]
+        for q in {tuple(u) for u in offsets[:, rest].tolist()}:
+            t = offsets[(offsets[:, rest] == q).all(axis=1), a]
+            s = (start + t.min()) % n
+            run = np.take(prefix, s + (t.max() - t.min()), axis=a) - np.take(prefix, s, axis=a)
+            differ += np.roll(run, tuple(-b for b in q), axis=tuple(rest))
+        offsets = offsets[offsets[:, a] == 0]
+    return differ == 0
+
+
 # _BLOCK_CLOUDS: centers per stacked beta2k call of the graph bridge; a
 # stack's betas equal its per-cloud calls (==), so it sets only the time.
 # `msq beta --graph` on 2-d n=128 smooth_bump took 4.5-4.7 s with 40 clouds
@@ -281,32 +328,43 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
     nub = coefficient_matrix(field, ladder, "nu1").values[flat_index(grid, centers)]
 
     # The offsets of the widest candidate ball, in the row-major order of
-    # the chart rolled to the center.  Blocks of _BLOCK_CLOUDS centers go to
-    # beta2k as one stacked cloud, which selects every radius's ball from
-    # it.  A center's rows are read from the flat indices tiled twice per
-    # axis, so c + step needs no wrap.
+    # the chart rolled to the center.  Where the field equals (==) its
+    # center value on that ball, every lift is +-0.0, so each ball is the
+    # flat disk, whose moment matrix has a zero last row and column: the
+    # solver splits that zero eigenvalue off exactly, and beta2k gives
+    # +0.0, or NaN for a disk of fewer than dim + 1 points.  Those centers
+    # take these values without a call.  Blocks of _BLOCK_CLOUDS other
+    # centers go to beta2k as one stacked cloud, which selects every
+    # radius's ball from it.  A center's rows are read from the flat
+    # indices tiled twice per axis, so c + step needs no wrap.
     top = radii.max()
     widest = udist_sq < top * top
     steps = np.argwhere(widest)
-    per_block = min(_BLOCK_CLOUDS, len(centers))
-    wide = (2 * grid.n_per_axis,) * dim
+    n = grid.n_per_axis
+    flat = _constant_balls(field.shaped, np.where(steps <= n // 2, steps, steps - n))
+    flat = flat.reshape(-1)[flat_index(grid, centers)]
+    disk = np.array([np.count_nonzero(udist_sq < r * r) for r in radii.tolist()])
+    beta = np.empty((len(centers), radii.size))
+    beta[flat] = np.where(disk >= dim + 1, 0.0, np.nan)
+    live = np.flatnonzero(~flat)
+    per_block = min(_BLOCK_CLOUDS, max(len(live), 1))
+    wide = (2 * n,) * dim
     tiled = np.tile(np.arange(grid.n_points).reshape(grid.shape), (2,) * dim).reshape(-1)
     shift = np.ravel_multi_index(tuple(steps.T), wide)
-    base = np.ravel_multi_index(tuple(centers.T), wide)
+    base = np.ravel_multi_index(tuple(centers[live].T), wide)
     # one points array serves every block, laid out (dim + 1, K, B) as
     # beta2k reads a stack: the chart, then each block's lift
     points = np.empty((dim + 1, len(steps), per_block))
     points[:dim] = np.stack([comp[widest] for comp in ucomp])[..., None]
 
-    beta = np.empty((len(centers), radii.size))
     origin = np.zeros(dim + 1)
-    for lo in range(0, len(centers), per_block):
+    for lo in range(0, len(live), per_block):
         rows = tiled[shift[:, None] + base[lo:lo + per_block]]  # (K, B)
         block = points[..., : rows.shape[1]]
         # rows[0] is the center: steps[0] is the zero offset
         np.subtract(field.values[rows], field.values[rows[0]], out=block[dim])
         cloud = PointCloud(points=block.transpose(2, 1, 0), weights=area[rows].T)
-        beta[lo:lo + per_block] = beta2k(cloud, origin, radii, k=dim)
+        beta[live[lo:lo + per_block]] = beta2k(cloud, origin, radii, k=dim)
 
     floor = 1e-12 * max(1.0, float(np.max(np.abs(field.values))))
     both = (beta > floor) & (nub > floor)

@@ -1047,12 +1047,12 @@ def test_compare_builds_one_matrix_per_kind(bump_file, tmp_path, monkeypatch):
     assert written["records"] == fresh
 
 
-@pytest.mark.parametrize("scale", [1e150, 1e60, 1e-150])
+@pytest.mark.parametrize("scale", [1e250, 1e150, 1e60, 1e-150])
 def test_compare_far_from_unit_scale_keeps_exit_code_and_bytes(tmp_path, capsys, monkeypatch,
                                                               scale):
     # with and without bmo_sup's bound, under the CLI's raise mode: at
-    # 1e150 the coefficient matrix overflows first (exit 4) either way, and
-    # at 1e60 and 1e-150 the bound prunes and the output is the same
+    # 1e250 the coefficient matrix overflows first (exit 4) either way, and
+    # at 1e150, 1e60 and 1e-150 the output is the same
     from msq import bmo, corpus
     from msq.field import SampledField, make_grid
 
@@ -1067,4 +1067,4 @@ def test_compare_far_from_unit_scale_keeps_exit_code_and_bytes(tmp_path, capsys,
         code = run(["compare", "--field", str(path), "--alphas", "0.3,0.8,1.3", "--out", str(out)])
         results.append((code, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
     assert results[0] == results[1]
-    assert results[0][0] == (EXIT_NUMERIC if scale == 1e150 else EXIT_OK)
+    assert results[0][0] == (EXIT_NUMERIC if scale == 1e250 else EXIT_OK)

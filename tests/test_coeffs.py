@@ -147,6 +147,23 @@ def test_homogeneity_degree_one(rough_field_1d):
         assert np.allclose(b, 3.0 * a, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 32)])
+def test_matrix_scales_far_above_unit(dim, n):
+    # fc^4 overflows above |fc| ~ 1e77 while fc^2 stays finite; the rounding
+    # scale is taken in units of 2^k, so a field scaled by 2^260 gives the
+    # matrix scaled by 2^260 (within rounding) under the CLI's raise mode
+    g = make_grid(dim, n, 1.0)
+    lad = make_ladder(g)
+    field = corpus_generate(CorpusSpec(family="cusp", grid=g, gamma=0.7))
+    big = SampledField(grid=g, values=2.0**260 * field.values)
+    for kind in ("nu0", "nu1", "nu1_bar"):
+        want = 2.0**260 * coefficient_matrix(field, lad, kind).values
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = coefficient_matrix(big, lad, kind).values
+        large = want > 1e-8 * want.max()
+        assert np.max(np.abs(got[large] / want[large] - 1.0)) < 1e-12
+
+
 def test_constant_shift_invariance(rough_field_1d):
     lad = make_ladder(rough_field_1d.grid)
     shifted = SampledField(

@@ -346,3 +346,140 @@ def test_beta2k_matches_singular_values(D, k):
         want = np.sqrt(np.sum(sv[k:] ** 2) / (r * r * wi.sum()))
         got, _ = beta2k(PointCloud(points=pts, weights=w), center, r, k=k)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def _cells_equal(got, want):
+    """== cell by cell, NaN where NaN and the sign of zero included."""
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _plateau_field(kind):
+    # a constant field, a plateau at 3.0, and a bump whose zero plateau holds
+    # -0.0 at every other zero, so its lifts are 0.0 and -0.0
+    g = make_grid(2, 32, 1.0)
+    bump = generate(CorpusSpec(family="smooth_bump", grid=g)).values
+    if kind == "constant":
+        values = np.full(g.n_points, 0.7)
+    elif kind == "plateau":
+        values = 3.0 + bump
+    else:
+        values = bump.copy()
+        values[np.flatnonzero(values == 0.0)[::2]] = -0.0
+    return SampledField(grid=g, values=values)
+
+
+def _flat_centers(field, radius):
+    """Whether the field equals (==) its center value on the whole chart
+    ball of the radius, center by center (row-major), by brute force."""
+    g = field.grid
+    out = []
+    for c in lattice_centers(g, 1):
+        lift = _chart_cloud(field, c, np.ones(g.shape)).points
+        inside = np.sum(lift[:, :-1] ** 2, axis=1) < radius * radius
+        out.append(not np.any(lift[inside, -1] != 0.0))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", ["constant", "plateau", "signed_zeros"])
+def test_graph_bridge_flat_centers_match_per_cell_oracle(kind):
+    # a center whose field is constant on its widest ball skips beta2k; its
+    # cells still equal (==, sign of zero included) beta2k on its chart
+    from msq.spectral import spectral_gradient
+
+    f = _plateau_field(kind)
+    g = f.grid
+    lad = make_ladder(g)
+    if kind == "signed_zeros":  # -0.0 - 0.0 is -0.0, and 0.0 - -0.0 is 0.0
+        signs = np.signbit(f.values[f.values == 0.0])
+        assert signs.any() and not signs.all()
+    rep = graph_beta_vs_nu1(f, lad, stride=1)
+    area = g.spacing**2 * np.sqrt(1.0 + sum(q.shaped**2 for q in spectral_gradient(f)))
+    expected = np.empty(rep.beta.shape)
+    for i, c in enumerate(rep.centers):
+        expected[i] = beta2k(_chart_cloud(f, c, area), np.zeros(3), lad.radii, k=2)
+    assert _cells_equal(rep.beta, expected)
+    flat = _flat_centers(f, lad.radii.max())
+    assert np.all(rep.beta[flat] == 0.0) and not np.any(np.signbit(rep.beta[flat]))
+    assert flat.all() if kind == "constant" else 0 < flat.sum() < len(flat)
+
+
+@pytest.mark.parametrize("kind", ["constant", "plateau", "signed_zeros"])
+def test_graph_bridge_calls_beta2k_on_live_centers_only(kind, monkeypatch):
+    # beta2k sees each center whose widest ball is not constant, once, and
+    # no other: none on a constant field
+    import msq.geometry as geometry_mod
+
+    f = _plateau_field(kind)
+    lad = make_ladder(f.grid)
+    seen = []
+
+    def counting(cloud, center, r, k):
+        seen.append(cloud.points[..., -1].copy())
+        return beta2k(cloud, center, r, k)
+
+    monkeypatch.setattr(geometry_mod, "beta2k", counting)
+    graph_beta_vs_nu1(f, lad, stride=1)
+    lifts = np.concatenate(seen) if seen else np.zeros((0, 1))
+    live = int((~_flat_centers(f, lad.radii.max())).sum())
+    assert len(lifts) == live
+    assert np.all(np.any(lifts != 0.0, axis=1))
+    assert len(seen) == -(-live // geometry_mod._BLOCK_CLOUDS)  # 0 on the constant field
+
+
+@pytest.mark.parametrize("radii", [[0.45, 1.0, 6.0], [1.0, 6.0, 0.45, 0.3], [1.0, 0.45, 1.0, 6.0, 6.0]],
+                         ids=["ascending", "shuffled", "repeated"])
+def test_beta2k_radius_order_matches_scalar_calls(radii):
+    # radii in any order, repeated or not, give (==) the scalar calls,
+    # and NaN where a scalar call raises
+    stack, clouds = _stack_and_clouds()
+    origin = np.zeros(3)
+    got = beta2k(stack, origin, np.array(radii), k=2)
+    for i, cloud in enumerate(clouds):
+        for j, r in enumerate(radii):
+            try:
+                want, _ = beta2k(cloud, origin, r, k=2)
+            except NumericError:
+                assert np.isnan(got[i, j])
+            else:
+                assert got[i, j] == want
+
+
+@pytest.mark.parametrize("radii, shares", [
+    ([6.0, 1.0], [40, 40]),            # every row a candidate: read in place
+    ([0.45], [14]),                    # below half at the top: compressed
+    ([6.0, 0.45, 0.3], [40, 14, 5]),   # in place, then compressed twice
+    ([0.45, 0.38], [14, 9]),           # compressed, then in place
+], ids=["in-place", "compress", "in-place-then-compress", "compress-then-in-place"])
+def test_beta2k_read_paths_match_per_cloud_calls(radii, shares):
+    # a radius's candidate rows lie in some cloud's ball; the stack reads
+    # them in place while they are at least half of the current rows and
+    # compresses them below that, and either way equals (==) the calls on
+    # each cloud alone
+    stack, clouds = _stack_and_clouds()
+    nearest = np.sum(stack.points**2, axis=-1).min(axis=0)
+    assert [int(np.count_nonzero(nearest < r * r)) for r in radii] == shares
+    origin = np.zeros(3)
+    got = beta2k(stack, origin, np.array(radii), k=2)
+    want = np.stack([beta2k(c, origin, np.array(radii), k=2) for c in clouds])
+    assert _cells_equal(got, want)
+
+
+def test_beta2k_rejects_non_finite_center():
+    # a library caller's bad center is a ValueError, not a NumericError
+    for center in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="center coordinates must be finite") as bad:
+            beta2k(_circle_cloud(10), np.array(center), 2.0, k=1)
+        assert not isinstance(bad.value, NumericError)
+
+
+def test_beta2k_rejects_empty_radii():
+    with pytest.raises(ValueError, match="radii must hold at least one radius"):
+        beta2k(_circle_cloud(10), np.zeros(2), np.array([]), k=1)
+
+
+def test_empty_cloud_rejected():
+    with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
+        PointCloud(points=np.zeros((0, 2)), weights=np.ones(0))
+    with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
+        PointCloud(points=np.zeros((3, 0, 2)), weights=np.ones((3, 0)))
