@@ -10,7 +10,9 @@ cells with too few lifted points (beta nan), a 2-d one at stride 4 on a
 period-0.25 grid with four such cells, 2-d beta --graph on the cusp at
 stride 3 (484 centers, of which the 145 whose widest ball the field holds
 constant skip beta2k), on a plateau field (3 + the smooth bump) and on a
-constant field, coeffs --kind nu1 and beta --graph on a 1-d cusp field scaled by
+constant field, beta --graph at stride 1 and second-order strichartz at
+stride 4 on a 2-d n=64 cusp(0.7) field (constant on more balls and cubes
+the narrower they are), coeffs --kind nu1 and beta --graph on a 1-d cusp field scaled by
 1e80 (whose fc^4 overflows), 1-d and 2-d strichartz in
 both orders with CSV output, 1-d and 2-d bmo with CSV output at strides 1,
 2 and 3 (lattice offset reads) and at stride n (one center per radius, a
@@ -37,7 +39,7 @@ OUTDIR, with each checkout's ``src`` on the import path, and compare:
     diff old.txt new.txt
 
 A command that exits nonzero is named on stderr, and the script then
-exits 1.  The set writes 98 files and runs in about 2 s on a 2-core host.
+exits 1.  The set writes 103 files and runs in about 2 s on a 2-core host.
 """
 
 import hashlib
@@ -104,6 +106,17 @@ def commands(p):
         ["beta", "--graph", "--field", p("constant.fld"), "--out", p("beta_constant.csv")],
         ["coeffs", "--field", p("cusp_1e80.fld"), "--kind", "nu1", "--out", p("cusp_1e80_nu1.csv")],
         ["beta", "--graph", "--field", p("cusp_1e80.fld"), "--out", p("beta_cusp_1e80.csv")],
+    ]
+    # the 2-d cusp(0.7) is constant on more balls and cubes the narrower
+    # they are: beta2k blocks of every depth, mixed ones included, and
+    # second-order cubes that are mostly constant on every side
+    cusp07 = p("cusp07_2d.fld")
+    bridge_flat += [
+        ["generate", "--family", "cusp", "--gamma", "0.7", "--dim", "2", "--n", "64",
+         "--out", cusp07],
+        ["beta", "--graph", "--field", cusp07, "--stride", "1", "--out", p("beta_cusp07_s1.csv")],
+        ["strichartz", "--field", cusp07, "--alpha", "1.3", "--order", "second", "--stride", "4",
+         "--out-json", p("st_second_cusp07_s4.json"), "--out-csv", p("st_second_cusp07_s4.csv")],
     ]
     cusp1 = p("cusp1.fld")
     strichartz = [["generate", "--family", "cusp", "--gamma", "0.8", "--n", "256", "--out", cusp1]]

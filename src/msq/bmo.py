@@ -13,10 +13,12 @@ implemented; reports note it).  The y = 0 diagonal is excluded, and the
 second-difference sum only uses offsets with both x+y and x-y inside the
 cube so that locally affine data cancels exactly on interior cubes.
 
-A first-difference sum takes its near offsets from the offset table and
-the rest as one FFT quadratic form per cube, with an a-priori bound on
-its rounding error; a cube the bound does not certify, and every
-second-difference cube, is summed directly over the whole offset table.
+A cube on which the field is constant sums to exactly 0 and is not
+summed.  A first-difference sum takes its near offsets from the offset
+table and the rest as one FFT quadratic form per cube, with an a-priori
+bound on its rounding error; a cube the bound does not certify, and every
+other second-difference cube, is summed directly over the whole offset
+table.
 """
 
 from __future__ import annotations
@@ -418,11 +420,15 @@ def _stack_totals(v: np.ndarray, offsets: np.ndarray, h: float, expo: float,
     rounded math.fsum, so every total equals that of a one-cube stack."""
     steps, difference = _ORDERS[order]
     k, m = len(v), v.shape[1]
+    # the weights come first, so one that overflows raises on any stack,
+    # an empty one included
+    weights = [math.hypot(*[o * h for o in off]) ** (-expo) for off in offsets.tolist()]
+    if k == 0:
+        return np.zeros(0)
     rows = []
-    for off in offsets.tolist():
+    for off, w in zip(offsets.tolist(), weights):
         lo = [max(-s * o for s in steps) for o in off]
         hi = [m - max(s * o for s in steps) for o in off]
-        w = math.hypot(*[o * h for o in off]) ** (-expo)
         reads = (v[(slice(None), *[slice(a + s * o, b + s * o) for a, b, o in zip(lo, hi, off)])]
                  for s in steps)
         rows.append(2.0 * w * (difference(*reads) ** 2).reshape(k, -1).sum(axis=1))
@@ -459,15 +465,24 @@ def _strichartz(field, alpha, cubes, order: str, alpha_hi: float) -> StrichartzR
                          .reshape((len(rows),) + (1,) * a + (m,) + (1,) * (d - 1 - a))
                          for a in range(d))
             stack = field.shaped[axes]
-            direct = np.arange(len(rows))
-            if form is not None:
-                totals[rows], delta = _first_difference_fft(stack, form, near, h, expo)
+            # every difference of a constant cube is +-0.0, so both routes
+            # give it exactly +0.0: neither sums it
+            flat = stack.reshape(len(rows), -1)
+            live = np.flatnonzero(flat.max(axis=1) != flat.min(axis=1))
+            totals[rows] = 0.0
+            direct = live
+            if form is not None and live.size:
+                totals[rows[live]], delta = _first_difference_fft(stack[live], form, near, h,
+                                                                  expo)
                 # a sum the bound does not certify, NaN included, is
                 # summed directly
-                direct = np.flatnonzero(~(delta <= 2.0 * _FORM_TAU * totals[rows]))
-            if direct.size:
+                direct = live[~(delta <= 2.0 * _FORM_TAU * totals[rows[live]])]
+            if direct.size or form is None:
+                # second order takes the weights even of a stack of
+                # constant cubes, so one that overflows raises on any values
                 totals[rows[direct]] = _stack_totals(stack[direct], offsets, h, expo, order)
-            direct_count += int(direct.size)
+            # second order counts every cube as summed directly
+            direct_count += int(direct.size) if form is not None else len(rows)
         fallback_counts[float(family.sizes[group[0]])] = direct_count
     # normalized in Python floats, so each value is the one-cube value to the bit
     values = np.array([math.sqrt(h ** (2 * d) * t / side ** d)

@@ -491,6 +491,9 @@ _EXIT_CODES = (
 )
 
 
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code.  Numpy overflow, division
     by zero and invalid operations raise FloatingPointError (an
@@ -508,11 +511,16 @@ def main(argv=None) -> int:
             return spec.run(args)
     except Exception as exc:
         text = str(exc)
-        if isinstance(exc, OverflowError):  # a Python float op's (errno, text)
-            # the innermost named frame, not a comprehension or lambda
+        if isinstance(exc, (OverflowError, FloatingPointError)):
+            # the innermost named msq frame: not a comprehension or lambda,
+            # nor numpy's or a caller's wrapper
             where = next(f.name for f in reversed(traceback.extract_tb(exc.__traceback__))
-                         if not f.name.startswith("<"))
-            text = f"overflow in {where}: {exc.args[-1]}"
+                         if os.path.abspath(f.filename).startswith(_PACKAGE_DIR)
+                         and not f.name.startswith("<"))
+            # a Python float op's args are (errno, text), numpy's its text
+            # ("overflow encountered in multiply")
+            what = "overflow" if isinstance(exc, OverflowError) else text.split(" encountered")[0]
+            text = f"{what} in {where}: {exc.args[-1]}"
         for classes, code, label in _EXIT_CODES:
             if isinstance(exc, classes):
                 print(f"msq: error: {label}: {text}", file=sys.stderr)

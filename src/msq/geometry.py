@@ -11,10 +11,11 @@ an array of them.  It selects every ball from one squared-distance pass,
 walks the radii from the largest down, reading the points in place until
 fewer than half of them lie in some ball, sums the moments over the points
 in point order and solves all the balls in one stacked eigh, so a stack
-gives each cloud the betas of its own call.  The graph bridge gives a
-center whose field is constant on its widest ball the betas of its flat
-disk, which are those of beta2k's arithmetic, lifts blocks of the other
-centers and makes one call per block over the whole ladder.
+gives each cloud the betas of its own call.  The graph bridge gives each
+cell whose chart ball the field holds constant the beta of its flat disk,
+which is that of beta2k's arithmetic, lifts blocks of the other centers,
+deepest first, and makes one call per block over the radii on which its
+first center is not constant.
 """
 
 from __future__ import annotations
@@ -329,24 +330,34 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
 
     # The offsets of the widest candidate ball, in the row-major order of
     # the chart rolled to the center.  Where the field equals (==) its
-    # center value on that ball, every lift is +-0.0, so each ball is the
-    # flat disk, whose moment matrix has a zero last row and column: the
-    # solver splits that zero eigenvalue off exactly, and beta2k gives
-    # +0.0, or NaN for a disk of fewer than dim + 1 points.  Those centers
-    # take these values without a call.  Blocks of _BLOCK_CLOUDS other
-    # centers go to beta2k as one stacked cloud, which selects every
-    # radius's ball from it.  A center's rows are read from the flat
-    # indices tiled twice per axis, so c + step needs no wrap.
+    # center value on a radius's chart ball, every lift is +-0.0, so the
+    # ball is the flat disk, whose moment matrix has a zero last row and
+    # column: the solver splits that zero eigenvalue off exactly, and
+    # beta2k gives +0.0, or NaN for a disk of fewer than dim + 1 points.
+    # The balls are nested, so a center's radii whose ball is not constant
+    # are the widest `depth` of the ladder, and its other cells take these
+    # values without a call.  The live centers, deepest first (row-major
+    # within a depth), go to beta2k in blocks of _BLOCK_CLOUDS as one
+    # stacked cloud over the depth of the block's first center: a member
+    # flat on some of those radii gets the flat values from beta2k itself.
+    # A center's rows are read from the flat indices tiled twice per axis,
+    # so c + step needs no wrap.
     top = radii.max()
     widest = udist_sq < top * top
     steps = np.argwhere(widest)
     n = grid.n_per_axis
-    flat = _constant_balls(field.shaped, np.where(steps <= n // 2, steps, steps - n))
-    flat = flat.reshape(-1)[flat_index(grid, centers)]
+    chart, reach = np.where(steps <= n // 2, steps, steps - n), udist_sq[widest]
+    at = flat_index(grid, centers)
+    depth = np.zeros(len(centers), dtype=np.intp)
+    for r in radii.tolist():
+        varies = ~_constant_balls(field.shaped, chart[reach < r * r]).reshape(-1)[at]
+        if not varies.any():  # every narrower ball lies inside a constant one
+            break
+        depth += varies
     disk = np.array([np.count_nonzero(udist_sq < r * r) for r in radii.tolist()])
-    beta = np.empty((len(centers), radii.size))
-    beta[flat] = np.where(disk >= dim + 1, 0.0, np.nan)
-    live = np.flatnonzero(~flat)
+    beta = np.tile(np.where(disk >= dim + 1, 0.0, np.nan), (len(centers), 1))
+    live = np.flatnonzero(depth)
+    live = live[np.argsort(-depth[live], kind="stable")]
     per_block = min(_BLOCK_CLOUDS, max(len(live), 1))
     wide = (2 * n,) * dim
     tiled = np.tile(np.arange(grid.n_points).reshape(grid.shape), (2,) * dim).reshape(-1)
@@ -364,7 +375,8 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
         # rows[0] is the center: steps[0] is the zero offset
         np.subtract(field.values[rows], field.values[rows[0]], out=block[dim])
         cloud = PointCloud(points=block.transpose(2, 1, 0), weights=area[rows].T)
-        beta[live[lo:lo + per_block]] = beta2k(cloud, origin, radii, k=dim)
+        deep = depth[live[lo]]
+        beta[live[lo:lo + per_block], :deep] = beta2k(cloud, origin, radii[:deep], k=dim)
 
     floor = 1e-12 * max(1.0, float(np.max(np.abs(field.values))))
     both = (beta > floor) & (nub > floor)

@@ -741,6 +741,42 @@ def test_strichartz_first_constant_cubes_exactly_zero():
     assert 0 < constant < len(family)
 
 
+def test_strichartz_sums_no_constant_cube(monkeypatch):
+    # on the 2-d n=64 cusp, 144 of the 256 default cubes are constant: no
+    # stack that reaches a sum holds one, in either order, every value
+    # equals (==) its one-cube call, and a constant cube's value is +0.0,
+    # as its direct sum is
+    g = make_grid(2, 64, 1.0)
+    f = generate(CorpusSpec(family="cusp", grid=g, gamma=0.7))
+    family = make_cube_family(g)
+    stacks = [_cube_stack(f, [c], int(round(s / g.spacing)))
+              for c, s in zip(family.centers.tolist(), family.sizes.tolist())]
+    constant = np.array([v.max() == v.min() for v in stacks])
+    assert constant.sum() == 144
+    seen = []
+
+    def spy(name):
+        real = getattr(bmo_mod, name)
+
+        def counting(values, *args):
+            seen.append([v.max() != v.min() for v in values])
+            return real(values, *args)
+        monkeypatch.setattr(bmo_mod, name, counting)
+
+    spy("_stack_totals")
+    spy("_first_difference_fft")
+    cubes = [CubeSpec(center=tuple(c), side=s)
+             for c, s in zip(family.centers.tolist(), family.sizes.tolist())]
+    for functional, alpha in ((strichartz_first, 0.5), (strichartz_second, 1.3)):
+        seen.clear()
+        rep = functional(f, alpha, family)
+        assert seen and all(all(live) for live in seen)
+        assert sum(len(v) for v in seen) >= (~constant).sum()
+        assert rep.values.tolist() == [functional(f, alpha, [c]).values[0] for c in cubes]
+        flat = rep.values[constant]
+        assert np.all(flat == 0.0) and not np.any(np.signbit(flat))
+
+
 @pytest.mark.parametrize("dim, n", [(1, 256), (2, 16)])
 def test_strichartz_forced_fallback_is_the_direct_route(dim, n, monkeypatch):
     # with tau = 0 no nonconstant cube is certified: every value equals (==)

@@ -740,8 +740,9 @@ def _with_header(path, out, old, new):
 
 @pytest.fixture(scope="module")
 def repro_dir(tmp_path_factory):
-    """The files of the exit-code repros: 1-d (n=64 unless named) and a
-    2-d n=16 constant field on a huge period."""
+    """The files of the exit-code repros: 1-d (n=64 unless named), a 2-d
+    n=16 constant field on a huge and on a tiny period and a 2-d n=32
+    cusp(0.7) field scaled by 1e110."""
     d = tmp_path_factory.mktemp("repro")
     for name, argv in (("c.fld", ["--family", "cusp", "--gamma", "0.5", "--n", "64"]),
                        ("c8.fld", ["--family", "cusp", "--gamma", "0.5", "--n", "8"]),
@@ -755,6 +756,13 @@ def repro_dir(tmp_path_factory):
         _with_header(d / src, d / name, "period=1.0", f"period={period}")
     header = "msq-field v1 dim=2 n_per_axis=16 period=1e300\n"
     (d / "const2.fld").write_text(header + "1.0\n" * 256)
+    (d / "const2tiny.fld").write_text(header.replace("1e300", "1e-300") + "1.0\n" * 256)
+    from msq import corpus
+    from msq.field import SampledField, make_grid
+
+    cusp = corpus.generate(corpus.CorpusSpec(family="cusp", grid=make_grid(2, 32, 1.0), gamma=0.7))
+    corpus.save_field(SampledField(grid=cusp.grid, values=1e110 * cusp.values),
+                      d / "cusp2-1e110.fld")
     return d
 
 
@@ -779,16 +787,34 @@ def repro_dir(tmp_path_factory):
     (["fracderiv", "--field", "inf.fld", "--alpha", "0.5", "--out"], EXIT_DATA),
     (["strichartz", "--field", "subnormal.fld", "--alpha", "0.5", "--order", "first",
       "--out-json"], EXIT_DATA),
+    (["beta", "--graph", "--field", "cusp2-1e110.fld", "--out"], EXIT_NUMERIC),
+    (["strichartz", "--field", "const2tiny.fld", "--alpha", "0.5", "--order", "second",
+      "--out-json"], EXIT_NUMERIC),
 ], ids=["sqfn-tiny", "coeffs-tiny", "compare-huge", "strichartz-rtiny", "beta-graph-tiny",
         "sqfn-const2d-huge", "beta-graph-const2d-huge",
         "sqfn-coarse", "sqfn-coarse-levels", "sqfn-inf", "bmo-inf", "strichartz-inf",
-        "fracderiv-inf", "strichartz-subnormal"])
-def test_exit_code_by_fault(repro_dir, tmp_path, argv, code):
+        "fracderiv-inf", "strichartz-subnormal", "beta-graph-cusp2d-1e110",
+        "strichartz-second-const2d-tiny"])
+def test_exit_code_by_fault(repro_dir, tmp_path, argv, code, request):
     argv = [str(repro_dir / a) if a.endswith(".fld") else a for a in argv]
     got, err, caught = _run_quietly(argv + [str(tmp_path / "out")])
     assert got == code, err
     _assert_contract(got, err, caught, tmp_path)
     assert not (tmp_path / "out").exists()
+    assert err == _FAULT_MESSAGES.get(request.node.callspec.id, err)
+
+
+# The stderr line of the fault rows that pin it, by row id.  The 1e110
+# cusp's weighted second moments overflow in beta2k: a numpy error names
+# the msq function it came from, as a Python float overflow does.  Every
+# cube of the constant field is skipped, and the direct sum's weights still
+# overflow on its tiny grid.
+_FAULT_MESSAGES = {
+    "beta-graph-cusp2d-1e110":
+        "msq: error: numeric: overflow in beta2k: overflow encountered in multiply\n",
+    "strichartz-second-const2d-tiny":
+        "msq: error: numeric: overflow in _stack_totals: Numerical result out of range\n",
+}
 
 
 @pytest.mark.parametrize("order", ["first", "second"])

@@ -371,14 +371,24 @@ def _plateau_field(kind):
 
 def _flat_centers(field, radius):
     """Whether the field equals (==) its center value on the whole chart
-    ball of the radius, center by center (row-major), by brute force."""
+    ball of the radius, center by center (row-major), by brute force; an
+    array of radii gives the (centers, radii) array."""
     g = field.grid
+    radii = np.asarray(radius, dtype=float)
     out = []
     for c in lattice_centers(g, 1):
         lift = _chart_cloud(field, c, np.ones(g.shape)).points
-        inside = np.sum(lift[:, :-1] ** 2, axis=1) < radius * radius
-        out.append(not np.any(lift[inside, -1] != 0.0))
-    return np.array(out)
+        dist_sq = np.sum(lift[:, :-1] ** 2, axis=1)
+        out.append([not np.any(lift[dist_sq < r * r, -1] != 0.0) for r in radii.reshape(-1)])
+    return np.array(out).reshape((-1,) + radii.shape)
+
+
+def _bridge_field(kind):
+    """A _plateau_field, or the 2-d n=64 cusp(0.7), flat on a quarter of
+    its widest balls and on more of its narrower ones."""
+    if kind != "cusp":
+        return _plateau_field(kind)
+    return generate(CorpusSpec(family="cusp", grid=make_grid(2, 64, 1.0), gamma=0.7))
 
 
 @pytest.mark.parametrize("kind", ["constant", "plateau", "signed_zeros"])
@@ -425,6 +435,48 @@ def test_graph_bridge_calls_beta2k_on_live_centers_only(kind, monkeypatch):
     assert len(lifts) == live
     assert np.all(np.any(lifts != 0.0, axis=1))
     assert len(seen) == -(-live // geometry_mod._BLOCK_CLOUDS)  # 0 on the constant field
+
+
+@pytest.mark.parametrize("kind", ["constant", "plateau", "signed_zeros", "cusp"])
+def test_graph_bridge_flat_cells_at_every_radius(kind):
+    # a cell whose chart ball the field holds constant, at any radius, has
+    # the flat disk's beta: +0.0 without a sign bit, or NaN
+    f = _bridge_field(kind)
+    lad = make_ladder(f.grid)
+    beta = graph_beta_vs_nu1(f, lad, stride=1).beta
+    flat = _flat_centers(f, lad.radii)
+    cells = beta[flat]
+    assert np.all(np.isnan(cells) | ((cells == 0.0) & ~np.signbit(cells)))
+    # the cells that are flat only below the widest radius
+    below = flat & ~flat[:, :1]
+    assert not below.any() if kind == "constant" else below.any()
+
+
+@pytest.mark.parametrize("kind", ["plateau", "signed_zeros", "cusp"])
+def test_graph_bridge_calls_take_their_first_cloud_live_radii(kind, monkeypatch):
+    # a cloud is live on a radius where a point of its chart ball has a
+    # nonzero lift; each beta2k call takes exactly the radii on which its
+    # first cloud is live, the deepest call first, and no cloud is live on
+    # a radius its call omits
+    import msq.geometry as geometry_mod
+
+    f = _bridge_field(kind)
+    lad = make_ladder(f.grid)
+    depths = []
+
+    def spying(cloud, center, r, k):
+        chart = np.sum(cloud.points[..., :-1] ** 2, axis=-1)
+        lifted = cloud.points[..., -1] != 0.0
+        live = np.stack([np.any(lifted & (chart < q * q), axis=1) for q in lad.radii], axis=1)
+        assert np.asarray(r).tolist() == lad.radii[live[0]].tolist()
+        assert not live[:, len(r):].any()
+        depths.append(len(r))
+        return beta2k(cloud, center, r, k)
+
+    monkeypatch.setattr(geometry_mod, "beta2k", spying)
+    graph_beta_vs_nu1(f, lad, stride=1)
+    assert depths == sorted(depths, reverse=True)
+    assert depths[-1] < lad.levels
 
 
 @pytest.mark.parametrize("radii", [[0.45, 1.0, 6.0], [1.0, 6.0, 0.45, 0.3], [1.0, 0.45, 1.0, 6.0, 6.0]],
