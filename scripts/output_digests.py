@@ -24,8 +24,10 @@ rejects most entries, and on so small a grid every rejected level is
 shorter to sum directly than to take the exact route, so those entries are
 recomputed directly), the nu1 and nu1_bar matrices of the 2-d n=64 smooth
 bump (whose upper levels take the exact route), one sqfn run from a
---config file with a flag that overrides it, compare runs at stride 1
-whose BMO supremum comes from the windows bmo.bmo_sup's bound keeps (1-d
+--config file with a flag that overrides it, a compare run at stride 1
+on a 1-d n=256 cusp of period 0.5 (after the period-1 n=256 commands: its
+ladder shares four radii with theirs, with other ball masks), compare
+runs at stride 1 whose BMO supremum comes from the windows bmo.bmo_sup's bound keeps (1-d
 n=2048 cusp, sinusoid and riesz_of_noise at three alphas, and the 2-d n=64
 smooth bump), and 1-d and 2-d log_singularity fields with their
 fractional derivatives.
@@ -39,7 +41,7 @@ OUTDIR, with each checkout's ``src`` on the import path, and compare:
     diff old.txt new.txt
 
 A command that exits nonzero is named on stderr, and the script then
-exits 1.  The set writes 103 files and runs in about 2 s on a 2-core host.
+exits 1.  The set writes 105 files and runs in about 2 s on a 2-core host.
 """
 
 import hashlib
@@ -146,6 +148,16 @@ def commands(p):
         walks.append(["coeffs", "--field", bump2, "--kind", kind, "--out", p(f"bump2_{kind}.csv")])
     walks.append(["sqfn", "--config", p("sqfn.cfg"), "--field", fld, "--stride", "8",
                   "--out-json", p("sq_cfg.json")])
+    # the period-0.5 ladder shares the radii 1/8 ... 1/64 with the period-1
+    # n=256 one above, with other ball masks: the memoized ball transforms
+    # must be told apart by the whole grid
+    half = p("cusp_half.fld")
+    walks += [
+        ["generate", "--family", "cusp", "--gamma", "0.8", "--n", "256", "--period", "0.5",
+         "--out", half],
+        ["compare", "--field", half, "--alphas", "0.5,1.3", "--stride", "1",
+         "--out", p("cmp_cusp_half.json")],
+    ]
     pruned = []  # compare runs whose bmo supremum takes bmo_sup's bound
     for name, params in (("cusp", ["--gamma", "0.7"]), ("sinusoid", ["--frequency", "3"]),
                          ("riesz_of_noise", ["--alpha", "1.3", "--seed", "5"])):

@@ -30,9 +30,9 @@ import numpy as np
 
 from .coeffs import _FFT_C, _level
 from .field import (
-    INTEGRAL_CENTER, BallWindow, Grid, SampledField, WindowFamily, ball_mask, flat_index,
-    lattice_centers, offset_distance, offset_reads, offset_sums, window_argmax, window_family,
-    window_rows,
+    INTEGRAL_CENTER, BallWindow, Grid, SampledField, WindowFamily, ball_fft, ball_mask,
+    ball_rfft, flat_index, lattice_centers, offset_distance, offset_reads, offset_sums,
+    window_argmax, window_family, window_rows,
 )
 from .spectral import check_alpha
 
@@ -143,7 +143,7 @@ def bmo_norm(field: SampledField, windows) -> OscillationReport:
         rows = np.flatnonzero(radii == radius)
         mask = ball_mask(grid, radius)
         count = int(mask.sum())
-        Fm = np.conj(np.fft.fftn(mask.astype(float)))
+        Fm = np.conj(ball_fft(grid, radius))
         mean = np.fft.ifftn(Ff * Fm).real.reshape(-1)[flat_index(grid, centers[rows])] / count
         acc = offset_sums(grid, field.shaped, centers[rows], np.argwhere(mask), mean,
                           lambda diff, _: np.abs(diff, out=diff))
@@ -203,7 +203,10 @@ def _unruled_windows(field: SampledField, family: WindowFamily):
     field large enough that bmo_norm's transforms could overflow."""
     grid = field.grid
     n_points = grid.n_points
-    radii, inverse = np.unique(family.sizes, return_inverse=True)
+    # the sizes passed BallWindow.RULES, so they are finite: a binary
+    # search finds each one's radius, at half the cost of an argsort
+    radii = np.unique(family.sizes)
+    inverse = np.searchsorted(radii, family.sizes)
     masks = np.stack([ball_mask(grid, r) for r in radii.tolist()])
     counts = masks.reshape(len(radii), -1).sum(axis=1)
     fc = field.shaped - field.values.mean()
@@ -220,7 +223,7 @@ def _unruled_windows(field: SampledField, family: WindowFamily):
         k = math.frexp(float(np.abs(fc).max()))[1]
         fs, gs = np.ldexp(fc, -k), np.ldexp(field.shaped, -k)
         axes = tuple(range(1, grid.dim + 1))
-        Fm = np.conj(np.fft.rfftn(masks.astype(float), axes=axes))
+        Fm = np.conj(np.stack([ball_rfft(grid, r) for r in radii.tolist()]))
         Ff = np.fft.rfftn(np.stack([fs, fs * fs]), axes=axes)
         S1, S2 = (np.fft.irfftn(F * Fm, s=grid.shape, axes=axes) for F in Ff)
         fft_scale = _FFT_C * _EPS * math.log2(n_points)

@@ -14,6 +14,7 @@ reports say so.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ import numpy as np
 from .bmo import bmo_sup, make_ball_family
 from .coeffs import CoefficientMatrix, ScaleLadder, coefficient_matrix, make_ladder, matrix_metadata
 from .field import (
-    BallWindow, SampledField, ball_mask, flat_index, lattice_centers, periodic_roll,
+    BallWindow, SampledField, ball_fft, ball_mask, flat_index, lattice_centers, periodic_roll,
     table_columns, window_argmax, window_family, window_rows,
 )
 from .spectral import check_alpha, fractional_derivative
@@ -73,11 +74,14 @@ def matching_order(alpha: float) -> int:
 
 
 def _ladder_level_of(ladder: ScaleLadder, R: float) -> int:
-    radii = ladder.radii
-    hits = np.flatnonzero(np.isclose(radii, R, rtol=_RTOL, atol=0.0))
-    if hits.size == 0:
-        raise ValueError(f"top radius {R} is not a ladder radius {radii.tolist()}")
-    return int(hits[0])
+    """The first level whose radius lies within _RTOL |R| of R.  R must be
+    finite, since |r - inf| <= _RTOL * inf holds for every r."""
+    radii = ladder.radii.tolist()
+    if math.isfinite(R):
+        for level, r in enumerate(radii):
+            if abs(r - R) <= _RTOL * abs(R):
+                return level
+    raise ValueError(f"top radius {R} is not a ladder radius {radii}")
 
 
 def _weighted_levels(matrix: CoefficientMatrix, alpha: float) -> np.ndarray:
@@ -109,8 +113,7 @@ def _normalized_table(matrix: CoefficientMatrix, alpha: float, tops, center_subs
     for j, R in enumerate(tops):
         level = _ladder_level_of(matrix.ladder, R)
         s = summand_levels[:, level:].sum(axis=1).reshape(grid.shape)
-        mask = ball_mask(grid, R).astype(float)
-        total = np.fft.ifftn(np.fft.fftn(s) * np.conj(np.fft.fftn(mask))).real
+        total = np.fft.ifftn(np.fft.fftn(s) * np.conj(ball_fft(grid, R))).real
         table[:, j] = h ** grid.dim * total.reshape(-1)[flat] / R ** grid.dim
     return np.maximum(table, 0.0)
 

@@ -38,6 +38,7 @@ from .field import (
     NumericError,
     SampledField,
     annulus_mask,
+    ball_fft,
     ball_mask,
     flat_index,
     masked_offsets,
@@ -418,7 +419,9 @@ def _margin(level: _Level, kept) -> float:
 
 def _moment_levels(fc: np.ndarray, grid: Grid, radii, kind: str):
     """The float route's _Level per ladder radius r: the moments are FFT
-    correlations of fc and fc^2 in float."""
+    correlations of fc and fc^2 in float.  The caller works on each level
+    while this frame is suspended, so the frame keeps no large temporary:
+    the moments are real copies, and the rest is dropped before the yield."""
     Ff = np.fft.fftn(fc)
     Ff2 = np.fft.fftn(fc * fc)
     # normwise FFT error scales: eps log2(N) ||signal||_2, times ||filter||_2,
@@ -429,6 +432,7 @@ def _moment_levels(fc: np.ndarray, grid: Grid, radii, kind: str):
     fs2 = np.square(np.ldexp(fc, -k))
     norm_f = fft_scale * float(np.ldexp(np.sqrt(np.sum(fs2)), k))
     norm_f2 = fft_scale * float(np.ldexp(np.sqrt(np.sum(fs2 * fs2)), 2 * k))
+    del fs2
     ucomps = offset_components(grid)
     annular = kind in ("nu0_tilde", "nu1_tilde")
     order_one = kind in ("nu1", "nu1_bar", "nu1_tilde")
@@ -440,13 +444,14 @@ def _moment_levels(fc: np.ndarray, grid: Grid, radii, kind: str):
         mask = annulus_mask(grid, r) if annular else ball_mask(grid, r)
         count = int(mask.sum())
 
-        Fm = np.conj(np.fft.fftn(mask.astype(float)))
-        S1 = np.fft.ifftn(Ff * Fm).real
-        S2 = np.fft.ifftn(Ff2 * Fm).real
+        Fm = np.conj(np.fft.fftn(mask.astype(float)) if annular else ball_fft(grid, r))
+        S1 = np.fft.ifftn(Ff * Fm).real.copy()
+        S2 = np.fft.ifftn(Ff2 * Fm).real.copy()
+        del Fm
         T, V = (), ()
         if order_one:
             V = [float((uc ** 2 * mask).sum()) for uc in ucomps]
-            T = [np.fft.ifftn(Ff * np.conj(np.fft.fftn(uc * mask))).real for uc in ucomps]
+            T = [np.fft.ifftn(Ff * np.conj(np.fft.fftn(uc * mask))).real.copy() for uc in ucomps]
         competitors = None  # nu0, nu1: from the moments
         if kind in ("nu0_bar", "nu1_bar"):
             A = mollify(SampledField(grid=grid, values=fc.reshape(-1)), Mollifier(scale=r)).shaped
@@ -455,7 +460,9 @@ def _moment_levels(fc: np.ndarray, grid: Grid, radii, kind: str):
         elif annular:
             moll = Mollifier(scale=r)
             competitors = fc, [mollify(g, moll).shaped for g in grad_fc] if order_one else None
-        yield _level(r, mask, count, (S1, S2, T, V), competitors, norm_f, norm_f2, _EPS)
+        level = _level(r, mask, count, (S1, S2, T, V), competitors, norm_f, norm_f2, _EPS)
+        del S1, S2, T  # the level keeps none of them
+        yield level
 
 
 # The exact route (Ozaki, Ogita, Oishi and Rump, "Error-free

@@ -10,7 +10,7 @@ kernel so that constants are reproduced on the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce, wraps
 from typing import Callable
 
 import numpy as np
@@ -30,6 +30,8 @@ __all__ = [
     "radial",
     "offset_distance",
     "ball_mask",
+    "ball_fft",
+    "ball_rfft",
     "annulus_mask",
     "ball_count",
     "ball_offsets",
@@ -241,6 +243,28 @@ def radial(per_axis: np.ndarray, dim: int) -> np.ndarray:
     return reduce(np.hypot, (mag.reshape((-1,) + (1,) * (dim - 1 - i)) for i in range(dim)))
 
 
+# _GEOMETRY_ENTRIES: each memoized window geometry below keeps at most this
+# many keys, least recently used first out.  16 holds one default ladder of
+# every size up to 1-d n=16384 (11 radii).  An entry of a grid of N points
+# holds 8N bytes (offset_distance), 16N (ball_fft) or about 8N (ball_rfft):
+# 128 KiB, 256 KiB and 130 KiB at 2-d n=128.
+_GEOMETRY_ENTRIES = 16
+
+
+def _memoized(fn):
+    """fn(grid, ...) kept per argument tuple, the whole Grid included, in a
+    bounded LRU cache, and returned read-only, since every caller shares
+    it; .cache_clear() empties it."""
+    @lru_cache(maxsize=_GEOMETRY_ENTRIES)
+    @wraps(fn)
+    def cached(*key):
+        out = fn(*key)
+        out.flags.writeable = False
+        return out
+    return cached
+
+
+@_memoized
 def offset_distance(grid: Grid) -> np.ndarray:
     """Periodic distance of every grid index from index 0, shape (n,)*dim."""
     return radial(axis_offsets(grid), grid.dim)
@@ -249,6 +273,24 @@ def offset_distance(grid: Grid) -> np.ndarray:
 def ball_mask(grid: Grid, radius: float) -> np.ndarray:
     """Boolean mask of offsets with periodic distance strictly below radius."""
     return offset_distance(grid) < radius
+
+
+# The transforms of a float ball mask, unconjugated: a caller takes
+# np.conj(ball_fft(grid, r)) where it conjugated a fresh transform before.
+# A cached conjugate would change which operand of a product is a
+# temporary, and numpy computes a product of 256 KiB or more in place into
+# a temporary right operand, swapping the operands, which a complex
+# product does not survive bit for bit.
+@_memoized
+def ball_fft(grid: Grid, radius: float) -> np.ndarray:
+    """np.fft.fftn of the ball mask as floats, shape (n,)*dim."""
+    return np.fft.fftn(ball_mask(grid, radius).astype(float))
+
+
+@_memoized
+def ball_rfft(grid: Grid, radius: float) -> np.ndarray:
+    """np.fft.rfftn of the ball mask as floats."""
+    return np.fft.rfftn(ball_mask(grid, radius).astype(float))
 
 
 def annulus_mask(grid: Grid, radius: float) -> np.ndarray:

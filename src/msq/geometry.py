@@ -180,7 +180,9 @@ def beta2k(cloud: PointCloud, center, r, k: int):
         np.multiply(w, sel, out=ws)
         np.multiply(ws, data, out=wx)
         total = ordered_sum(part[: D + 1])
-        W = np.where(ok, total[0], 1.0)
+        # a ball of too few points is still centered on its own centroid,
+        # so its (unused) moments stay of the size of the data's
+        W = np.where(total[0] > 0, total[0], 1.0)
         centroid = total[1:] / W
         c = np.subtract(data, centroid[:, None], out=wx)
         np.multiply(ws, c, out=wc)

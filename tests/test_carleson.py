@@ -91,6 +91,16 @@ def test_top_radius_must_be_on_ladder(rough_field_1d):
         carleson_constant(m, 0.5, tops=[0.3])
 
 
+@pytest.mark.parametrize("top", [math.inf, math.nan, -0.25, 0.19])
+def test_top_radius_rejected_off_the_ladder(top):
+    # inf lies within any relative tolerance of itself: only a finiteness
+    # check keeps it off the ladder
+    g = make_grid(1, 64, 1.0)
+    m = _zero_matrix(g, make_ladder(g))
+    with pytest.raises(ValueError, match="is not a ladder radius"):
+        carleson_constant(m, 0.5, tops=[top])
+
+
 def test_report_structure(rough_field_1d):
     lad = make_ladder(rough_field_1d.grid)
     m = coefficient_matrix(rough_field_1d, lad, "nu1")

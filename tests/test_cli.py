@@ -742,7 +742,7 @@ def _with_header(path, out, old, new):
 def repro_dir(tmp_path_factory):
     """The files of the exit-code repros: 1-d (n=64 unless named), a 2-d
     n=16 constant field on a huge and on a tiny period and a 2-d n=32
-    cusp(0.7) field scaled by 1e110."""
+    cusp(0.7) field scaled by 1e110 and by 1e155."""
     d = tmp_path_factory.mktemp("repro")
     for name, argv in (("c.fld", ["--family", "cusp", "--gamma", "0.5", "--n", "64"]),
                        ("c8.fld", ["--family", "cusp", "--gamma", "0.5", "--n", "8"]),
@@ -761,8 +761,9 @@ def repro_dir(tmp_path_factory):
     from msq.field import SampledField, make_grid
 
     cusp = corpus.generate(corpus.CorpusSpec(family="cusp", grid=make_grid(2, 32, 1.0), gamma=0.7))
-    corpus.save_field(SampledField(grid=cusp.grid, values=1e110 * cusp.values),
-                      d / "cusp2-1e110.fld")
+    for scale in ("1e110", "1e155"):
+        corpus.save_field(SampledField(grid=cusp.grid, values=float(scale) * cusp.values),
+                          d / f"cusp2-{scale}.fld")
     return d
 
 
@@ -787,13 +788,13 @@ def repro_dir(tmp_path_factory):
     (["fracderiv", "--field", "inf.fld", "--alpha", "0.5", "--out"], EXIT_DATA),
     (["strichartz", "--field", "subnormal.fld", "--alpha", "0.5", "--order", "first",
       "--out-json"], EXIT_DATA),
-    (["beta", "--graph", "--field", "cusp2-1e110.fld", "--out"], EXIT_NUMERIC),
+    (["beta", "--graph", "--field", "cusp2-1e155.fld", "--out"], EXIT_NUMERIC),
     (["strichartz", "--field", "const2tiny.fld", "--alpha", "0.5", "--order", "second",
       "--out-json"], EXIT_NUMERIC),
 ], ids=["sqfn-tiny", "coeffs-tiny", "compare-huge", "strichartz-rtiny", "beta-graph-tiny",
         "sqfn-const2d-huge", "beta-graph-const2d-huge",
         "sqfn-coarse", "sqfn-coarse-levels", "sqfn-inf", "bmo-inf", "strichartz-inf",
-        "fracderiv-inf", "strichartz-subnormal", "beta-graph-cusp2d-1e110",
+        "fracderiv-inf", "strichartz-subnormal", "beta-graph-cusp2d-1e155",
         "strichartz-second-const2d-tiny"])
 def test_exit_code_by_fault(repro_dir, tmp_path, argv, code, request):
     argv = [str(repro_dir / a) if a.endswith(".fld") else a for a in argv]
@@ -804,17 +805,27 @@ def test_exit_code_by_fault(repro_dir, tmp_path, argv, code, request):
     assert err == _FAULT_MESSAGES.get(request.node.callspec.id, err)
 
 
-# The stderr line of the fault rows that pin it, by row id.  The 1e110
-# cusp's weighted second moments overflow in beta2k: a numpy error names
-# the msq function it came from, as a Python float overflow does.  Every
+# The stderr line of the fault rows that pin it, by row id.  The 1e155
+# cusp's squared gradient overflows in graph_beta_vs_nu1: a numpy error
+# names the msq function it came from, as a Python float overflow does.  Every
 # cube of the constant field is skipped, and the direct sum's weights still
 # overflow on its tiny grid.
 _FAULT_MESSAGES = {
-    "beta-graph-cusp2d-1e110":
-        "msq: error: numeric: overflow in beta2k: overflow encountered in multiply\n",
+    "beta-graph-cusp2d-1e155":
+        "msq: error: numeric: overflow in graph_beta_vs_nu1: overflow encountered in square\n",
     "strichartz-second-const2d-tiny":
         "msq: error: numeric: overflow in _stack_totals: Numerical result out of range\n",
 }
+
+
+def test_beta_graph_thin_balls_do_not_overflow(repro_dir, tmp_path):
+    # a lifted ball of fewer than k + 1 points is centered on its own
+    # centroid, so its unused moments no longer overflow on the 1e110 cusp
+    out = tmp_path / "out"
+    argv = ["beta", "--graph", "--field", str(repro_dir / "cusp2-1e110.fld"), "--out", str(out)]
+    code, err, caught = _run_quietly(argv)
+    assert code == EXIT_OK and err == "" and caught == [], err
+    assert out.exists()
 
 
 @pytest.mark.parametrize("order", ["first", "second"])

@@ -5,19 +5,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from msq.bmo import bmo_norm, bmo_sup, make_ball_family
+from msq.carleson import carleson_constant
+from msq.coeffs import KINDS, coefficient_matrix, make_ladder
 from msq.field import (
     BallWindow,
     Mollifier,
     SampledField,
     ball_count,
+    ball_fft,
     ball_mean,
     ball_mask,
     ball_offsets,
+    ball_rfft,
     flat_index,
     lattice_centers,
     make_grid,
     masked_offsets,
     mollify,
+    offset_distance,
     offset_reads,
     offset_sums,
     ordered_sum,
@@ -297,6 +303,72 @@ def test_periodic_lattice_helpers(dim):
     assert np.array_equal(off, ball_offsets(g, r))
     assert off.shape == (ball_count(g, r), dim)
     assert np.all(np.sqrt(np.sum(off ** 2, axis=1)) < r)
+
+
+_MEMOS = (offset_distance, ball_fft, ball_rfft)
+
+
+def _clear_memos():
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_window_geometry_memo_is_read_only(dim):
+    g = make_grid(dim, 32, 1.0)
+    _clear_memos()
+    mask = ball_mask(g, 0.2).astype(float)
+    assert np.array_equal(ball_fft(g, 0.2), np.fft.fftn(mask))
+    assert np.array_equal(ball_rfft(g, 0.2), np.fft.rfftn(mask))
+    for got in (offset_distance(g), ball_fft(g, 0.2), ball_rfft(g, 0.2)):
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[(0,) * dim] = 1.0
+    # a hit hands out the same array, and the entries stay bounded
+    assert ball_fft(g, 0.2) is ball_fft(g, 0.2)
+    for r in 0.2 * 0.9 ** np.arange(40):
+        ball_fft(g, float(r))
+    info = ball_fft.cache_info()
+    assert info.currsize == info.maxsize and info.maxsize < 40
+
+
+def test_window_geometry_memo_keyed_on_the_whole_grid():
+    # same n, other period: the radius 1/8 holds 63 offsets on one grid
+    # and 127 on the other, and no entry of one grid serves the other
+    a, b = make_grid(1, 256, 1.0), make_grid(1, 256, 0.5)
+    _clear_memos()
+    assert np.array_equal(offset_distance(b), offset_distance(a) / 2)
+    for memo, transform in ((ball_fft, np.fft.fftn), (ball_rfft, np.fft.rfftn)):
+        for first, second in ((a, b), (b, a)):
+            memo.cache_clear()
+            memo(first, 0.125)
+            assert np.array_equal(memo(second, 0.125),
+                                  transform(ball_mask(second, 0.125).astype(float)))
+            assert memo.cache_info().hits == 0
+    assert ball_count(a, 0.125) == 63 and ball_count(b, 0.125) == 127
+
+
+@pytest.mark.parametrize("fixture", ["rough_field_1d", "rough_field_2d"])
+def test_window_geometry_memo_cold_and_warm_bitwise(fixture, request):
+    field = request.getfixturevalue(fixture)
+    ladder = make_ladder(field.grid)
+    family = make_ball_family(field.grid, ladder.radii)
+
+    def outputs():
+        matrices = [coefficient_matrix(field, ladder, kind) for kind in KINDS]
+        report = bmo_norm(field, family)
+        norm, argmax = bmo_sup(field, family)
+        tables = [carleson_constant(m, 1.3 if m.kind[2] == "1" else 0.5).normalized
+                  for m in matrices]
+        return [m.values for m in matrices] + [report.values, np.array([norm])] + tables
+
+    _clear_memos()
+    cold = outputs()
+    hits = ball_fft.cache_info().hits + ball_rfft.cache_info().hits
+    warm = outputs()
+    assert ball_rfft.cache_info().currsize > 0  # bmo_sup's bound ran
+    assert ball_fft.cache_info().hits + ball_rfft.cache_info().hits > hits
+    assert [a.tobytes() for a in cold] == [b.tobytes() for b in warm]
 
 
 def _brute_reads(a, points, offsets):
