@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import _FFT_C, _level
+from .coeffs import _EPS, _fft_error, _level
 from .field import (
     INTEGRAL_CENTER, BallWindow, Grid, SampledField, WindowFamily, ball_fft, ball_mask,
-    ball_rfft, flat_index, lattice_centers, offset_distance, offset_reads, offset_sums,
-    window_argmax, window_family, window_rows,
+    flat_index, lattice_centers, offset_distance, offset_reads, offset_sums, window_argmax,
+    window_family, window_rows,
 )
 from .spectral import check_alpha
 
@@ -223,17 +223,16 @@ def _unruled_windows(field: SampledField, family: WindowFamily):
         k = math.frexp(float(np.abs(fc).max()))[1]
         fs, gs = np.ldexp(fc, -k), np.ldexp(field.shaped, -k)
         axes = tuple(range(1, grid.dim + 1))
-        Fm = np.conj(np.stack([ball_rfft(grid, r) for r in radii.tolist()]))
+        # the masks' half-spectra, in the layout of rfftn
+        half = grid.n_per_axis // 2 + 1
+        Fm = np.conj(np.stack([ball_fft(grid, r)[..., :half] for r in radii.tolist()]))
         Ff = np.fft.rfftn(np.stack([fs, fs * fs]), axes=axes)
         S1, S2 = (np.fft.irfftn(F * Fm, s=grid.shape, axes=axes) for F in Ff)
-        fft_scale = _FFT_C * _EPS * math.log2(n_points)
-        err1 = fft_scale * float(np.sqrt(np.sum(fs * fs)))
-        err2 = fft_scale * float(np.sqrt(np.sum((fs * fs) ** 2)))
+        err1, err2 = _fft_error(grid, fs, 0), _fft_error(grid, fs * fs, 0)
         # |bmo_norm's ball mean - the exact one|: its transforms' error,
         # as in _level, and the division
         peak = float(np.abs(gs).max())
-        mean_err = (fft_scale * float(np.sqrt(np.sum(gs * gs))) / np.sqrt(counts)
-                    + 2.0 * _EPS * peak)
+        mean_err = _fft_error(grid, gs, 0) / np.sqrt(counts) + 2.0 * _EPS * peak
         bound, lower = np.empty(len(family)), -math.inf
         for j, r in enumerate(radii.tolist()):
             rows = np.flatnonzero(inverse == j)
@@ -327,7 +326,6 @@ _FFT_VALUES = 2**14
 _NEAR_REACH = 2
 
 # Rounding bound of the first-difference quadratic form.
-_EPS = float(np.finfo(float).eps)
 # _FORM_FFT_C: the far part 2 (A - B) of a cube's sum takes transforms of
 # N = (2m)^d points: of K, of v and the inverse one of their product for
 # B, three more for W = K*1_Q.  A radix-2 transform errs by at most
@@ -387,9 +385,8 @@ def _first_difference_fft(values: np.ndarray, form, near, h: float, expo: float)
     form per cube: with v the cube's values minus their mean, the sum over
     ordered pairs x != y of K(y - x) (v(y) - v(x))^2 is 2 (A - B),
     A = sum v^2 W and B = sum v (K*v), and K*v is one zero-padded FFT
-    convolution.  A constant cube's sum and bound are exactly 0.  Each
-    cube's transforms and sums run on that cube alone, so its sum does not
-    depend on the stack.
+    convolution.  Each cube's transforms and sums run on that cube alone,
+    so its sum does not depend on the stack.
     """
     Kf, W, knorm = form
     k, d, m = len(values), values.ndim - 1, values.shape[1]
@@ -407,9 +404,8 @@ def _first_difference_fft(values: np.ndarray, form, near, h: float, expo: float)
         A, B = (v2 * W.reshape(-1)).sum(axis=1), vk.sum(axis=1)
         inner = near[lo:lo + step]
         bound = scale * v2.sum(axis=1) + _FORM_SUM_C * _EPS * (A + np.abs(vk).sum(axis=1) + inner)
-        constant = flat.max(axis=1) == flat.min(axis=1)
-        totals[lo:lo + step] = np.where(constant, 0.0, inner + 2.0 * (A - B))
-        delta[lo:lo + step] = np.where(constant, 0.0, bound)
+        totals[lo:lo + step] = inner + 2.0 * (A - B)
+        delta[lo:lo + step] = bound
     return totals, delta
 
 

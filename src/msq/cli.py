@@ -487,7 +487,7 @@ def _build_parser():
 _EXIT_CODES = (
     ((corpus_mod.FieldFileError, OSError), EXIT_DATA, "data"),
     ((NumericError, np.linalg.LinAlgError, ArithmeticError), EXIT_NUMERIC, "numeric"),
-    (ValueError, EXIT_USAGE, "usage"),
+    ((ValueError, MemoryError), EXIT_USAGE, "usage"),
 )
 
 

@@ -103,6 +103,13 @@ _SUM_C = 10.0
 _TAU = 1e-13
 
 
+def _fft_error(grid: Grid, a: np.ndarray, k: int) -> float:
+    """_FFT_C eps log2(N) ||a||_2 2^k: the error of one entry of a
+    correlation of the signal a 2^k on the grid, per unit 2-norm of the
+    filter.  a is the signal in units of 2^k, which scales it exactly."""
+    return _FFT_C * _EPS * math.log2(grid.n_points) * float(np.ldexp(np.sqrt(np.sum(a * a)), k))
+
+
 @dataclass(frozen=True)
 class ScaleLadder:
     """Dyadic radii r_j = top_radius * 2^-j, j = 0..levels-1."""
@@ -349,7 +356,7 @@ def coefficient_matrix(field: SampledField, ladder: ScaleLadder, kind: str) -> C
 
 class _Level(NamedTuple):
     """One ladder radius of the moment path: the window mask, its point
-    count, the competitor fields A and B (B is None at order zero), and the
+    count, the competitor fields A and B (B is empty at order zero), and the
     residual square sums q with their rounding bound delta, grid-shaped."""
 
     r: float
@@ -373,7 +380,7 @@ def _level(r, mask, count, moments, competitors, err1, err2, unit) -> _Level:
     if competitors is None:
         # The symmetric mask kills first moments, so the least-squares
         # slopes against centered offsets decouple per axis.
-        A, B = S1 / count, [T_i / V_i for T_i, V_i in zip(T, V)] or None
+        A, B = S1 / count, [T_i / V_i for T_i, V_i in zip(T, V)]
     else:
         A, B = competitors
     AS1 = A * S1
@@ -381,7 +388,7 @@ def _level(r, mask, count, moments, competitors, err1, err2, unit) -> _Level:
     q = S2 - 2.0 * AS1 + cA2
     size = abs(S2) + 2.0 * abs(AS1) + cA2
     delta = (err2 + 2.0 * abs(A) * err1) * math.sqrt(count)
-    for B_i, T_i, V_i in zip(B or (), T, V):
+    for B_i, T_i, V_i in zip(B, T, V):
         BT, BBV = B_i * T_i, B_i * B_i * V_i
         q = q - (2.0 * BT - BBV)
         size = size + (2.0 * abs(BT) + BBV)
@@ -424,15 +431,12 @@ def _moment_levels(fc: np.ndarray, grid: Grid, radii, kind: str):
     the moments are real copies, and the rest is dropped before the yield."""
     Ff = np.fft.fftn(fc)
     Ff2 = np.fft.fftn(fc * fc)
-    # normwise FFT error scales: eps log2(N) ||signal||_2, times ||filter||_2,
-    # the norms taken in units of 2^k with max|fc| < 2^k, so that ||fc^2||_2
-    # is finite wherever fc^2 is: a power of two scales them exactly
-    fft_scale = _FFT_C * _EPS * math.log2(grid.n_points)
+    # the FFT error scales of fc and fc^2, from fc in units of 2^k with
+    # max|fc| < 2^k, so that ||fc^2||_2 is finite wherever fc^2 is
     k = math.frexp(float(np.abs(fc).max()))[1]
-    fs2 = np.square(np.ldexp(fc, -k))
-    norm_f = fft_scale * float(np.ldexp(np.sqrt(np.sum(fs2)), k))
-    norm_f2 = fft_scale * float(np.ldexp(np.sqrt(np.sum(fs2 * fs2)), 2 * k))
-    del fs2
+    fs = np.ldexp(fc, -k)
+    norm_f, norm_f2 = _fft_error(grid, fs, k), _fft_error(grid, fs * fs, 2 * k)
+    del fs
     ucomps = offset_components(grid)
     annular = kind in ("nu0_tilde", "nu1_tilde")
     order_one = kind in ("nu1", "nu1_bar", "nu1_tilde")
@@ -456,10 +460,10 @@ def _moment_levels(fc: np.ndarray, grid: Grid, radii, kind: str):
         if kind in ("nu0_bar", "nu1_bar"):
             A = mollify(SampledField(grid=grid, values=fc.reshape(-1)), Mollifier(scale=r)).shaped
             smoothed = SampledField(grid=grid, values=A.reshape(-1))
-            competitors = A, [g.shaped for g in spectral_gradient(smoothed)] if order_one else None
+            competitors = A, [g.shaped for g in spectral_gradient(smoothed)] if order_one else []
         elif annular:
             moll = Mollifier(scale=r)
-            competitors = fc, [mollify(g, moll).shaped for g in grad_fc] if order_one else None
+            competitors = fc, [mollify(g, moll).shaped for g in grad_fc] if order_one else []
         level = _level(r, mask, count, (S1, S2, T, V), competitors, norm_f, norm_f2, _EPS)
         del S1, S2, T  # the level keeps none of them
         yield level
@@ -602,9 +606,8 @@ class _ExactMoments:
         self.F2 = np.fft.rfftn(np.stack(products), axes=self.axes)
         # rounding bounds: FFT error per unit filter norm, on the slices and
         # on the products
-        fft_scale = _FFT_C * _EPS * math.log2(grid.n_points)
-        self.round1 = fft_scale * max(float(np.sqrt(np.sum(s * s))) for s in slices)
-        self.round2 = fft_scale * max(float(np.sqrt(np.sum(p * p))) for p in products)
+        self.round1 = max(_fft_error(grid, s, 0) for s in slices)
+        self.round2 = max(_fft_error(grid, p, 0) for p in products)
         # sum_k |s_k| 2^(e_k) <= |fc| + 2^(top - 12) (1 + 2^-12) = m1 at most
         self.m1 = peak + math.ldexp(1.0 + 2.0**-12, top - 12)
         self.rest = math.ldexp(float(np.abs(rest).max()), top)  # max |fc - sliced|
@@ -634,7 +637,7 @@ class _ExactMoments:
         where the FFT bound cannot certify the rounding of the integer
         correlations."""
         w = level.mask.astype(float)
-        filters = np.stack([w] + ([u * w for u in self.index] if level.B is not None else []))
+        filters = np.stack([w] + [u * w for u, _ in zip(self.index, level.B)])
         norms = np.sqrt(np.sum(filters * filters, axis=self.axes))  # ||filter||_2
         if not self.usable or max(self.round1 * norms.max(), self.round2 * norms[0]) >= 0.5:
             return None
@@ -648,7 +651,7 @@ class _ExactMoments:
         if kind not in ("nu0", "nu1"):
             # in double-double too, so that count A^2 and B_i^2 V_i are
             # formed without rounding
-            competitors = _DD(level.A), level.B and [_DD(b) for b in level.B]
+            competitors = _DD(level.A), [_DD(b) for b in level.B]
         # The combination of the slices errs by at most 2K eps^2 of the sum
         # of the slice terms' magnitudes: count m1 for S1 (sqrt(count V_i)
         # m1 for T_i) and count m1^2 for S2.
@@ -661,7 +664,7 @@ class _ExactMoments:
             # rest, plus the slopes times the rounding of u = j h when h is
             # not a power of two.
             rho = self.rest + sum(_EPS * abs(B_i) * math.sqrt(float(V_i) / count)
-                                  for B_i, V_i in zip(ex.B or (), V))
+                                  for B_i, V_i in zip(ex.B, V))
             delta = (ex.delta + _EPS * np.abs(ex.q)
                      + 2.0 * np.sqrt(np.maximum(ex.q, 0.0) * count) * rho + count * rho * rho)
             # a result that left the float range is not certified
@@ -679,7 +682,7 @@ def _direct_square_sums(grid, fc, A, B, mask, rows) -> np.ndarray:
     """
     points = np.stack(np.unravel_index(rows, grid.shape), axis=1)
     A = A.reshape(-1)[rows]
-    B = [b.reshape(-1)[rows] for b in B or ()]
+    B = [b.reshape(-1)[rows] for b in B]
     u = [uc[mask] for uc in offset_components(grid)]
 
     def squares(diff, offs):

@@ -31,7 +31,6 @@ __all__ = [
     "offset_distance",
     "ball_mask",
     "ball_fft",
-    "ball_rfft",
     "annulus_mask",
     "ball_count",
     "ball_offsets",
@@ -246,8 +245,8 @@ def radial(per_axis: np.ndarray, dim: int) -> np.ndarray:
 # _GEOMETRY_ENTRIES: each memoized window geometry below keeps at most this
 # many keys, least recently used first out.  16 holds one default ladder of
 # every size up to 1-d n=16384 (11 radii).  An entry of a grid of N points
-# holds 8N bytes (offset_distance), 16N (ball_fft) or about 8N (ball_rfft):
-# 128 KiB, 256 KiB and 130 KiB at 2-d n=128.
+# holds 8N bytes (offset_distance) or 16N (ball_fft): 128 KiB and 256 KiB
+# at 2-d n=128.
 _GEOMETRY_ENTRIES = 16
 
 
@@ -275,8 +274,9 @@ def ball_mask(grid: Grid, radius: float) -> np.ndarray:
     return offset_distance(grid) < radius
 
 
-# The transforms of a float ball mask, unconjugated: a caller takes
-# np.conj(ball_fft(grid, r)) where it conjugated a fresh transform before.
+# The transform of a float ball mask, unconjugated: a caller takes
+# np.conj(ball_fft(grid, r)) where it conjugated a fresh transform before,
+# or its rfftn-layout half ball_fft(grid, r)[..., :n // 2 + 1].
 # A cached conjugate would change which operand of a product is a
 # temporary, and numpy computes a product of 256 KiB or more in place into
 # a temporary right operand, swapping the operands, which a complex
@@ -285,12 +285,6 @@ def ball_mask(grid: Grid, radius: float) -> np.ndarray:
 def ball_fft(grid: Grid, radius: float) -> np.ndarray:
     """np.fft.fftn of the ball mask as floats, shape (n,)*dim."""
     return np.fft.fftn(ball_mask(grid, radius).astype(float))
-
-
-@_memoized
-def ball_rfft(grid: Grid, radius: float) -> np.ndarray:
-    """np.fft.rfftn of the ball mask as floats."""
-    return np.fft.rfftn(ball_mask(grid, radius).astype(float))
 
 
 def annulus_mask(grid: Grid, radius: float) -> np.ndarray:

@@ -640,7 +640,8 @@ def test_first_difference_form_error_within_its_bound(dim, n, points):
     # by at most a quarter of its rounding bound delta (observed: below
     # 4 percent here, and below 5 percent on the cusp, smooth_bump and
     # riesz_of_noise cubes of 2-d n=64 to 256 and 1-d n=1024 against
-    # extended-precision sums); a constant cube has sum and bound 0
+    # extended-precision sums); as in _strichartz, only cubes that are not
+    # constant reach the form
     g = make_grid(dim, n, 1.0)
     h = g.spacing
     specs = [dict(family="cusp", gamma=0.5), dict(family="smooth_bump"),
@@ -652,6 +653,7 @@ def test_first_difference_form_error_within_its_bound(dim, n, points):
             for m in points:
                 centers = make_cube_family(g, sides=[m * h], stride=n // 2).centers.tolist()
                 stack = _cube_stack(f, centers, m)
+                stack = stack[[v.max() != v.min() for v in stack]]
                 offsets = bmo_mod._offset_table(m, dim, "first_difference")
                 near = offsets[np.abs(offsets).max(axis=1) <= bmo_mod._NEAR_REACH]
                 totals, delta = bmo_mod._first_difference_fft(
@@ -659,7 +661,6 @@ def test_first_difference_form_error_within_its_bound(dim, n, points):
                 for v, t, bound in zip(stack, totals.tolist(), delta.tolist()):
                     exact = _exact_first_total(v, h, expo)
                     assert abs(Fraction(t) - exact) <= Fraction(bound) / 4, (spec, m)
-                    assert (bound == 0.0) == (exact == 0) == (v.max() == v.min())
 
 
 def _exact_sums(blocks):

@@ -791,11 +791,13 @@ def repro_dir(tmp_path_factory):
     (["beta", "--graph", "--field", "cusp2-1e155.fld", "--out"], EXIT_NUMERIC),
     (["strichartz", "--field", "const2tiny.fld", "--alpha", "0.5", "--order", "second",
       "--out-json"], EXIT_NUMERIC),
+    (["generate", "--family", "sinusoid", "--frequency", "1", "--n", str(2**59), "--out"],
+     EXIT_USAGE),
 ], ids=["sqfn-tiny", "coeffs-tiny", "compare-huge", "strichartz-rtiny", "beta-graph-tiny",
         "sqfn-const2d-huge", "beta-graph-const2d-huge",
         "sqfn-coarse", "sqfn-coarse-levels", "sqfn-inf", "bmo-inf", "strichartz-inf",
         "fracderiv-inf", "strichartz-subnormal", "beta-graph-cusp2d-1e155",
-        "strichartz-second-const2d-tiny"])
+        "strichartz-second-const2d-tiny", "generate-huge-n"])
 def test_exit_code_by_fault(repro_dir, tmp_path, argv, code, request):
     argv = [str(repro_dir / a) if a.endswith(".fld") else a for a in argv]
     got, err, caught = _run_quietly(argv + [str(tmp_path / "out")])

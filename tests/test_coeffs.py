@@ -344,16 +344,30 @@ def test_direct_square_sums_in_offset_order(dim, n, rows):
     u = masked_offsets(g, mask)
     rows = np.array(rows)
     points = np.stack(np.unravel_index(rows, g.shape), axis=1)
-    for competitor in (None, B):
+    for competitor in ([], B):
         acc = np.zeros(len(rows))
         for off, u_off in zip(np.argwhere(mask), u):
             term = fc.reshape(-1)[flat_index(g, points + off)] - A.reshape(-1)[rows]
-            for B_i, ui in zip(competitor or (), u_off):
+            for B_i, ui in zip(competitor, u_off):
                 if ui != 0.0:
                     term = term - B_i.reshape(-1)[rows] * ui
             acc += term * term
         got = coeffs_mod._direct_square_sums(g, fc, A, competitor, mask, rows)
         assert np.array_equal(got, acc)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2048), (2, 64)])
+@pytest.mark.parametrize("spec", [dict(family="smooth_bump"), dict(family="cusp", gamma=0.7),
+                                  dict(family="riesz_of_noise", alpha=1.3, seed=11)])
+def test_fft_error_moves_a_power_of_two_exactly(dim, n, spec):
+    # the error rule of a signal a in units of 2^k does not depend on how a
+    # power of two is split between a and its unit, bit for bit
+    g = make_grid(dim, n, 1.0)
+    f = corpus_generate(CorpusSpec(grid=g, **spec))
+    a = f.shaped - f.values.mean()
+    for k in (0, 3, -7):
+        for j in (-40, -4, 4, 40):
+            assert coeffs_mod._fft_error(g, np.ldexp(a, j), k - j) == coeffs_mod._fft_error(g, a, k)
 
 
 def test_exact_blocks_fall_back_to_roundoff():
