@@ -149,6 +149,22 @@ def test_criterion_3_pv_oracle_equivalence():
             for c in (0, 311, 1024, 2222, 3600)
         )
         checks.append((worst < 1e-3 * scale, f"a={alpha} field rel err={worst / scale:.1e}"))
+    g = make_grid(2, 64, 1.0)
+    f = sample(
+        g,
+        lambda x, y: np.cos(2 * np.pi * x)
+        - 0.6 * np.cos(2 * np.pi * (x + 2 * y) + 0.4)
+        + 0.2 * np.sin(4 * np.pi * y),
+    )
+    for alpha in (0.5, 1.0, 1.5, 1.9):
+        c1 = calibrate_pv_constant(g, alpha, frequency=1)
+        spec = fractional_derivative(f, alpha).shaped
+        scale = np.max(np.abs(spec))
+        worst = max(
+            abs(fractional_laplacian_pv(f, alpha, c) / c1 - spec[c])
+            for c in ((0, 0), (5, 17), (31, 40), (63, 1))
+        )
+        checks.append((worst < 1e-4 * scale, f"2-d a={alpha} field rel err={worst / scale:.1e}"))
     _report(3, "fractional-derivative oracle equivalence", checks)
 
 

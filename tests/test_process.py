@@ -29,7 +29,7 @@ def test_python_m_msq_exit_codes(tmp_path):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # scipy is imported only inside the 1-d principal-value oracle
+    # scipy is imported only inside the principal-value oracle's lattice sums
     done = _python(["-c", "import sys, msq, msq.cli; "
                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
                    tmp_path)

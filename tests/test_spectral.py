@@ -8,6 +8,7 @@ from msq.coeffs import make_ladder
 from msq.corpus import CorpusSpec, generate, expected_regularity
 from msq.field import SampledField, make_grid, sample
 from msq.spectral import (
+    _lattice_zeta,
     calibrate_pv_constant,
     fractional_derivative,
     fractional_laplacian_pv,
@@ -143,24 +144,80 @@ def _pv_closed_form(d, alpha):
 
 @pytest.mark.parametrize("alpha", [0.3, 1.3])
 def test_pv_constant_matches_closed_form_1d(alpha):
-    # O(h^2) in 1-d: relative error 5.7e-5 (alpha 0.3) and 4.0e-5 (alpha
-    # 1.3) at n=64, four times smaller per doubling of n
+    # the corrected trapezoid errs like h^(4 - alpha): relative error 1.9e-8
+    # (alpha 0.3) and 5.9e-7 (alpha 1.3) at n=64, 13.2x and 6.0x smaller at
+    # n=128
     want = _pv_closed_form(1, alpha)
     err = [abs(calibrate_pv_constant(make_grid(1, n, 1.0), alpha) / want - 1.0) for n in (64, 128)]
-    assert err[0] < 1e-4
+    assert err[0] < {0.3: 1e-7, 1.3: 1e-6}[alpha]
     assert err[1] < err[0] / 3.5
 
 
 def test_pv_constant_2d_error_at_its_documented_size():
-    # the 2-d lattice sum errs by O(h^(2 - alpha)) relative, plus about 1e-2
-    # from the isotropic estimate of the lattice tail, which does not fall
-    # with h: 8.9e-3 (alpha 0.3) and 9.3e-2 (alpha 1.3) at n=32
-    for alpha, bound in ((0.3, 1.2e-2), (1.3, 0.1)):
+    # the same rule in 2-d: 3.1e-8 (alpha 0.3) and 2.6e-7 (alpha 1.3) at
+    # n=64, 13.1x and 7.8x smaller at n=128
+    for alpha, bound in ((0.3, 1e-7), (1.3, 1e-6)):
         want = _pv_closed_form(2, alpha)
         err = [abs(calibrate_pv_constant(make_grid(2, n, 1.0), alpha) / want - 1.0)
-               for n in (32, 64)]
+               for n in (64, 128)]
         assert max(err) < bound
-    assert err[1] < err[0] / 2.0**0.6  # alpha 1.3: like h^0.7
+        assert err[1] < err[0] / 3.5
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pv_constant_near_alpha_two(dim):
+    # alpha 1.9 at n=64: 3.2e-6 (1-d) and 1.8e-6 (2-d) relative
+    want = _pv_closed_form(dim, 1.9)
+    assert abs(calibrate_pv_constant(make_grid(dim, 64, 1.0), 1.9) / want - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("s", [-0.9, -0.5, 0.0, 0.5, 0.9, 1.5])
+def test_lattice_zeta_1d_at_zero_is_riemann_zeta(s):
+    from scipy.special import zeta
+
+    assert _lattice_zeta(np.zeros(1), s, 1) == pytest.approx(2.0 * zeta(s), rel=1e-13)
+
+
+@pytest.mark.parametrize("s", [1.3, 2.0, 2.7])
+def test_lattice_zeta_1d_is_hurwitz_sum(s):
+    from scipy.special import zeta
+
+    x = np.array([0.1, 0.37, 0.5, 0.9, 1.0 - 2.0**-10])
+    want = zeta(s, x) + zeta(s, 1.0 - x)
+    assert _lattice_zeta(x[:, None], s, 1) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("s", [2.5, 3.0, 3.9])
+def test_lattice_zeta_2d_at_zero_is_zeta_times_beta(s):
+    from scipy.special import zeta
+
+    t = s / 2
+    beta = 4.0**-t * (zeta(t, 0.25) - zeta(t, 0.75))  # Dirichlet beta
+    assert _lattice_zeta(np.zeros(2), s, 2) == pytest.approx(4.0 * zeta(t) * beta, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "dim, center, message",
+    [
+        (1, 3.7, "not an integer"),
+        (1, (3, 40), "rank"),
+        (1, 100, "out of range"),
+        (1, -1, "out of range"),
+        (2, (1.9, 2), "not an integer"),
+        (2, 5, "rank"),
+    ],
+)
+def test_pv_rejects_center(dim, center, message):
+    f = sample(make_grid(dim, 64, 1.0), lambda *x: np.cos(2 * np.pi * x[0]))
+    with pytest.raises(ValueError, match=message):
+        fractional_laplacian_pv(f, 0.5, center)
+
+
+def test_pv_calibration_rejects_frequency():
+    g = make_grid(1, 64, 1.0)
+    for frequency in (0, -1, 32, 40, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="frequency"):
+            calibrate_pv_constant(g, 0.5, frequency)
 
 
 def test_holder_seminorm_controlled_by_derivative_norm():
