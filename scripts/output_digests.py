@@ -42,17 +42,27 @@ OUTDIR, with each checkout's ``src`` on the import path, and compare:
 
 A command that exits nonzero is named on stderr, and the script then
 exits 1.  The set writes 105 files and runs in about 2 s on a 2-core host.
+
+``--diff OLD_DIR NEW_DIR`` says how two such runs differ, where the old
+outputs were copied aside before the new ones were written into the same
+directory: one line per file whose bytes differ, with its largest change
+relative to the largest magnitude in the old file (or the note that more
+than its numbers changed), and below it every ``argmax`` or
+``bmo_argmax`` of a JSON file that names another window, and every
+changed ``fallback_counts`` or ``routes``.
+
+    cp -r /tmp/od /tmp/od-old    # after the old run
+    python scripts/output_digests.py --diff /tmp/od-old /tmp/od
 """
 
 import hashlib
+import json
+import math
 import os
+import re
 import sys
 
 import numpy as np
-
-from msq.cli import main as msq_main
-from msq.corpus import CorpusSpec, generate, save_field
-from msq.field import SampledField, make_grid
 
 
 def commands(p):
@@ -180,11 +190,94 @@ def commands(p):
             + pruned + logs)
 
 
+# a number of the outputs, not a digit of a name such as "nu0" or "s256"
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:nan|inf(?:inity)?|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)"
+                     r"(?!\w)", re.IGNORECASE)
+_WATCHED = ("argmax", "bmo_argmax", "fallback_counts", "routes")
+
+
+def _watched(node, path=""):
+    """(path, value) of every _WATCHED key of a JSON document, in order."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = ((f"[{i}]", value) for i, value in enumerate(node))
+    else:
+        return
+    for key, value in items:
+        sub = path + (key if key.startswith("[") else f".{key}")
+        if key in _WATCHED:
+            yield sub.lstrip("."), value
+        else:
+            yield from _watched(value, sub)
+
+
+def _site(value):
+    """A watched value without the value an argmax attains, which the
+    largest change already covers: the window it names."""
+    return {k: v for k, v in value.items() if k != "value"} if isinstance(value, dict) else value
+
+
+def _read(path):
+    """The text of a file, or None if there is none."""
+    if not os.path.isfile(path):
+        return None
+    with open(path) as fh:
+        return fh.read()
+
+
+def _largest_change(old: str, new: str):
+    """max |new - old| over the numbers of two texts, relative to the
+    largest finite magnitude of old; None where more than numbers differ."""
+    a, b = _NUMBER.findall(old), _NUMBER.findall(new)
+    if len(a) != len(b) or _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return None
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    finite = np.isfinite(a) & np.isfinite(b)
+    if np.any((a != b) & ~finite & ~(np.isnan(a) & np.isnan(b))):
+        return math.inf  # a NaN or an infinity came or went
+    scale = float(np.abs(a[finite]).max(initial=0.0))
+    change = float(np.abs(a[finite] - b[finite]).max(initial=0.0))
+    return change / scale if scale > 0.0 else change
+
+
+def diff(old_dir, new_dir) -> int:
+    """Print how the files of new_dir differ from those of old_dir."""
+    names = sorted(set(os.listdir(old_dir)) | set(os.listdir(new_dir)))
+    changed = 0
+    for name in names:
+        old, new = (_read(os.path.join(d, name)) for d in (old_dir, new_dir))
+        if old == new:
+            continue
+        changed += 1
+        if old is None or new is None:
+            print(f"{name}: only in {new_dir if old is None else old_dir}")
+            continue
+        rel = _largest_change(old, new)
+        print(f"{name}: " + ("text other than its numbers changed" if rel is None
+                             else f"largest change {rel:.3g} of its largest magnitude"))
+        if name.endswith(".json"):
+            before = dict(_watched(json.loads(old)))
+            for key, value in _watched(json.loads(new)):
+                if _site(before.get(key)) != _site(value):
+                    print(f"  {key}: {json.dumps(before.get(key))} -> {json.dumps(value)}")
+    print(f"{changed} of {len(names)} files differ")
+    return 0
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print(f"usage: {os.path.basename(sys.argv[0])} OUTDIR", file=sys.stderr)
+    if len(argv) == 3 and argv[0] == "--diff":
+        return diff(argv[1], argv[2])
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print(f"usage: {os.path.basename(sys.argv[0])} OUTDIR | --diff OLD_DIR NEW_DIR",
+              file=sys.stderr)
         return 2
+    # --diff reads files only, so it runs without msq on the import path
+    from msq.cli import main as msq_main
+    from msq.corpus import CorpusSpec, generate, save_field
+    from msq.field import SampledField, make_grid
+
     outdir = os.path.abspath(argv[0])
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "cloud.txt"), "w") as fh:

@@ -31,8 +31,8 @@ import numpy as np
 from .coeffs import _EPS, _fft_error, _level
 from .field import (
     INTEGRAL_CENTER, BallWindow, Grid, SampledField, WindowFamily, ball_fft, ball_mask,
-    flat_index, lattice_centers, offset_distance, offset_reads, offset_sums, window_argmax,
-    window_family, window_rows,
+    flat_index, grid_irfftn, lattice_centers, offset_distance, offset_reads, offset_sums,
+    window_argmax, window_family, window_rows,
 )
 from .spectral import check_alpha
 
@@ -136,16 +136,19 @@ def bmo_norm(field: SampledField, windows) -> OscillationReport:
     order = np.argsort(family.sizes, kind="stable")
     centers, radii = family.centers[order], family.sizes[order]
     values = np.full(len(radii), np.nan)  # a NaN radius matches no row below
-    Ff = np.fft.fftn(field.shaped)
+    # The oscillation does not see a constant: centering first keeps the
+    # means' FFT error on the scale of the field's oscillation.
+    fc = field.shaped - field.values.mean()
+    Ff = np.fft.rfftn(fc)
     # Group by radius: one walk over the ball offsets serves every center
     # of that radius.
     for radius in np.unique(radii):
         rows = np.flatnonzero(radii == radius)
         mask = ball_mask(grid, radius)
         count = int(mask.sum())
-        Fm = np.conj(ball_fft(grid, radius))
-        mean = np.fft.ifftn(Ff * Fm).real.reshape(-1)[flat_index(grid, centers[rows])] / count
-        acc = offset_sums(grid, field.shaped, centers[rows], np.argwhere(mask), mean,
+        total = grid_irfftn(grid, Ff * np.conj(ball_fft(grid, radius)))
+        mean = total.reshape(-1)[flat_index(grid, centers[rows])] / count
+        acc = offset_sums(grid, fc, centers[rows], np.argwhere(mask), mean,
                           lambda diff, _: np.abs(diff, out=diff))
         values[rows] = acc / count
     meta = {"oscillation": "L1 mean oscillation", "sup_lower_bound": True,
@@ -210,8 +213,9 @@ def _unruled_windows(field: SampledField, family: WindowFamily):
     masks = np.stack([ball_mask(grid, r) for r in radii.tolist()])
     counts = masks.reshape(len(radii), -1).sum(axis=1)
     fc = field.shaped - field.values.mean()
-    # bmo_norm's transforms and sums stay below max|f| N^2 count
-    size = float(np.abs(field.values).max()) * n_points * n_points * float(counts.max())
+    peak = float(np.abs(fc).max())
+    # bmo_norm's transforms and sums stay below max|fc| N^2 count
+    size = peak * n_points * n_points * float(counts.max())
     if (counts[inverse].sum() < _BOUND_COST * n_points or fc.max() == fc.min()
             or not size < 2.0**1000):
         return None
@@ -220,19 +224,14 @@ def _unruled_windows(field: SampledField, family: WindowFamily):
         # operation below and in bmo_norm exactly, the squares keep their
         # precision on every field, and what underflow loses stays far
         # below the eps terms of the bounds.
-        k = math.frexp(float(np.abs(fc).max()))[1]
-        fs, gs = np.ldexp(fc, -k), np.ldexp(field.shaped, -k)
-        axes = tuple(range(1, grid.dim + 1))
-        # the masks' half-spectra, in the layout of rfftn
-        half = grid.n_per_axis // 2 + 1
-        Fm = np.conj(np.stack([ball_fft(grid, r)[..., :half] for r in radii.tolist()]))
-        Ff = np.fft.rfftn(np.stack([fs, fs * fs]), axes=axes)
-        S1, S2 = (np.fft.irfftn(F * Fm, s=grid.shape, axes=axes) for F in Ff)
+        fs = np.ldexp(fc, -math.frexp(peak)[1])
+        Fm = np.conj(np.stack([ball_fft(grid, r) for r in radii.tolist()]))
+        Ff = np.fft.rfftn(np.stack([fs, fs * fs]), axes=tuple(range(1, grid.dim + 1)))
+        S1, S2 = (grid_irfftn(grid, F * Fm) for F in Ff)
         err1, err2 = _fft_error(grid, fs, 0), _fft_error(grid, fs * fs, 0)
         # |bmo_norm's ball mean - the exact one|: its transforms' error,
         # as in _level, and the division
-        peak = float(np.abs(gs).max())
-        mean_err = _fft_error(grid, gs, 0) / np.sqrt(counts) + 2.0 * _EPS * peak
+        mean_err = err1 / np.sqrt(counts) + 2.0 * _EPS * float(np.abs(fs).max())
         bound, lower = np.empty(len(family)), -math.inf
         for j, r in enumerate(radii.tolist()):
             rows = np.flatnonzero(inverse == j)
@@ -241,19 +240,18 @@ def _unruled_windows(field: SampledField, family: WindowFamily):
             at = flat_index(grid, family.centers[rows])
             q = level.q.reshape(-1)[at] + level.delta.reshape(-1)[at]
             # bmo_norm's value is its terms' sum, within (1 + gamma) of
-            # mean |f - its mean| <= RMS deviation from it <= the RMS
-            # deviation of fs (q + delta), plus fc's rounding (below eps
-            # of max|fs| < 1), plus its mean's error; gamma also covers
-            # the few roundings of this line and of the lower bound's
+            # mean |fc - its mean| <= RMS deviation from it <= the RMS
+            # deviation of fs (q + delta), plus its mean's error; gamma
+            # also covers the few roundings of this line and of the lower
+            # bound's
             gamma = (count + 16) * _EPS
-            bound[rows] = (1.0 + gamma) * (np.sqrt(np.maximum(q, 0.0) / count) + _EPS
-                                           + mean_err[j])
+            bound[rows] = (1.0 + gamma) * (np.sqrt(np.maximum(q, 0.0) / count) + mean_err[j])
             # the window of largest bound, evaluated directly about its
             # pairwise mean; bmo_norm's value differs from that by at most
             # the two means' errors and both sums' rounding
             best = family.centers[rows[np.argmax(bound[rows])]]
             points = (best + np.argwhere(masks[j])) % grid.n_per_axis
-            vals = gs[tuple(points.T)]
+            vals = fs[tuple(points.T)]
             top = float(np.abs(vals).max())
             direct = float(np.abs(vals - vals.sum() / count).sum()) / count
             reached = (1.0 - gamma) * (direct * (1.0 - 2.0 * gamma)

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .bmo import bmo_sup, make_ball_family
 from .coeffs import CoefficientMatrix, ScaleLadder, coefficient_matrix, make_ladder, matrix_metadata
 from .field import (
-    BallWindow, SampledField, ball_fft, ball_mask, flat_index, lattice_centers, periodic_roll,
-    table_columns, window_argmax, window_family, window_rows,
+    BallCenter, BallWindow, SampledField, ball_fft, ball_mask, flat_index, grid_irfftn,
+    lattice_centers, periodic_roll, table_columns, window_argmax, window_family, window_rows,
 )
 from .spectral import check_alpha, fractional_derivative
 
@@ -113,27 +112,22 @@ def _normalized_table(matrix: CoefficientMatrix, alpha: float, tops, center_subs
     for j, R in enumerate(tops):
         level = _ladder_level_of(matrix.ladder, R)
         s = summand_levels[:, level:].sum(axis=1).reshape(grid.shape)
-        total = np.fft.ifftn(np.fft.fftn(s) * np.conj(ball_fft(grid, R))).real
+        total = grid_irfftn(grid, np.fft.rfftn(s) * np.conj(ball_fft(grid, R)))
         table[:, j] = h ** grid.dim * total.reshape(-1)[flat] / R ** grid.dim
     return np.maximum(table, 0.0)
 
 
-# The rules of a ball's center alone, its rank, integrality and range: the
-# first three of BallWindow.RULES, for window_family.
-_BALL_CENTER = SimpleNamespace(RULES=BallWindow.RULES[:3])
-
-
 def _given_centers(grid, centers) -> np.ndarray:
     """A nonempty sequence of center index tuples, or one center given
-    flat, as an (m, dim) int array that passes _BALL_CENTER; otherwise the
-    first failing center raises its rule's message, a ragged list
+    flat, as an (m, dim) int array that passes BallCenter.RULES; otherwise
+    the first failing center raises its rule's message, a ragged list
     included."""
     rows = list(centers)
     if len(rows) == 0:
         raise ValueError("empty center family")
     if all(np.ndim(c) == 0 for c in rows):
         rows = [rows]
-    return window_family(grid, [BallWindow(c, 0.0) for c in rows], _BALL_CENTER).centers
+    return window_family(grid, [BallWindow(c, 0.0) for c in rows], BallCenter).centers
 
 
 def carleson_constant(

@@ -41,6 +41,7 @@ from .field import (
     ball_fft,
     ball_mask,
     flat_index,
+    grid_irfftn,
     masked_offsets,
     mollify,
     offset_components,
@@ -68,24 +69,27 @@ KINDS = ("nu0", "nu1", "nu0_bar", "nu1_bar", "nu0_tilde", "nu1_tilde")
 
 # Rounding constants of the moment path in coefficient_matrix.
 _EPS = float(np.finfo(float).eps)
-# _FFT_C: a correlation corr(g, w)(x) = sum_o g[x+o] w[o] is computed as
-# ifftn(fftn(g) * conj(fftn(w))): two forward transforms, a pointwise
+# _FFT_C: a correlation corr(g, w)(x) = sum_o g[x+o] w[o] of real arrays is
+# computed as irfftn(rfftn(g) * conj(rfftn(w))): two forward transforms to
+# the half-spectrum (the other half is its conjugate mirror), a pointwise
 # product and one inverse transform.  A radix-2 transform of N points
 # obeys ||fl(Fx) - Fx||_2 <= log2(N) eta ||Fx||_2 with
 # eta = mu + gamma_4 (sqrt(2) + mu) <= 6.7 eps for twiddle factors accurate
 # to mu = eps (Higham, Accuracy and Stability of Numerical Algorithms,
-# 2nd ed., Thm. 24.2).  Carried to one output entry by Cauchy-Schwarz, each
-# forward transform contributes at most log2(N) eta ||g||_2 ||w||_2 and the
-# product sqrt(2) gamma_2 ||g||_2 ||w||_2; the inverse transform's normwise
-# error, spread over its N outputs, contributes log2(N) eta rms(y) <=
-# log2(N) eta ||g||_2 ||w||_2.  Three transforms and the product give
-# c < 24 in the worst case.  That case needs every rounding error to
-# align; rounding errors of an FFT add like independent variables, so the
-# error grows like sqrt(log2 N) rather than log2 N (Higham, Sec. 24.1),
-# which takes a factor sqrt(log2 N) >= 3 off for N >= 2^9: c = 8.  This
-# is an estimate, not a proof; tests/test_coeffs.py checks it against
-# extended-precision sums on every corpus family, where the observed error
-# stays below 2% of delta.
+# 2nd ed., Thm. 24.2).  The real transforms are taken to obey it too: the
+# half-spectrum's error, mirrored, is a full spectrum's, and the inverse's
+# real output is a projection, which enlarges no error's 2-norm.  Carried
+# to one output entry by Cauchy-Schwarz, each forward transform contributes
+# at most log2(N) eta ||g||_2 ||w||_2 and the product sqrt(2) gamma_2
+# ||g||_2 ||w||_2; the inverse transform's normwise error, spread over its
+# N outputs, contributes log2(N) eta rms(y) <= log2(N) eta ||g||_2 ||w||_2.
+# Three transforms and the product give c < 24 in the worst case.  That
+# case needs every rounding error to align; rounding errors of an FFT add
+# like independent variables, so the error grows like sqrt(log2 N) rather
+# than log2 N (Higham, Sec. 24.1), which takes a factor sqrt(log2 N) >= 3
+# off for N >= 2^9: c = 8.  This is an estimate, not a proof;
+# tests/test_coeffs.py checks it against extended-precision sums on every
+# corpus family, where the observed error stays below 1.3% of delta.
 _FFT_C = 8.0
 # _SUM_C: q combines at most 3 + 2 dim = 7 terms, each after at most two
 # roundings; recursive summation then errs by at most
@@ -428,9 +432,8 @@ def _moment_levels(fc: np.ndarray, grid: Grid, radii, kind: str):
     """The float route's _Level per ladder radius r: the moments are FFT
     correlations of fc and fc^2 in float.  The caller works on each level
     while this frame is suspended, so the frame keeps no large temporary:
-    the moments are real copies, and the rest is dropped before the yield."""
-    Ff = np.fft.fftn(fc)
-    Ff2 = np.fft.fftn(fc * fc)
+    what the level does not hold is dropped before the yield."""
+    Ff, Ff2 = np.fft.rfftn(fc), np.fft.rfftn(fc * fc)
     # the FFT error scales of fc and fc^2, from fc in units of 2^k with
     # max|fc| < 2^k, so that ||fc^2||_2 is finite wherever fc^2 is
     k = math.frexp(float(np.abs(fc).max()))[1]
@@ -448,14 +451,13 @@ def _moment_levels(fc: np.ndarray, grid: Grid, radii, kind: str):
         mask = annulus_mask(grid, r) if annular else ball_mask(grid, r)
         count = int(mask.sum())
 
-        Fm = np.conj(np.fft.fftn(mask.astype(float)) if annular else ball_fft(grid, r))
-        S1 = np.fft.ifftn(Ff * Fm).real.copy()
-        S2 = np.fft.ifftn(Ff2 * Fm).real.copy()
+        Fm = np.conj(np.fft.rfftn(mask.astype(float)) if annular else ball_fft(grid, r))
+        S1, S2 = grid_irfftn(grid, Ff * Fm), grid_irfftn(grid, Ff2 * Fm)
         del Fm
         T, V = (), ()
         if order_one:
             V = [float((uc ** 2 * mask).sum()) for uc in ucomps]
-            T = [np.fft.ifftn(Ff * np.conj(np.fft.fftn(uc * mask))).real.copy() for uc in ucomps]
+            T = [grid_irfftn(grid, Ff * np.conj(np.fft.rfftn(uc * mask))) for uc in ucomps]
         competitors = None  # nu0, nu1: from the moments
         if kind in ("nu0_bar", "nu1_bar"):
             A = mollify(SampledField(grid=grid, values=fc.reshape(-1)), Mollifier(scale=r)).shaped
@@ -618,8 +620,7 @@ class _ExactMoments:
         """Per filter w, the double-double sum over the slices of 2^(e_k)
         corr(slice_k, w), each correlation rounded to its integer; the
         rows of Fw are the filters' conjugate transforms."""
-        axes = tuple(a + 1 for a in self.axes)
-        C = np.round(np.fft.irfftn(F[None] * Fw[:, None], s=self.grid.shape, axes=axes))
+        C = np.round(grid_irfftn(self.grid, F[None] * Fw[:, None]))
         if np.abs(C).max() * (2.0**_SLICE_BITS + 1.0) < 2.0**53:
             # neighbouring slices are 2^13 apart, so C_k 2^13 + C_(k+1) is
             # an exact integer: merging pairs halves the additions below

@@ -20,6 +20,7 @@ __all__ = [
     "SampledField",
     "INTEGRAL_CENTER",
     "BallWindow",
+    "BallCenter",
     "WindowFamily",
     "Mollifier",
     "NumericError",
@@ -31,6 +32,7 @@ __all__ = [
     "offset_distance",
     "ball_mask",
     "ball_fft",
+    "grid_irfftn",
     "annulus_mask",
     "ball_count",
     "ball_offsets",
@@ -142,6 +144,13 @@ class BallWindow:
     size = property(lambda self: self.radius)
 
 
+class BallCenter:
+    """The rules of a ball's center alone, its rank, integrality and range:
+    the first three of BallWindow.RULES, for window_family."""
+
+    RULES = BallWindow.RULES[:3]
+
+
 @dataclass(frozen=True, eq=False)
 class WindowFamily:
     """Windows as arrays: (m, dim) int centers and (m,) sizes, ball radii
@@ -245,8 +254,8 @@ def radial(per_axis: np.ndarray, dim: int) -> np.ndarray:
 # _GEOMETRY_ENTRIES: each memoized window geometry below keeps at most this
 # many keys, least recently used first out.  16 holds one default ladder of
 # every size up to 1-d n=16384 (11 radii).  An entry of a grid of N points
-# holds 8N bytes (offset_distance) or 16N (ball_fft): 128 KiB and 256 KiB
-# at 2-d n=128.
+# holds 8N bytes (offset_distance) or about 8N (ball_fft's half-spectrum,
+# 16 (n/2 + 1) N/n bytes): 128 KiB and 130 KiB at 2-d n=128.
 _GEOMETRY_ENTRIES = 16
 
 
@@ -274,17 +283,20 @@ def ball_mask(grid: Grid, radius: float) -> np.ndarray:
     return offset_distance(grid) < radius
 
 
-# The transform of a float ball mask, unconjugated: a caller takes
-# np.conj(ball_fft(grid, r)) where it conjugated a fresh transform before,
-# or its rfftn-layout half ball_fft(grid, r)[..., :n // 2 + 1].
-# A cached conjugate would change which operand of a product is a
-# temporary, and numpy computes a product of 256 KiB or more in place into
-# a temporary right operand, swapping the operands, which a complex
-# product does not survive bit for bit.
+# The transform of a float ball mask, unconjugated: a correlation with the
+# ball takes np.conj(ball_fft(grid, r)) at its use site.
 @_memoized
 def ball_fft(grid: Grid, radius: float) -> np.ndarray:
-    """np.fft.fftn of the ball mask as floats, shape (n,)*dim."""
-    return np.fft.fftn(ball_mask(grid, radius).astype(float))
+    """np.fft.rfftn of the ball mask as floats: the half-spectrum, shape
+    (n,)*(dim - 1) + (n // 2 + 1,)."""
+    return np.fft.rfftn(ball_mask(grid, radius).astype(float))
+
+
+def grid_irfftn(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
+    """The real arrays whose rfftn half-spectra over the last grid.dim axes
+    are spectrum: np.fft.irfftn back to the grid shape, a leading stack axis
+    kept."""
+    return np.fft.irfftn(spectrum, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
 
 
 def annulus_mask(grid: Grid, radius: float) -> np.ndarray:
@@ -528,7 +540,7 @@ def mollify(field: SampledField, moll: Mollifier) -> SampledField:
     """Discrete periodic convolution with the sampled unit-mass kernel."""
     grid = field.grid
     ker = moll.kernel(grid)
-    out = np.fft.ifftn(np.fft.fftn(field.shaped) * np.fft.fftn(ker)).real
+    out = grid_irfftn(grid, np.fft.rfftn(field.shaped) * np.fft.rfftn(ker))
     return SampledField(grid=grid, values=out.reshape(-1))
 
 

@@ -3,7 +3,11 @@
 The fractional derivative acts by (2 pi |k| / L)^alpha on integer frequency
 vectors k, the Riesz potential by the inverse multiplier.  The k = 0 mode is
 always projected out: everything is computed modulo constants, which makes
-the two operators genuine inverses on the implemented space.
+the two operators genuine inverses on the implemented space.  The
+multipliers act on the full complex spectrum (fftn/ifftn), not the
+half-spectrum of rfftn that the measuring layers correlate on: a real
+transform rounds differently, and these outputs are stored corpus fields
+and fracderiv files, which must stay the same bytes across versions.
 
 An independent real-space oracle is provided for cross-validation: a
 quadrature of the principal-value integral
@@ -21,11 +25,12 @@ measured by calibrate_pv_constant on a sinusoid.
 from __future__ import annotations
 
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 
-from .field import BallWindow, Grid, SampledField, _memoized, coordinates, radial, window_family
+from .field import (
+    BallCenter, BallWindow, Grid, SampledField, _memoized, coordinates, radial, window_family,
+)
 
 __all__ = [
     "fractional_derivative",
@@ -141,10 +146,6 @@ def _pv_kernel(grid: Grid, alpha: float) -> np.ndarray:
     return grid.period ** (-d - alpha) * half[np.ix_(*(fold,) * d)]
 
 
-# A center's rank, integrality and range: the first three of BallWindow.RULES.
-_CENTER = SimpleNamespace(RULES=BallWindow.RULES[:3])
-
-
 def fractional_laplacian_pv(field: SampledField, alpha: float, center) -> float:
     """Principal-value quadrature of the singular integral at one point.
 
@@ -161,7 +162,7 @@ def fractional_laplacian_pv(field: SampledField, alpha: float, center) -> float:
     alpha = check_alpha(alpha)
     grid = field.grid
     d, h = grid.dim, grid.spacing
-    (c,) = window_family(grid, [BallWindow(np.atleast_1d(center), 0.0)], _CENTER).centers
+    (c,) = window_family(grid, [BallWindow(np.atleast_1d(center), 0.0)], BallCenter).centers
     axes = tuple(range(d))
     F = np.roll(field.shaped, tuple(-c), axis=axes)  # F[u] = f(x + u h)
     g = 2.0 * F.flat[0] - F - np.roll(np.flip(F), 1, axis=axes)

@@ -18,7 +18,10 @@ from msq.bmo import (
 )
 from msq.coeffs import make_ladder
 from msq.corpus import CorpusSpec, generate
-from msq.field import BallWindow, SampledField, ball_mask, lattice_centers, make_grid, sample
+from msq.field import (
+    BallWindow, SampledField, WindowFamily, ball_mask, lattice_centers, make_grid, sample,
+    window_values,
+)
 
 
 def _dyadic_radii(grid, levels=5):
@@ -108,12 +111,12 @@ def test_bmo_one_window_sums_in_offset_order(center):
     # offset like every wider family, not in numpy's pairwise order
     g = make_grid(1, 2048, 1.0)
     f = generate(CorpusSpec(family="riesz_of_noise", grid=g, alpha=0.5, seed=4))
-    a = f.values
+    a = f.values - f.values.mean()  # bmo_norm centers the field first
     for radius in (0.01, 0.1, 0.2):
         mask = ball_mask(g, radius)
         count = int(mask.sum())
-        Fm = np.conj(np.fft.fftn(mask.astype(float)))
-        mean = np.fft.ifftn(np.fft.fftn(f.shaped) * Fm).real.reshape(-1)[[center]] / count
+        Fm = np.conj(np.fft.rfftn(mask.astype(float)))
+        mean = np.fft.irfftn(np.fft.rfftn(a) * Fm, s=g.shape, axes=(0,))[[center]] / count
         acc = np.zeros(1)
         for (o,) in np.argwhere(mask):
             acc += np.abs(a[[(center + o) % 2048]] - mean)
@@ -265,19 +268,36 @@ def test_bmo_sup_prunes_and_matches_bmo_norm(monkeypatch):
     assert len(seen) == 1 and len(seen[0]) < len(family) // 10
 
 
-@pytest.mark.parametrize("values", [
-    lambda n, rng: np.full(n, 3.7),
-    lambda n, rng: 1e8 + 1e-6 * rng.standard_normal(n),
+@pytest.mark.parametrize("values, pruned", [
+    (lambda n, rng: np.full(n, 3.7), False),
+    (lambda n, rng: 1e8 + 1e-6 * rng.standard_normal(n), True),
 ], ids=["constant", "offset"])
-def test_bmo_sup_evaluates_every_window_where_the_bound_cannot_help(monkeypatch, values):
-    # a constant field has nothing to bound, and on a large offset
-    # bmo_norm's mean error swamps the noise, so no window is ruled out
+def test_bmo_sup_evaluates_every_window_where_the_bound_cannot_help(monkeypatch, values, pruned):
+    # a constant field has nothing to bound, so every window is evaluated;
+    # a large offset is centered away before any mean is taken, so it
+    # leaves the bound as sharp as on the noise alone
     g = make_grid(1, 2048, 1.0)
     f = SampledField(grid=g, values=values(g.n_points, np.random.default_rng(3)))
     family = make_ball_family(g, make_ladder(g).radii, stride=1)
     seen = _counting_bmo_norm(monkeypatch)
     assert bmo_mod.bmo_sup(f, family) == _sup_of_norm(f, family)
-    assert len(seen[0]) == len(family)
+    assert (len(seen[0]) < len(family) // 10) if pruned else (len(seen[0]) == len(family))
+
+
+def test_bmo_norm_exact_on_a_large_offset():
+    # bmo_norm centers the field before its ball means, so their FFT error
+    # scales with the noise, not with the offset: every value lies at
+    # roundoff of the exact mean oscillation of the same samples
+    g = make_grid(1, 2048, 1.0)
+    f = SampledField(grid=g, values=1e8 + 1e-6 * np.random.default_rng(3).standard_normal(2048))
+    family = make_ball_family(g, make_ladder(g).radii, stride=1)
+    rows = np.random.default_rng(5).choice(len(family), size=40, replace=False)
+    report = bmo_norm(f, WindowFamily(family.centers[rows], family.sizes[rows]))
+    for center, radius, value in report.per_window:
+        vals = [Fraction(v) for v in window_values(f, BallWindow(center, radius)).tolist()]
+        mean = sum(vals) / len(vals)
+        exact = sum(abs(v - mean) for v in vals) / len(vals)
+        assert abs(Fraction(value) - exact) <= Fraction(1e-12) * exact, (center, radius)
 
 
 def test_bmo_sup_cost_rule_skips_small_families(monkeypatch):

@@ -1,12 +1,19 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import msq.bmo as bmo_mod
 import msq.coeffs as coeffs_mod
+from msq.bmo import bmo_norm, make_ball_family
+from msq.carleson import _weighted_levels, carleson_constant
 from msq.coeffs import (
+    _EPS,
     KINDS,
+    _fft_error,
+    _level,
     _moment_levels,
     coefficient_matrix,
     make_ladder,
@@ -23,11 +30,15 @@ from msq.corpus import generate as corpus_generate
 from msq.experiments import default_specs
 from msq.field import (
     BallWindow,
+    Mollifier,
     SampledField,
     ball_mask,
     flat_index,
     make_grid,
     masked_offsets,
+    mollify,
+    offset_components,
+    offset_sums,
     sample,
 )
 
@@ -329,6 +340,66 @@ def test_moment_rounding_bound_holds(dim, n):
                 exact = _longdouble_square_sums(g, fc, A, B, mask, rows)
                 err = np.abs(q.reshape(-1)[rows] - exact.astype(float))
                 assert np.all(err <= delta.reshape(-1)[rows]), (spec.family, kind)
+
+
+def _complex_correlation(a, w):
+    """corr(a, w) through the full complex spectra of fftn/ifftn."""
+    return np.fft.ifftn(np.fft.fftn(a) * np.conj(np.fft.fftn(w))).real
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2048), (2, 64)])
+def test_real_transforms_within_their_bounds_of_the_complex_route(dim, n, monkeypatch):
+    # every correlation on rfftn half-spectra against the complex route,
+    # within the rounding bound it carries: the float route's q within
+    # delta, bmo_norm's ball means within bmo_sup's mean_err, and the
+    # Carleson table and the mollifier within the normwise FFT error
+    g = make_grid(dim, n, 1.0)
+    lad, h, comps = make_ladder(g), g.spacing, offset_components(g)
+    seen = []
+
+    def recording(grid, a, points, offsets, center, term):
+        seen.append((points, center))
+        return offset_sums(grid, a, points, offsets, center, term)
+
+    monkeypatch.setattr(bmo_mod, "offset_sums", recording)
+    for spec in default_specs(g):
+        field = corpus_generate(spec)
+        fc = field.shaped - field.values.mean()
+        k = math.frexp(float(np.abs(fc).max()))[1]
+        err1, err2 = _fft_error(g, np.ldexp(fc, -k), k), _fft_error(g, np.ldexp(fc, -k) ** 2, 2 * k)
+        for kind in KINDS:
+            order_one = kind[2] == "1"
+            for level in _moment_levels(fc, g, lad.radii, kind):
+                w = level.mask.astype(float)
+                T = [_complex_correlation(fc, u * w) for u in comps] if order_one else ()
+                V = [float(np.sum(u * u * w)) for u in comps] if order_one else ()
+                moments = (_complex_correlation(fc, w), _complex_correlation(fc * fc, w), T, V)
+                competitors = None if kind in ("nu0", "nu1") else (level.A, level.B)
+                ref = _level(level.r, level.mask, level.count, moments, competitors, err1, err2,
+                             _EPS)
+                assert np.all(np.abs(level.q - ref.q) <= level.delta), (spec.family, kind, level.r)
+        seen.clear()
+        bmo_norm(field, make_ball_family(g, lad.radii))
+        assert len(seen) == lad.levels
+        for r, (points, mean) in zip(sorted(lad.radii), seen):
+            w = ball_mask(g, r).astype(float)
+            count = w.sum()
+            want = _complex_correlation(fc, w).reshape(-1)[flat_index(g, points)] / count
+            mean_err = _fft_error(g, fc, 0) / np.sqrt(count) + 2.0 * _EPS * np.abs(fc).max()
+            assert np.all(np.abs(mean - want) <= mean_err), (spec.family, r)
+        matrix = coefficient_matrix(field, lad, "nu0")
+        table = carleson_constant(matrix, 0.5).normalized
+        summands = _weighted_levels(matrix, 0.5)
+        for j, R in enumerate(lad.radii):
+            s, w = summands[:, j:].sum(axis=1).reshape(g.shape), ball_mask(g, R).astype(float)
+            want = np.maximum(h ** dim * _complex_correlation(s, w) / R ** dim, 0.0)
+            bound = h ** dim * _fft_error(g, s, 0) * np.sqrt(w.sum()) / R ** dim
+            assert np.all(np.abs(table[:, j] - want.reshape(-1)) <= bound), (spec.family, R)
+            ker = Mollifier(scale=R).kernel(g)
+            want = np.fft.ifftn(np.fft.fftn(field.shaped) * np.fft.fftn(ker)).real
+            bound = _fft_error(g, field.shaped, 0) * np.sqrt(np.sum(ker * ker))
+            got = mollify(field, Mollifier(scale=R)).shaped
+            assert np.all(np.abs(got - want) <= bound), (spec.family, R)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 2048), (2, 64)])

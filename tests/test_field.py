@@ -317,7 +317,7 @@ def test_window_geometry_memo_is_read_only(dim):
     g = make_grid(dim, 32, 1.0)
     _clear_memos()
     mask = ball_mask(g, 0.2).astype(float)
-    assert np.array_equal(ball_fft(g, 0.2), np.fft.fftn(mask))
+    assert np.array_equal(ball_fft(g, 0.2), np.fft.rfftn(mask))
     for got in (offset_distance(g), ball_fft(g, 0.2)):
         assert not got.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -330,6 +330,15 @@ def test_window_geometry_memo_is_read_only(dim):
     assert info.currsize == info.maxsize and info.maxsize < 40
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ball_fft_is_the_read_only_half_spectrum(dim):
+    g = make_grid(dim, 32, 1.0)
+    got = ball_fft(g, 0.15)
+    assert got.shape == (32,) * (dim - 1) + (17,)
+    assert np.array_equal(got, np.fft.rfftn(ball_mask(g, 0.15).astype(float)))
+    assert not got.flags.writeable
+
+
 def test_window_geometry_memo_keyed_on_the_whole_grid():
     # same n, other period: the radius 1/8 holds 63 offsets on one grid
     # and 127 on the other, and no entry of one grid serves the other
@@ -340,7 +349,7 @@ def test_window_geometry_memo_keyed_on_the_whole_grid():
         ball_fft.cache_clear()
         ball_fft(first, 0.125)
         assert np.array_equal(ball_fft(second, 0.125),
-                              np.fft.fftn(ball_mask(second, 0.125).astype(float)))
+                              np.fft.rfftn(ball_mask(second, 0.125).astype(float)))
         assert ball_fft.cache_info().hits == 0
     assert ball_count(a, 0.125) == 63 and ball_count(b, 0.125) == 127
 

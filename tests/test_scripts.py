@@ -76,3 +76,36 @@ def test_comparability_shared_ratio_key_usage_error(capsys, flag, value):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "share the ratio key" in err
+
+
+def test_output_digests_diff_names_each_change(tmp_path, capsys):
+    # per differing file, its largest change relative to its largest
+    # magnitude; a moved argmax or a changed route is printed, and an
+    # argmax that only changes its value is not
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    doc = {"metadata": {"argmax": {"center": [3], "size": 0.25, "value": 2.0},
+                        "fallback_counts": [0, 4], "routes": ["float", "exact"]},
+           "values": [2.0, -4.0]}
+    (old / "a.json").write_text(json.dumps(doc))
+    (old / "b.json").write_text(json.dumps(doc))
+    doc["metadata"]["argmax"]["value"] = 2.0 + 2.0**-51
+    doc["values"][1] = -4.0 + 2.0**-48
+    (new / "a.json").write_text(json.dumps(doc))
+    doc["metadata"]["argmax"]["center"] = [5]
+    doc["metadata"]["routes"] = ["float", "float"]
+    (new / "b.json").write_text(json.dumps(doc))
+    for d, text in ((old, "nu0,1.5\n"), (new, "nu1,1.5\n")):
+        (d / "c.csv").write_text(text)
+        (d / "same.csv").write_text("nu0,1.5\n")
+    assert _script_main("output_digests.py")(["--diff", str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a.json: largest change 8.88e-16 of its largest magnitude",
+        "b.json: text other than its numbers changed",
+        '  metadata.argmax: {"center": [3], "size": 0.25, "value": 2.0} -> '
+        '{"center": [5], "size": 0.25, "value": 2.0000000000000004}',
+        '  metadata.routes: ["float", "exact"] -> ["float", "float"]',
+        "c.csv: text other than its numbers changed",
+        "3 of 4 files differ",
+    ]
