@@ -1,5 +1,4 @@
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -365,8 +364,6 @@ def test_real_transforms_within_their_bounds_of_the_complex_route(dim, n, monkey
     for spec in default_specs(g):
         field = corpus_generate(spec)
         fc = field.shaped - field.values.mean()
-        k = math.frexp(float(np.abs(fc).max()))[1]
-        err1, err2 = _fft_error(g, np.ldexp(fc, -k), k), _fft_error(g, np.ldexp(fc, -k) ** 2, 2 * k)
         for kind in KINDS:
             order_one = kind[2] == "1"
             for level in _moment_levels(fc, g, lad.radii, kind):
@@ -375,8 +372,7 @@ def test_real_transforms_within_their_bounds_of_the_complex_route(dim, n, monkey
                 V = [float(np.sum(u * u * w)) for u in comps] if order_one else ()
                 moments = (_complex_correlation(fc, w), _complex_correlation(fc * fc, w), T, V)
                 competitors = None if kind in ("nu0", "nu1") else (level.A, level.B)
-                ref = _level(level.r, level.mask, level.count, moments, competitors, err1, err2,
-                             _EPS)
+                ref = _level(level.r, level.mask, level.count, moments, competitors, 0.0, 0.0, 0.0)
                 assert np.all(np.abs(level.q - ref.q) <= level.delta), (spec.family, kind, level.r)
         seen.clear()
         bmo_norm(field, make_ball_family(g, lad.radii))
