@@ -14,7 +14,8 @@ import argparse
 import functools
 import sys
 
-from msq.cli import float_list, positive_int, write_json
+from msq.cli import EXIT_DATA, float_list, positive_int, write_json
+from msq.coeffs import make_ladder
 from msq.experiments import (
     ALPHA_GRID,
     comparability_ratios,
@@ -36,11 +37,12 @@ def main(argv=None):
     ap.add_argument("--out", default=None, help="optional JSON output path")
     args = ap.parse_args(argv)
 
-    grid = make_grid(args.dim, args.n, 1.0)
-    specs = default_specs(grid, noise_alphas=args.noise_alphas)
-    try:
+    try:  # a bad grid or ladder, or a repeated alpha or noise alpha, before any work
+        grid = make_grid(args.dim, args.n, 1.0)
+        make_ladder(grid)
+        specs = default_specs(grid, noise_alphas=args.noise_alphas)
         eligible_pairs(specs, args.alphas)
-    except ValueError as exc:  # a repeated alpha or noise alpha
+    except ValueError as exc:
         ap.error(str(exc))
     ratios = comparability_ratios(specs, alphas=args.alphas, stride=args.stride)
     band = two_sided_band(ratios)
@@ -63,7 +65,12 @@ def main(argv=None):
             ],
             "band": band,
         }
-        write_json(args.out, payload)
+        try:
+            write_json(args.out, payload)
+        except OSError as exc:
+            print(f"{ap.prog}: error: data: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_DATA
         print(f"wrote {args.out}")
     return 0
 

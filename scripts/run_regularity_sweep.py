@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys
 
-from msq.cli import float_list, write_json
+from msq.cli import EXIT_DATA, float_list, write_json
 from msq.coeffs import make_ladder
 from msq.corpus import CorpusSpec, generate, roughness_exponent
 from msq.field import make_grid
@@ -28,8 +28,14 @@ def main(argv=None):
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
 
-    grid = make_grid(1, args.n, 1.0)
-    ladder = make_ladder(grid, top_radius=1.0 / 8.0)
+    try:  # a bad grid or ladder, before any work
+        grid = make_grid(1, args.n, 1.0)
+        ladder = make_ladder(grid, top_radius=1.0 / 8.0)
+    except ValueError as exc:
+        ap.error(str(exc))
+    if ladder.levels < 2:
+        ap.error(f"--n {args.n} leaves {ladder.levels} ladder level below 1/8; "
+                 "a slope needs 2")
     rows = []
     print(f"{'family':<14}{'target':>8}{'slope':>10}{'rel err':>10}")
     for gamma in args.gammas:
@@ -47,7 +53,12 @@ def main(argv=None):
 
     if args.out:
         payload = {"n": args.n, "rows": rows}
-        write_json(args.out, payload)
+        try:
+            write_json(args.out, payload)
+        except OSError as exc:
+            print(f"{ap.prog}: error: data: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_DATA
         print(f"wrote {args.out}")
     return 0
 

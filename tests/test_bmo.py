@@ -18,10 +18,12 @@ from msq.bmo import (
 )
 from msq.coeffs import make_ladder
 from msq.corpus import CorpusSpec, generate
+from msq.experiments import default_specs
 from msq.field import (
     BallWindow, SampledField, WindowFamily, ball_mask, lattice_centers, make_grid, sample,
     window_values,
 )
+from msq.spectral import fractional_derivative
 
 
 def _dyadic_radii(grid, levels=5):
@@ -309,6 +311,33 @@ def test_bmo_sup_cost_rule_skips_small_families(monkeypatch):
     seen = _counting_bmo_norm(monkeypatch)
     assert bmo_mod.bmo_sup(f, family) == _sup_of_norm(f, family)
     assert seen[0] is family
+
+
+@pytest.mark.parametrize("dim, n", [(1, 512), (2, 32)])
+def test_bmo_sup_equals_bmo_norm_on_every_corpus_derivative(monkeypatch, dim, n):
+    # with the cost rule off, both stages of the bound run on every family,
+    # and neither may rule out the window that attains the norm
+    monkeypatch.setattr(bmo_mod, "_BOUND_COST", 0)
+    g = make_grid(dim, n, 1.0)
+    for spec in default_specs(g):
+        f = generate(spec)
+        for alpha in (0.3, 0.8, 1.3, 1.7):
+            deriv = fractional_derivative(f, alpha)
+            for stride in (1, 2):
+                family = make_ball_family(g, make_ladder(g).radii, stride=stride)
+                assert bmo_mod.bmo_sup(deriv, family) == _sup_of_norm(deriv, family), (
+                    spec.family, spec.alpha, alpha, stride)
+
+
+def test_bmo_sup_chord_stage_rules_out_what_the_rms_bound_keeps(monkeypatch):
+    # on a sinusoid's derivative the RMS bound alone hands bmo_norm 4,096
+    # windows (two whole radii); the chord bound leaves it about 130
+    g = make_grid(1, 2048, 1.0)
+    f = fractional_derivative(generate(CorpusSpec(family="sinusoid", grid=g, frequency=2)), 0.5)
+    family = make_ball_family(g, make_ladder(g).radii, stride=1)
+    seen = _counting_bmo_norm(monkeypatch)
+    assert bmo_mod.bmo_sup(f, family) == _sup_of_norm(f, family)
+    assert len(seen[0]) <= 200
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e-150])

@@ -43,6 +43,37 @@ def test_script_list_flag_usage_error(capsys, script, flag, value):
     assert f"argument --{flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("script, args, code, message", [
+    ("run_comparability.py", ["--n", "100"], 2, "n_per_axis must be a power of two"),
+    ("run_comparability.py", ["--n", "0"], 2, "n_per_axis must be a power of two"),
+    ("run_comparability.py", ["--n", "6"], 2, "n_per_axis must be a power of two"),
+    ("run_comparability.py", ["--n", "8"], 2, "below the 4h floor"),
+    ("run_comparability.py", ["--n", "64", "--alphas", "0.3", "--out", "{missing}"], 3,
+     "error: data: cannot write"),
+    ("run_regularity_sweep.py", ["--n", "0"], 2, "n_per_axis must be a power of two"),
+    ("run_regularity_sweep.py", ["--n", "16"], 2, "below the 4h floor"),
+    ("run_regularity_sweep.py", ["--n", "32"], 2, "a slope needs 2"),
+    ("run_regularity_sweep.py", ["--n", "64", "--gammas", "0.5", "--betas", "0.5", "--out",
+                                 "{missing}"], 3, "error: data: cannot write"),
+], ids=["comparability-n100", "comparability-n0", "comparability-n6", "comparability-n8",
+        "comparability-out", "sweep-n0", "sweep-n16", "sweep-n32", "sweep-out"])
+def test_script_bad_input_exit_code(tmp_path, capsys, script, args, code, message):
+    # a bad grid or ladder stops in argparse (exit 2) before any work; an
+    # output path that cannot be written exits with the data code, 3, and
+    # one stderr line
+    args = [a.format(missing=tmp_path / "no" / "x.json") for a in args]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            _script_main(script)(args)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    else:
+        assert _script_main(script)(args) == 3
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_regularity_sweep_writes_its_json(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     assert _script_main("run_regularity_sweep.py")(
@@ -109,3 +140,16 @@ def test_output_digests_diff_names_each_change(tmp_path, capsys):
         "c.csv: text other than its numbers changed",
         "3 of 4 files differ",
     ]
+
+
+def test_batch_ab_one_round_on_the_same_src(capsys):
+    # one round of bridge-2d against the same src on both sides: every
+    # operation succeeds and both sides write the same outputs
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    assert _script_main("batch_ab.py")(
+        [src, src, "--workload", "bridge-2d", "--rounds", "1", "--batches", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("bridge-2d: fastest of 1 batches per process, 1 rounds")
+    assert [line.split(" | ")[0] for line in lines[3:5]] == ["| old", "| new"]
+    assert all(line.endswith("| 0 |") for line in lines[3:5])
+    assert lines[5].endswith("same outputs: yes")
