@@ -14,7 +14,7 @@ import argparse
 import functools
 import sys
 
-from msq.cli import EXIT_DATA, float_list, positive_int, write_json
+from msq.cli import float_list, positive_int, write_json_exit
 from msq.coeffs import make_ladder
 from msq.experiments import (
     ALPHA_GRID,
@@ -65,13 +65,7 @@ def main(argv=None):
             ],
             "band": band,
         }
-        try:
-            write_json(args.out, payload)
-        except OSError as exc:
-            print(f"{ap.prog}: error: data: cannot write {args.out}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return EXIT_DATA
-        print(f"wrote {args.out}")
+        return write_json_exit(ap.prog, args.out, payload)
     return 0
 
 

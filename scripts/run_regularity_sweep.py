@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys
 
-from msq.cli import EXIT_DATA, float_list, write_json
+from msq.cli import float_list, write_json_exit
 from msq.coeffs import make_ladder
 from msq.corpus import CorpusSpec, generate, roughness_exponent
 from msq.field import make_grid
@@ -53,13 +53,7 @@ def main(argv=None):
 
     if args.out:
         payload = {"n": args.n, "rows": rows}
-        try:
-            write_json(args.out, payload)
-        except OSError as exc:
-            print(f"{ap.prog}: error: data: cannot write {args.out}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return EXIT_DATA
-        print(f"wrote {args.out}")
+        return write_json_exit(ap.prog, args.out, payload)
     return 0
 
 

@@ -3,11 +3,10 @@
 The BMO norm is the L1 mean oscillation, maximized over a declared finite
 family of balls; like every supremum here it is reported as a lower bound
 of the continuum value.  bmo_norm evaluates every window; bmo_sup returns
-the same norm and argmax from only the windows that two upper bounds on
-their values cannot rule out, where the family is large enough for them to
-pay: the RMS deviation from the moment route of coefficient_matrix, then,
-on the windows it keeps, a chord of sum |f - c|, which is convex in the
-center value c.  The difference functionals take a family of
+the same norm and argmax from only the windows that two upper bounds, each
+run where it pays, cannot rule out: the RMS deviation from the moment
+route of coefficient_matrix, then a chord of sum |f - c|, convex in the
+ball's center value c.  The difference functionals take a family of
 axis-aligned periodic cubes and aggregate first or second differences with
 the weight |y|^(-d-2*alpha) in the offset y (the offset form is the one
 implemented; reports note it).  The y = 0 diagonal is excluded, and the
@@ -157,21 +156,18 @@ def bmo_norm(field: SampledField, windows) -> OscillationReport:
     return OscillationReport(centers, radii, values, norm=float(values.max()), metadata=meta)
 
 
-# _BOUND_COST: bmo_sup bounds its windows first only when the family's
-# direct terms, the point counts of its balls summed over the windows,
-# exceed this many per grid point; on fewer, the bounds' transforms cost
-# more than they save.  Measured with both stages, one BLAS thread, a 2-core
-# host, default ladder, bmo_sup with the bounds against bmo_norm, best of 5,
-# D^0.5 and D^1.3: 2-d n=128 riesz_of_noise took 1.68-1.79 times as long at
-# stride 8 (66 terms per point), 0.79-1.11 at stride 4 (265) and 0.29-0.33
-# at stride 2; 2-d n=64 cusp(0.7) 1.50-1.71 at stride 4 (64), 0.72-0.95 at
-# stride 2 (258) and 0.33-0.45 at stride 1 (1,031); 1-d n=2048 cusp(0.7)
-# 1.00-1.31 at 32-127 terms and 0.69-0.96 at 254-508.
+# _BOUND_COST: each stage of bmo_sup's bound runs only where the direct terms
+# it could rule out (ball point counts summed over the windows: the family's
+# for the RMS stage, the RMS-kept ones for the chord stage) exceed this many
+# per grid point.  bmo_sup with the RMS stage forced on, in units of bmo_norm
+# (one BLAS thread, 2-core host, default ladder, best of 5, D^0.5 and D^1.3):
+# 2-d n=128 riesz_of_noise 1.08-1.32 at stride 8 (66 terms per point),
+# 0.51-0.67 at 4 (265), 0.20-0.25 at 2; 2-d n=64 cusp(0.7) 1.11-1.22 at 4
+# (64), 0.56-0.82 at 2 (258), 0.28-0.52 at 1 (1,031); 1-d n=2048 cusp(0.7)
+# 0.89-1.19 at 32-127 terms per point and 0.53-1.03 at 254-508.
 _BOUND_COST = 200
-# _CHORDS: the chord stage brackets each mean between _CHORDS + 1 order
-# statistics of the kept windows' means.  Direct terms left to bmo_norm over
-# a band-1d-equivalent set of 30 calls: 1 chord 24.8M, 2 7.5M, 3 3.4M, 4
-# 2.9M, 8 1.8M; the time was flat from 3 chords to 8.
+# _CHORDS + 1 chord thresholds.  Direct terms left over band-1d's 30 calls, by
+# chords: 1 24.8M, 2 7.5M, 3 3.4M, 4 2.9M, 8 1.8M; time flat from 3 to 8.
 _CHORDS = 4
 
 
@@ -180,24 +176,20 @@ def bmo_sup(field: SampledField, windows) -> tuple:
     metadata["argmax"], from the windows that two bounds cannot rule out.
 
     By Cauchy-Schwarz a ball's mean |f - c| is at most its RMS deviation
-    from c, and the float moment route of coefficient_matrix gives that
-    deviation about the ball mean at every center, with a rounding bound
-    (coeffs._level).  On the windows that this first bound keeps, phi(c) =
-    sum |f - c| is convex in c, so between two thresholds (order statistics
-    of their means) it lies below the chord through phi at both, and phi at
-    a threshold is one FFT correlation at every center of a radius.
-    _unruled_windows adds to each bound bmo_norm's own FFT-mean error and
-    the rounding of its sequential sums, so it bounds the value bmo_norm
-    would compute.  The window of largest RMS bound of each radius is
-    evaluated directly, and the largest of those values, less its own
-    rounding and mean error, is a value that bmo_norm reaches.  bmo_norm
-    then runs once, in input order, on the windows whose bounds are not
-    strictly below it: the first window that attains the maximum is among
-    them, so the norm and argmax are those of the whole family, bit for
-    bit, since each value is its anchor's sequential sum whatever the other
-    anchors are.  A radius that keeps a quarter of its windows or more is
-    evaluated whole, so that a lattice family keeps the lattice read of
-    field.offset_reads.
+    from c, which the float moment route of coefficient_matrix gives about
+    the ball mean at every center (coeffs._level).  On the windows this
+    keeps, phi(c) = sum |f - c| is convex in c, so between two thresholds
+    (order statistics of their means) it lies below the chord through phi
+    at both; phi at a threshold is one FFT correlation per radius.  Each
+    bound covers bmo_norm's own FFT-mean error and rounding.  The window of
+    largest RMS bound of each radius is evaluated directly; the largest of
+    those values, less its rounding and mean error, is one bmo_norm
+    reaches.  bmo_norm then runs once, in input order, on the windows whose
+    bounds are not strictly below it.  The first window that attains the
+    maximum is among them, and each value is its anchor's sequential sum
+    whatever the other anchors are, so the norm and argmax are the whole
+    family's, bit for bit.  A radius that keeps a quarter of its windows or
+    more is evaluated whole, keeping the lattice read of field.offset_reads.
     """
     if windows is None or len(windows) == 0:
         raise ValueError("empty window family")
@@ -210,7 +202,7 @@ def bmo_sup(field: SampledField, windows) -> tuple:
 
 
 def _unruled_windows(field: SampledField, family: WindowFamily):
-    """The (m,) mask of the windows whose bound reaches the lower bound of
+    """The (m,) mask of the windows whose bounds reach the lower bound of
     bmo_sup, or None where the bound does not run: a constant field, a
     family of fewer than _BOUND_COST direct terms per grid point, or a
     field large enough that bmo_norm's transforms could overflow."""
@@ -271,32 +263,30 @@ def _unruled_windows(field: SampledField, family: WindowFamily):
             lower = max(lower, float(reached))
         keep = ~(bound < lower)  # a NaN bound keeps its window
         del S1, S2, level
-        # The chord stage, on the windows kept so far.  phi(c) = sum |fs - c|
-        # over a ball is convex in c, so for t_k <= c <= t_{k+1} it is at
-        # most the chord through phi(t_k) and phi(t_{k+1}); its two terms and
-        # their sum are nonnegative, so its rounding is relative.
-        t = np.sort(mean[keep])
-        t = np.unique(t[np.linspace(0, len(t) - 1, _CHORDS + 1).round().astype(int)])
-        dev = np.abs(fs - t.reshape((-1,) + (1,) * grid.dim))
-        gerr = max(_fft_error(grid, a, 0) for a in dev)
-        G = np.fft.rfftn(dev, axes=tuple(range(1, grid.dim + 1)))
-        del dev
-        for j in np.unique(inverse[keep]).tolist():
-            rows = np.flatnonzero(keep & (inverse == j))
-            phi = grid_irfftn(grid, G * np.conj(ball_fft(grid, radii[j])))
-            phi = phi.reshape(len(t), -1)[:, flat_index(grid, family.centers[rows])]
-            c, cols, count = mean[rows], np.arange(len(rows)), int(counts[j])
-            # a lone threshold gives 0/0: a NaN chord keeps its window
-            k = np.clip(np.searchsorted(t, c, side="right") - 1, 0, max(len(t) - 2, 0))
-            hi = np.minimum(k + 1, len(t) - 1)
-            chord = ((t[hi] - c) * phi[k, cols] + (c - t[k]) * phi[hi, cols]) / (t[hi] - t[k])
-            # each phi(t_k) errs by gerr ||mask||_2; phi is count-Lipschitz,
-            # so bmo_norm's mean and this one, each within mean_err of the
-            # exact mean, add count mean_err each; gamma covers bmo_norm's
-            # sum and the relative roundings
-            gamma = (count + 16) * _EPS
-            chord = (1.0 + gamma) * ((chord + gerr * math.sqrt(count)) / count + 2.0 * mean_err[j])
-            keep[rows] = ~(chord < lower)
+        # The chord stage, under the same cost rule: phi(c) = sum |fs - c| is
+        # convex in c, so for t_k <= c <= t_{k+1} it is at most the chord through
+        # phi(t_k) and phi(t_{k+1}), of nonnegative terms: its rounding is relative.
+        if counts[inverse[keep]].sum() >= _BOUND_COST * n_points:
+            t = np.unique(np.quantile(mean[keep], np.linspace(0, 1, _CHORDS + 1), method="nearest"))
+            dev = np.abs(fs - t.reshape((-1,) + (1,) * grid.dim))
+            gerr = max(_fft_error(grid, a, 0) for a in dev)
+            G = np.fft.rfftn(dev, axes=tuple(range(1, grid.dim + 1)))
+            del dev
+            for j in np.unique(inverse[keep]).tolist():
+                rows = np.flatnonzero(keep & (inverse == j))
+                phi = grid_irfftn(grid, G * np.conj(ball_fft(grid, radii[j])))
+                phi = phi.reshape(len(t), -1)[:, flat_index(grid, family.centers[rows])]
+                c, cols, count = mean[rows], np.arange(len(rows)), int(counts[j])
+                # a lone threshold gives 0/0: a NaN chord keeps its window
+                k = np.clip(np.searchsorted(t, c, side="right") - 1, 0, max(len(t) - 2, 0))
+                hi = np.minimum(k + 1, len(t) - 1)
+                chord = ((t[hi] - c) * phi[k, cols] + (c - t[k]) * phi[hi, cols]) / (t[hi] - t[k])
+                # each phi(t_k) errs by gerr ||mask||_2; phi is count-Lipschitz, so
+                # bmo_norm's mean and this one, each within mean_err of the exact one,
+                # add count mean_err each; gamma covers bmo_norm's sum and roundings
+                gamma = (count + 16) * _EPS
+                chord = (1.0 + gamma) * ((chord + gerr * math.sqrt(count)) / count + 2.0 * mean_err[j])
+                keep[rows] = ~(chord < lower)
     whole = 4 * np.bincount(inverse, weights=keep) >= np.bincount(inverse)
     return keep | whole[inverse]
 

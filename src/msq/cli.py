@@ -135,6 +135,17 @@ def write_json(path: str, payload: dict) -> None:
     corpus_mod.atomic_write(path, chunks())
 
 
+def write_json_exit(prog: str, path: str, payload: dict) -> int:
+    """write_json for a script: EXIT_OK, or EXIT_DATA and one stderr line."""
+    try:
+        write_json(path, payload)
+    except OSError as exc:
+        print(f"{prog}: error: data: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_DATA
+    print(f"wrote {path}")
+    return EXIT_OK
+
+
 _JSON_ROW = "[\n      {}\n    ]".format  # a row list at depth 2
 
 

@@ -313,6 +313,20 @@ def test_bmo_sup_cost_rule_skips_small_families(monkeypatch):
     assert seen[0] is family
 
 
+def test_bmo_sup_cost_rule_skips_the_chord_stage_on_few_kept_terms(monkeypatch):
+    # the family has 258 direct terms per grid point, so the RMS stage runs;
+    # it keeps about 2 per point, below _BOUND_COST, so the chord stage does
+    # not: only the RMS stage's two FFT error bounds are taken
+    g = make_grid(2, 64, 1.0)
+    f = fractional_derivative(generate(CorpusSpec(family="cusp", grid=g, gamma=0.7)), 1.3)
+    family = make_ball_family(g, make_ladder(g).radii, stride=2)
+    calls = []
+    fft_error = bmo_mod._fft_error
+    monkeypatch.setattr(bmo_mod, "_fft_error", lambda *a: calls.append(a) or fft_error(*a))
+    assert bmo_mod.bmo_sup(f, family) == _sup_of_norm(f, family)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("dim, n", [(1, 512), (2, 32)])
 def test_bmo_sup_equals_bmo_norm_on_every_corpus_derivative(monkeypatch, dim, n):
     # with the cost rule off, both stages of the bound run on every family,
