@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bmo import bmo_sup, make_ball_family
-from .coeffs import CoefficientMatrix, ScaleLadder, coefficient_matrix, make_ladder, matrix_metadata
+from .coeffs import (
+    KINDS, CoefficientMatrix, ScaleLadder, _kind_order, coefficient_matrix, make_ladder, matrix_metadata,
+)
 from .field import (
     BallCenter, BallWindow, SampledField, ball_fft, ball_mask, flat_index, grid_irfftn,
     lattice_centers, periodic_roll, table_columns, window_argmax, window_family, window_rows,
@@ -154,13 +156,12 @@ def carleson_constant(
 
     table = _normalized_table(matrix, alpha, tops, centers)
     tops = np.asarray(tops)
-    order = 0 if matrix.kind in ("nu0", "nu0_bar", "nu0_tilde") else 1
     meta = matrix_metadata(matrix)
     meta.update(
         {
             "alpha": alpha,
             "sup_lower_bound": True,
-            "nonstandard_pairing": order != matching_order(alpha),
+            "nonstandard_pairing": _kind_order(matrix.kind) != matching_order(alpha),
             "center_stride": center_stride,
             "n_centers": int(len(centers)),
             "truncation_floor_radius": float(matrix.ladder.radii[-1]),
@@ -185,10 +186,6 @@ def full_domain_square_integral(matrix: CoefficientMatrix, alpha: float) -> floa
     return float(h ** matrix.grid.dim * _weighted_levels(matrix, alpha).sum())
 
 
-def _matched_kind(alpha: float) -> str:
-    return "nu0" if matching_order(alpha) == 0 else "nu1"
-
-
 def comparability_experiment(
     field: SampledField,
     alpha: float,
@@ -208,7 +205,7 @@ def comparability_experiment(
     grid = field.grid
     if ladder is None:
         ladder = make_ladder(grid)
-    kind = _matched_kind(alpha)
+    kind = KINDS[matching_order(alpha)]
     if matrix is None:
         matrix = coefficient_matrix(field, ladder, kind)
     elif matrix.kind != kind:
@@ -252,7 +249,7 @@ def comparability_records(
         check_alpha(a)
     if ladder is None:
         ladder = make_ladder(field.grid)
-    kinds = [_matched_kind(a) for a in alphas]
+    kinds = [KINDS[matching_order(a)] for a in alphas]
     matrices, records = {}, []
     for i, (a, kind) in enumerate(zip(alphas, kinds)):
         if kind not in matrices:

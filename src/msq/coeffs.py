@@ -65,6 +65,8 @@ __all__ = [
     "matrix_metadata",
 ]
 
+# Each coefficient as its order-0 and order-1 kind: a kind's order is its
+# index mod 2 (_kind_order), and KINDS[order] is the plain kind of an order.
 KINDS = ("nu0", "nu1", "nu0_bar", "nu1_bar", "nu0_tilde", "nu1_tilde")
 
 # Rounding constants of the moment path in coefficient_matrix.
@@ -105,6 +107,10 @@ _SUM_C = 10.0
 # kinds, shift invariance); tau = 1e-13 keeps each side of such a
 # comparison a factor 10 inside it.
 _TAU = 1e-13
+
+
+def _kind_order(kind: str) -> int:
+    return KINDS.index(kind) % 2
 
 
 def _fft_error(grid: Grid, a: np.ndarray, k: int) -> float:
@@ -442,7 +448,7 @@ def _moment_levels(fc: np.ndarray, grid: Grid, radii, kind: str):
     del fs
     ucomps = offset_components(grid)
     annular = kind in ("nu0_tilde", "nu1_tilde")
-    order_one = kind in ("nu1", "nu1_bar", "nu1_tilde")
+    order_one = _kind_order(kind) == 1
     grad_fc = None
     if kind == "nu1_tilde":
         grad_fc = spectral_gradient(SampledField(grid=grid, values=fc.reshape(-1)))

@@ -12,7 +12,7 @@ walks the radii from the largest down, reading the points in place until
 fewer than half of them lie in some ball, sums the moments over the points
 in point order and solves all the balls in one stacked eigh, so a stack
 gives each cloud the betas of its own call.  The graph bridge gives each
-cell whose chart ball the field holds constant the beta of its flat disk,
+cell whose ball the field holds constant the beta of its flat disk,
 which is that of beta2k's arithmetic, lifts blocks of the other centers,
 deepest first, and makes one call per block over the radii on which its
 first center is not constant.
@@ -27,7 +27,7 @@ import numpy as np
 from .coeffs import ScaleLadder, coefficient_matrix
 from .corpus import FieldLengthError, FieldValueError
 from .field import (
-    NumericError, SampledField, flat_index, lattice_centers, offset_components, ordered_sum,
+    NumericError, SampledField, flat_index, grid_irfftn, lattice_centers, offset_components, ordered_sum,
 )
 from .spectral import spectral_gradient
 
@@ -268,33 +268,21 @@ def load_cloud(path, ambient_dim: int = None):
         raise FieldValueError(f"{path}: {exc}") from exc
 
 
-def _constant_balls(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Whether the periodic field values (shaped) equal (==) their own
-    value at every offset of a lattice ball, at each grid point.
+def _constant_balls(field: SampledField, mask: np.ndarray) -> np.ndarray:
+    """Whether the field equals (==) its value at each grid point on the
+    ball `mask` (offsets about index 0) there, shaped.
 
-    offsets is the ball's (K, dim) array of integer offsets about 0.  Along
-    an axis the ball is a set of segments, one per position on the other
-    axes, each crossing the ball's slice through 0 normal to that axis, a
-    ball in one axis less.  So the values are constant on the ball iff no
-    two neighbours along such a segment differ, axis by axis from the last
-    down to the slice through 0 of the first: O(N) work per segment, from
-    one integer prefix sum per axis.
+    A lattice ball is connected along the axes: each row is an interval
+    through its slice at 0, and the central column meets every row.  So the
+    field is constant on it iff no neighbours x, x + e_a in it differ.  Their
+    count, one correlation per axis, is an integer of at most dim N, and the
+    FFT errs on it by below 1e-8 for N <= 2^16 (coeffs._FFT_C): < 0.5 is exact.
     """
-    n, dim = values.shape[0], values.ndim
-    start = np.arange(n)
-    differ = np.zeros(values.shape, dtype=np.intp)
-    for a in reversed(range(dim)):
-        step = (np.roll(values, -1, axis=a) != values).astype(np.intp)
-        zero = np.zeros_like(np.take(step, [0], axis=a))
-        prefix = np.cumsum(np.concatenate([zero, step, step], axis=a), axis=a)
-        rest = [b for b in range(dim) if b != a]
-        for q in {tuple(u) for u in offsets[:, rest].tolist()}:
-            t = offsets[(offsets[:, rest] == q).all(axis=1), a]
-            s = (start + t.min()) % n
-            run = np.take(prefix, s + (t.max() - t.min()), axis=a) - np.take(prefix, s, axis=a)
-            differ += np.roll(run, tuple(-b for b in q), axis=tuple(rest))
-        offsets = offsets[offsets[:, a] == 0]
-    return differ == 0
+    values, grid = field.shaped, field.grid
+    steps = (np.roll(values, -1, a) != values for a in range(grid.dim))
+    pairs = (mask & np.roll(mask, -1, a) for a in range(grid.dim))
+    spectrum = sum(np.fft.rfftn(s) * np.conj(np.fft.rfftn(p)) for s, p in zip(steps, pairs))
+    return grid_irfftn(grid, spectrum) < 0.5
 
 
 # _BLOCK_CLOUDS: centers per stacked beta2k call of the graph bridge; a
@@ -331,8 +319,8 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
     nub = coefficient_matrix(field, ladder, "nu1").values[flat_index(grid, centers)]
 
     # The offsets of the widest candidate ball, in the row-major order of
-    # the chart rolled to the center.  Where the field equals (==) its
-    # center value on a radius's chart ball, every lift is +-0.0, so the
+    # the grid rolled to the center.  Where the field equals (==) its
+    # center value on a radius's ball, every lift is +-0.0, so the
     # ball is the flat disk, whose moment matrix has a zero last row and
     # column: the solver splits that zero eigenvalue off exactly, and
     # beta2k gives +0.0, or NaN for a disk of fewer than dim + 1 points.
@@ -348,11 +336,10 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
     widest = udist_sq < top * top
     steps = np.argwhere(widest)
     n = grid.n_per_axis
-    chart, reach = np.where(steps <= n // 2, steps, steps - n), udist_sq[widest]
     at = flat_index(grid, centers)
     depth = np.zeros(len(centers), dtype=np.intp)
     for r in radii.tolist():
-        varies = ~_constant_balls(field.shaped, chart[reach < r * r]).reshape(-1)[at]
+        varies = ~_constant_balls(field, udist_sq < r * r).reshape(-1)[at]
         if not varies.any():  # every narrower ball lies inside a constant one
             break
         depth += varies
@@ -366,7 +353,7 @@ def graph_beta_vs_nu1(field: SampledField, ladder: ScaleLadder, stride: int = 1)
     shift = np.ravel_multi_index(tuple(steps.T), wide)
     base = np.ravel_multi_index(tuple(centers[live].T), wide)
     # one points array serves every block, laid out (dim + 1, K, B) as
-    # beta2k reads a stack: the chart, then each block's lift
+    # beta2k reads a stack: the offsets u, then each block's lift
     points = np.empty((dim + 1, len(steps), per_block))
     points[:dim] = np.stack([comp[widest] for comp in ucomp])[..., None]
 

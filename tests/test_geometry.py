@@ -437,6 +437,37 @@ def test_graph_bridge_calls_beta2k_on_live_centers_only(kind, monkeypatch):
     assert len(seen) == -(-live // geometry_mod._BLOCK_CLOUDS)  # 0 on the constant field
 
 
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (2, 32)])
+@pytest.mark.parametrize("kind", ["plateau", "one_point", "signed_zeros"])
+def test_constant_balls_match_brute_force(dim, n, kind):
+    # at each center, the field equals (==) its center value on every point
+    # of the rolled ball mask, by brute force; +0.0 and -0.0 count as equal
+    from msq.field import offset_components
+    from msq.geometry import _constant_balls
+
+    g = make_grid(dim, n, 1.0)
+    if kind == "plateau":
+        values = 3.0 + generate(CorpusSpec(family="smooth_bump", grid=g)).values
+    elif kind == "one_point":
+        values = np.full(g.n_points, 0.7)
+        values[g.n_points // 3] = 0.75
+    else:
+        values = np.where(np.random.default_rng(5).random(g.n_points) < 0.5, 0.0, -0.0)
+    f = SampledField(grid=g, values=values)
+    udist_sq = sum(uc**2 for uc in offset_components(g))
+    # every default-ladder radius, and one whose ball is its center alone
+    for r in list(make_ladder(g).radii) + [0.75 * g.spacing]:
+        mask = udist_sq < r * r
+        assert (np.count_nonzero(mask) < dim + 1) == (r < g.spacing)
+        ball = (np.roll(mask, tuple(c), axis=tuple(range(dim))).reshape(-1)
+                for c in lattice_centers(g, 1))
+        brute = np.array([np.all(f.values[at] == f.values[i]) for i, at in enumerate(ball)])
+        got = _constant_balls(f, mask)
+        assert got.shape == g.shape
+        assert np.array_equal(got.reshape(-1), brute)
+        assert brute.all() if kind == "signed_zeros" or r < g.spacing else 0 < brute.sum() < len(brute)
+
+
 @pytest.mark.parametrize("kind", ["constant", "plateau", "signed_zeros", "cusp"])
 def test_graph_bridge_flat_cells_at_every_radius(kind):
     # a cell whose chart ball the field holds constant, at any radius, has
